@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from ._numerics import lagrange_uniform, refined_cells
+from ._numerics import _DEAD, lagrange_uniform, oscillatory_quadrature
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -40,12 +40,6 @@ __all__ = [
     "field_value", "evaluate_along_curve", "direct_quadrature",
     "max_phase_rate", "slice_l2_norm", "spectral_l2_norm",
 ]
-
-# exp(-x) underflows to exactly 0.0 near x = 745; beyond _DEAD the damped
-# multiplier cannot contribute at double precision.
-_DEAD = 745.0
-_PHASE_BUDGET = math.pi / 8.0
-
 
 @dataclass(frozen=True)
 class SampledField:
@@ -251,31 +245,6 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
     return vals if np.ndim(y) else complex(vals[0])
 
 
-def _cell_counts(edges: np.ndarray, params: EvolutionParams,
-                 y: float, t: float) -> np.ndarray:
-    """Sub-cells per grid cell so the phase (and damping exponent) change per
-    sub-cell stays below pi/8."""
-    m = params.m
-    left, right = edges[:-1], edges[1:]
-    apl, apr = np.abs(left) ** m, np.abs(right) ** m
-    straddle = (left < 0) & (right > 0)
-    dpow = np.where(straddle, apl + apr, np.abs(apr - apl))
-    change = abs(y) * (right - left) + t * dpow
-    if params.damping:
-        change = change + t ** params.gamma * dpow
-    counts = np.ceil(change / _PHASE_BUDGET).astype(np.int64)
-    if m < 1.0:
-        # cells touching 0: uniform subdivision must shrink the first
-        # sub-cell's |xi|**m variation below the budget
-        touch = (left <= 0) & (right >= 0) | (left == 0.0) | (right == 0.0)
-        if touch.any():
-            w = right - left
-            need = np.ceil(w * (8.0 * max(t, 0.0) / math.pi) ** (1.0 / m))
-            counts = np.where(touch, np.maximum(counts, need.astype(np.int64)),
-                              counts)
-    return np.maximum(counts, 1)
-
-
 def direct_quadrature(f: SpectralFunction, params: EvolutionParams,
                       y: float, t: float) -> complex:
     """Trusted slow evaluation of h_t(y) by refined composite quadrature on
@@ -298,14 +267,11 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams,
     if edges.size < 2:
         return 0.0 + 0.0j
 
-    counts = _cell_counts(edges, params, y, t)
-    nodes, weights = refined_cells(edges, counts, n_gl=4)
-    fhat = lagrange_uniform(f.samples, xi0, dxi, nodes, order=7)
-    abs_pow = np.abs(nodes) ** params.m
-    integrand = fhat * np.exp(1j * (y * nodes + t * abs_pow))
-    if params.damping:
-        integrand *= np.exp(-(t ** params.gamma) * abs_pow)
-    return complex(np.sum(integrand * weights) / (2.0 * math.pi))
+    damp = t ** params.gamma if params.damping else 0.0
+    total = oscillatory_quadrature(
+        edges, lambda xi: lagrange_uniform(f.samples, xi0, dxi, xi, order=7),
+        y, t, damp, params.m)
+    return complex(total / (2.0 * math.pi))
 
 
 def max_phase_rate(f: SpectralFunction, params: EvolutionParams,

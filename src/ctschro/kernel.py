@@ -13,36 +13,21 @@ with Psi a smooth positive even cutoff supported on 1/2 <= |xi| <= 2.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import refined_cells
-from .domain import CurveSpec, EvolutionParams, curve_eval, holder_curve
+from ._numerics import _DEAD, oscillatory_quadrature
+from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
+                     holder_curve)
 from .errors import DomainError, RegimeError
-from .evolve import _DEAD, _PHASE_BUDGET
 
 __all__ = [
     "CutoffSpec", "CutoffProfile", "make_cutoff",
     "kernel_eval", "BetaChoice", "beta_table", "kernel_majorant",
     "schur_integral", "KernelSample", "KernelBoundReport",
-    "verify_kernel_bound", "worker_count",
+    "verify_kernel_bound",
 ]
-
-THREAD_ENV = "CTSCHRO_THREADS"
-
-
-def worker_count() -> int:
-    """Thread count from the environment; absent means the hardware default."""
-    raw = os.environ.get(THREAD_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    n = int(raw)
-    if n < 1:
-        raise DomainError(f"{THREAD_ENV} must be a positive integer")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +51,12 @@ class CutoffProfile:
     def __init__(self, spec: CutoffSpec = CutoffSpec()):
         self.spec = spec
         grid = np.linspace(spec.inner, spec.outer, 8193)
-        self._one_side = float(np.trapezoid(self._shape(grid), grid))
-
-    def _shape(self, r):
-        u = (np.asarray(r, dtype=float) - self.spec.inner) \
-            / (self.spec.outer - self.spec.inner)
-        out = np.zeros_like(u)
-        inside = (u > 0.0) & (u < 1.0)
-        if inside.any():
-            v = u[inside]
-            out[inside] = np.exp(4.0 - 1.0 / (v * (1.0 - v)))
-        return out
+        self._one_side = float(np.trapezoid(self(grid), grid))
 
     def __call__(self, xi):
-        return self._shape(np.abs(np.asarray(xi, dtype=float)))
+        inner, outer = self.spec.inner, self.spec.outer
+        u = (np.abs(np.asarray(xi, dtype=float)) - inner) / (outer - inner)
+        return np.exp(4.0) * _bump_shape(u, 0.0, 1.0)
 
     @property
     def integral(self) -> float:
@@ -94,21 +71,6 @@ def make_cutoff(spec: CutoffSpec = CutoffSpec()) -> CutoffProfile:
 # ---------------------------------------------------------------------------
 # kernel evaluation
 # ---------------------------------------------------------------------------
-
-def _one_interval(a, b, dy, dt, damp, cutoff, lam):
-    """integral over [a, b] of exp(i(dy xi + dt xi^2) - damp xi^2) Psi(xi/lam)."""
-    if b <= a:
-        return 0.0 + 0.0j
-    # cells: phase + damping-exponent variation per cell below the budget,
-    # and at least 96 cells per band side to resolve the cutoff profile
-    rate = abs(dy) + 2.0 * (abs(dt) + damp) * max(abs(a), abs(b))
-    n_cells = max(96, int(math.ceil((b - a) * rate / _PHASE_BUDGET)))
-    edges = np.linspace(a, b, n_cells + 1)
-    nodes, weights = refined_cells(edges, np.ones(n_cells, dtype=np.int64), 4)
-    xi2 = nodes * nodes
-    vals = cutoff(nodes / lam) * np.exp(1j * (dy * nodes + dt * xi2) - damp * xi2)
-    return complex(np.sum(vals * weights))
-
 
 def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
                 params: EvolutionParams, curve: CurveSpec,
@@ -134,9 +96,13 @@ def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
     hi = min(outer, cap)
     if hi <= inner:
         return 0.0 + 0.0j
-    pos = _one_interval(inner, hi, dy, dt, damp, cutoff, lam)
-    neg = _one_interval(-hi, -inner, dy, dt, damp, cutoff, lam)
-    return pos + neg
+    # 96 cells per band side resolve the cutoff profile; the shared rule
+    # subdivides them where the phase or the damping varies fast
+    pos, neg = (oscillatory_quadrature(np.linspace(a, b, 97),
+                                       lambda xi: cutoff(xi / lam),
+                                       dy, dt, damp, 2.0)
+                for a, b in ((inner, hi), (-hi, -inner)))
+    return complex(pos + neg)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +244,6 @@ class KernelBoundReport:
         return self.max_ratios[-1] <= 2.0 * self.max_ratios[0]
 
 
-def _ratio_for(args):
-    x, y, t1, t2, lam, params, curve, cutoff, beta, alpha, gamma = args
-    val = kernel_eval(x, y, t1, t2, lam, params, curve, cutoff)
-    bnd = kernel_majorant(x, y, lam, beta, alpha, gamma)
-    return KernelSample(x, y, t1, t2, lam, val, bnd)
-
-
 def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
                         seed: int, curve: CurveSpec | None = None,
                         cutoff: CutoffProfile | None = None) -> KernelBoundReport:
@@ -292,8 +251,8 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     to the majorant with the table weights is reported as a per-level maximum.
 
     Positions keep |x - y| >= lam**-4 (coincidence cutoff); times are drawn
-    from the geometric set.  Draws are generated in one fixed sequence before
-    any evaluation, so results do not depend on the execution schedule.
+    from the geometric set.  All draws are made in one fixed sequence before
+    any kernel evaluation, so a seed fixes every sample and every ratio.
     """
     if count < 100:
         raise DomainError("need at least 100 samples per level")
@@ -306,7 +265,7 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     beta = beta_table(alpha, gamma)
 
     rng = np.random.default_rng(seed)
-    tasks = []
+    draws = []
     for lam in lams:
         tset = geometric_time_set(lam)
         for _ in range(count):
@@ -317,15 +276,12 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
                     break
             t1 = float(tset[rng.integers(0, tset.size)])
             t2 = float(tset[rng.integers(0, tset.size)])
-            tasks.append((x, y, t1, t2, lam, params, curve, cutoff,
-                          beta, alpha, gamma))
+            draws.append((x, y, t1, t2, lam))
 
-    n_workers = worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            samples = list(pool.map(_ratio_for, tasks))
-    else:
-        samples = [_ratio_for(t) for t in tasks]
+    samples = [KernelSample(x, y, t1, t2, lam,
+                            kernel_eval(x, y, t1, t2, lam, params, curve, cutoff),
+                            kernel_majorant(x, y, lam, beta, alpha, gamma))
+               for x, y, t1, t2, lam in draws]
 
     max_ratios, worst = [], []
     for i, lam in enumerate(lams):
