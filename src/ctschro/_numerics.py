@@ -14,12 +14,19 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_legendre
 
+from .errors import ResolutionError
+
 # exp(-x) underflows to exactly 0.0 near x = 745; beyond _DEAD the damped
 # multiplier cannot contribute at double precision.
 _DEAD = 745.0
 _PHASE_BUDGET = math.pi / 8.0
+# largest node count of one oscillatory quadrature: 32 MB per float array of
+# nodes, three times the largest count the test suite needs (1.33 M) and far
+# below the tens of GB an undamped high-frequency query would ask for
+_MAX_NODES = 2 ** 22
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_DENOM_CACHE: dict[int, np.ndarray] = {}
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -28,6 +35,18 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         xg, wg = roots_legendre(n)
         _GL_CACHE[n] = (np.asarray(xg), np.asarray(wg))
     return _GL_CACHE[n]
+
+
+def _stencil_denominators(npts: int) -> np.ndarray:
+    """prod_{l != j} (j - l) = (-1)**(npts-1-j) * j! * (npts-1-j)! for the
+    stencil offsets 0..npts-1, cached; the entries are exact integers."""
+    if npts not in _DENOM_CACHE:
+        denom = np.array([(-1) ** (npts - 1 - j) * math.factorial(j)
+                          * math.factorial(npts - 1 - j) for j in range(npts)],
+                         dtype=float)
+        denom.setflags(write=False)
+        _DENOM_CACHE[npts] = denom
+    return _DENOM_CACHE[npts]
 
 
 def lagrange_uniform(values: np.ndarray, x0: float, dx: float,
@@ -59,10 +78,7 @@ def lagrange_uniform(values: np.ndarray, x0: float, dx: float,
     on_node = np.abs(diffs) < 1e-12
     safe = np.where(on_node, 1.0, diffs)
     full = np.prod(safe, axis=1)
-    denom = np.empty(npts)
-    for j in range(npts):
-        denom[j] = np.prod(j - np.delete(offs, j))
-    w = full[:, None] / (safe * denom[None, :])
+    w = full[:, None] / (safe * _stencil_denominators(npts)[None, :])
     hit = on_node.any(axis=1)
     if hit.any():
         w[hit] = np.where(on_node[hit], 1.0, 0.0)
@@ -91,6 +107,64 @@ def refined_cells(edges: np.ndarray, counts: np.ndarray,
     return nodes.ravel(), weights.ravel()
 
 
+def phase_counts(edges: np.ndarray, lin: float, quad: float, damp: float,
+                 m: float) -> np.ndarray:
+    """Sub-cell count of each grid cell [edges[j], edges[j+1]] for the
+    integrand of ``oscillatory_quadrature``: the phase and damping-exponent
+    change per sub-cell is at most pi/8, and every cell gets at least one.
+
+    Raises ``ResolutionError`` when the 4-point rule on these sub-cells needs
+    more than ``_MAX_NODES`` nodes; nothing is allocated for them first.
+    """
+    left, right = edges[:-1], edges[1:]
+    apl, apr = np.abs(left) ** m, np.abs(right) ** m
+    straddle = (left < 0) & (right > 0)
+    dpow = np.where(straddle, apl + apr, np.abs(apr - apl))
+    change = abs(lin) * (right - left) + abs(quad) * dpow
+    if damp:
+        change = change + damp * dpow
+    counts = np.ceil(change / _PHASE_BUDGET)
+    if m < 1.0:
+        # cells touching 0: uniform subdivision must shrink the first
+        # sub-cell's |xi|**m variation below the budget
+        touch = (left <= 0) & (right >= 0)
+        if touch.any():
+            w = right - left
+            need = np.ceil(w * (8.0 * abs(quad) / math.pi) ** (1.0 / m))
+            counts = np.where(touch, np.maximum(counts, need), counts)
+    counts = np.maximum(counts, 1.0)
+    n_nodes = 4.0 * counts.sum()
+    if not n_nodes <= _MAX_NODES:
+        raise ResolutionError(
+            f"oscillatory quadrature needs {n_nodes:.0f} nodes, more than the "
+            f"limit of {_MAX_NODES}")
+    return counts.astype(np.int64)
+
+
+def node_set(edges: np.ndarray, counts: np.ndarray,
+             amp: Callable[[np.ndarray], np.ndarray], m: float):
+    """(nodes, weights, |nodes|**m, amp(nodes)) of the 4-point Gauss rule on
+    ``counts[j]`` equal sub-cells of each grid cell: everything of the
+    integrand that does not depend on ``lin``, ``quad`` or ``damp``."""
+    nodes, weights = refined_cells(edges, counts, n_gl=4)
+    return nodes, weights, np.abs(nodes) ** m, amp(nodes)
+
+
+def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
+                    abs_pow: np.ndarray, a: np.ndarray,
+                    lin: float, quad: float, damp: float) -> complex:
+    """sum over a ``node_set`` of
+
+        weight * amp * exp(i (lin xi + quad |xi|^m)) * exp(-damp |xi|^m)
+    """
+    # a named amplitude keeps numpy from writing the product into it in place,
+    # which would change the operand order and the rounding
+    integrand = a * np.exp(1j * (lin * nodes + quad * abs_pow))
+    if damp:
+        integrand *= np.exp(-damp * abs_pow)
+    return np.sum(integrand * weights)
+
+
 def oscillatory_quadrature(edges: np.ndarray,
                            amp: Callable[[np.ndarray], np.ndarray],
                            lin: float, quad: float, damp: float,
@@ -103,30 +177,5 @@ def oscillatory_quadrature(edges: np.ndarray,
     damping-exponent change per sub-cell is at most pi/8.  ``edges`` must be
     nondecreasing; the caller clips them to the live band.
     """
-    left, right = edges[:-1], edges[1:]
-    apl, apr = np.abs(left) ** m, np.abs(right) ** m
-    straddle = (left < 0) & (right > 0)
-    dpow = np.where(straddle, apl + apr, np.abs(apr - apl))
-    change = abs(lin) * (right - left) + abs(quad) * dpow
-    if damp:
-        change = change + damp * dpow
-    counts = np.ceil(change / _PHASE_BUDGET).astype(np.int64)
-    if m < 1.0:
-        # cells touching 0: uniform subdivision must shrink the first
-        # sub-cell's |xi|**m variation below the budget
-        touch = (left <= 0) & (right >= 0)
-        if touch.any():
-            w = right - left
-            need = np.ceil(w * (8.0 * abs(quad) / math.pi) ** (1.0 / m))
-            counts = np.where(touch, np.maximum(counts, need.astype(np.int64)),
-                              counts)
-
-    nodes, weights = refined_cells(edges, counts, n_gl=4)
-    abs_pow = np.abs(nodes) ** m
-    # a named amplitude keeps numpy from writing the product into it in place,
-    # which would change the operand order and the rounding
-    a = amp(nodes)
-    integrand = a * np.exp(1j * (lin * nodes + quad * abs_pow))
-    if damp:
-        integrand *= np.exp(-damp * abs_pow)
-    return np.sum(integrand * weights)
+    counts = phase_counts(edges, lin, quad, damp, m)
+    return oscillatory_sum(*node_set(edges, counts, amp, m), lin, quad, damp)

@@ -294,14 +294,13 @@ def cmd_eval(cfg: dict) -> dict:
         ts = ts * len(xs)
     if len(xs) != len(ts):
         raise ConfigError("fields 'x' and 't' must have matching lengths")
-    rows = []
-    for x, t in zip(xs, ts):
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError("field 't' must lie in [0, 1]")
-        y = float(curve_eval(curve, x, t))
-        val = direct_quadrature(f, params, y, t)
-        rows.append({"x": x, "t": t, "y": y, "value_re": val.real,
-                     "value_im": val.imag, "value_abs": abs(val)})
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise ConfigError("field 't' must lie in [0, 1]")
+    ys = [float(curve_eval(curve, x, t)) for x, t in zip(xs, ts)]
+    vals = direct_quadrature(f, params, ys, ts).tolist()
+    rows = [{"x": x, "t": t, "y": y, "value_re": val.real,
+             "value_im": val.imag, "value_abs": abs(val)}
+            for x, t, y, val in zip(xs, ts, ys, vals)]
     return {"results": {"rows": rows}, "verdicts": []}
 
 

@@ -17,7 +17,9 @@ Two independent routes are provided:
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid, refined until the phase change per sub-cell is at most
-  pi/8.  No transform, no periodization, no demodulation.
+  pi/8.  No transform, no periodization, no demodulation.  It takes arrays
+  of (y, t) and reuses one node set across consecutive points that need the
+  same one.
 
 Both routes read the spectrum between its samples with the same local
 polynomial order, so they converge to the same continuous integral.
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from ._numerics import _DEAD, lagrange_uniform, oscillatory_quadrature
+from ._numerics import (_DEAD, lagrange_uniform, node_set, oscillatory_sum,
+                        phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -235,43 +238,70 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
     if (y_arr < plan.y_lo).any() or (y_arr > plan.y_hi).any():
         raise GridRangeError("curve query leaves the planned y-range")
     if path == "quadrature":
-        vals = np.array([direct_quadrature(plan.source, plan.params, yy, t)
-                         for yy in y_arr])
-    elif path == "transform":
-        sl = propagate_slice(plan, t)
-        vals = np.atleast_1d(field_value(sl, y_arr, plan.interp_order))
-    else:
+        return direct_quadrature(plan.source, plan.params, y, t)
+    if path != "transform":
         raise ValueError(f"unknown path {path!r}")
+    sl = propagate_slice(plan, t)
+    vals = np.atleast_1d(field_value(sl, y_arr, plan.interp_order))
     return vals if np.ndim(y) else complex(vals[0])
 
 
-def direct_quadrature(f: SpectralFunction, params: EvolutionParams,
-                      y: float, t: float) -> complex:
-    """Trusted slow evaluation of h_t(y) by refined composite quadrature on
-    the source grid (4-point Gauss per sub-cell, phase change <= pi/8)."""
-    lo, hi = f.support()
-    nz = np.nonzero(f.samples)[0]
-    if nz.size == 0:
-        return 0.0 + 0.0j
+def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
+                  support: tuple[float, float], t: float) -> np.ndarray | None:
+    """Source-grid cell edges of the live band at time t, clipped to the
+    support and the damping cap; None when nothing is left to integrate."""
     cap = _damping_cap(params, t)
-    lo = max(lo, -cap)
-    hi = min(hi, cap)
-    if hi <= lo:
-        return 0.0 + 0.0j
-
+    lo = max(support[0], -cap)
+    hi = min(support[1], cap)
+    if hi <= lo:  # empty spectrum, or the damping killed the whole band
+        return None
     dxi, xi0 = f.delta_xi, f.xi_min
     j0 = max(0, int(math.floor((lo - xi0) / dxi)))
     j1 = min(f.n_samples - 1, int(math.ceil((hi - xi0) / dxi)))
     edges = xi0 + dxi * np.arange(j0, j1 + 1)
     edges = np.clip(edges, lo, hi)
-    if edges.size < 2:
-        return 0.0 + 0.0j
+    return edges if edges.size >= 2 else None
 
-    damp = t ** params.gamma if params.damping else 0.0
-    total = oscillatory_quadrature(
-        edges, lambda xi: lagrange_uniform(f.samples, xi0, dxi, xi, order=7),
-        y, t, damp, params.m)
-    return complex(total / (2.0 * math.pi))
+
+def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
+    """Trusted slow evaluation of h_t(y) by refined composite quadrature on
+    the source grid (4-point Gauss per sub-cell, phase change <= pi/8).
+
+    ``y`` and ``t`` are scalars or arrays that broadcast together; a scalar
+    pair gives a Python complex, arrays give a complex array of their
+    broadcast shape.  The points are evaluated in order, and a point whose
+    clipped edges and sub-cell counts equal those of the point before reuses
+    its nodes, weights and interpolated spectrum, so a run of such points
+    interpolates the spectrum once.  Each value is bit-identical to a
+    one-point call.  Raises ``ResolutionError`` when one point needs more
+    than ``_numerics._MAX_NODES`` nodes.
+    """
+    y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
+                                       np.asarray(t, dtype=float))
+    out = np.zeros(y_arr.shape, dtype=complex)
+    flat = out.reshape(-1)
+    support = f.support()
+    dxi, xi0 = f.delta_xi, f.xi_min
+
+    def amp(xi):
+        return lagrange_uniform(f.samples, xi0, dxi, xi, order=7)
+
+    key, nodes = None, None
+    for i, (yy, tt) in enumerate(zip(y_arr.ravel().tolist(),
+                                     t_arr.ravel().tolist())):
+        edges = _oracle_edges(f, params, support, tt)
+        if edges is None:
+            continue
+        damp = tt ** params.gamma if params.damping else 0.0
+        counts = phase_counts(edges, yy, tt, damp, params.m)
+        if key is None or not (np.array_equal(edges, key[0])
+                               and np.array_equal(counts, key[1])):
+            nodes = None   # release the old set before building the next
+            nodes = node_set(edges, counts, amp, params.m)
+            key = (edges, counts)
+        total = oscillatory_sum(*nodes, yy, tt, damp)
+        flat[i] = total / (2.0 * math.pi)
+    return complex(out) if out.ndim == 0 else out
 
 
 def max_phase_rate(f: SpectralFunction, params: EvolutionParams,

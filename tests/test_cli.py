@@ -202,6 +202,27 @@ def test_eval_rows(capsys):
     assert float(rows[1][5]) > 0.15   # near-origin amplitude about 1/(2 pi)
 
 
+def test_eval_over_node_budget_exits_3(capsys, tmp_path, monkeypatch):
+    # undamped modulated family at R = 256, b = 2: one point asks for about
+    # 85 M quadrature nodes; damping has no flag, so the document turns it off
+    import ctschro._numerics as numerics
+
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes built past the node budget")
+    monkeypatch.setattr(numerics, "refined_cells", no_nodes)
+    doc = tmp_path / "eval.json"
+    doc.write_text(json.dumps({"spectrum": "family", "family": "modulated",
+                               "alpha": 0.5, "gamma": 2.0, "b": 2.0,
+                               "R": 256.0, "x": [0.0], "t": [0.5],
+                               "damping": False}))
+    code, out, err = run_cli(["eval", "--config", str(doc)], capsys)
+    assert code == 3
+    assert out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "ResolutionError"
+    assert "nodes" in rec["reason"]
+
+
 def test_eval_band_requires_seed():
     with pytest.raises(ConfigError):
         run_config({"command": "eval", "spectrum": "band", "lam": 16.0,

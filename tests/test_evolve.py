@@ -263,3 +263,111 @@ def test_determinism_bitwise():
     a = propagate_slice(plan, 0.37)
     b = propagate_slice(plan, 0.37)
     assert a.values.tobytes() == b.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batched oracle
+# ---------------------------------------------------------------------------
+
+def _batch_points(f, m, damping):
+    """(y, t) pairs: repeats, an A, B, A order, t = 0, and times whose
+    damping cap (745 / t)**(1/m) (gamma = 1) clips the support at 80 % and
+    50 % of its largest |xi|, and with damping on also at 10 % (undamped,
+    that time would ask for more nodes than the budget allows).  The second
+    80 % time moves the cap inside the same grid cell."""
+    top = max(abs(v) for v in f.support())
+    t80, t50, t10 = (745.0 / (c * top) ** m for c in (0.8, 0.5, 0.1))
+    pts = [(0.2, 0.0), (-0.4, 0.3), (-0.4, 0.3), (0.9, 0.7), (0.1, 0.3),
+           (0.5, t80), (0.5, t80 * (1.0 + 1e-6)), (-0.3, t50), (0.5, t80)]
+    return pts + [(0.0, t10)] if damping else pts
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("damping", [True, False])
+@pytest.mark.parametrize("kind", ["two-sided band", "dilated"])
+def test_batched_quadrature_is_bit_identical_to_scalar_calls(m, damping, kind):
+    if kind == "two-sided band":
+        f = random_band_limited(8.0, seed=5)
+    else:
+        f = build_counterexample(dilated_family(0.5, 1.0, 16.0), 256)
+    params = EvolutionParams(m=m, gamma=1.0, damping=damping)
+    pts = _batch_points(f, m, damping)
+    ys, ts = (np.array(v) for v in zip(*pts))
+    batch = direct_quadrature(f, params, ys, ts)
+    loop = [direct_quadrature(f, params, y, t) for y, t in pts]
+    assert batch.shape == (len(pts),)
+    assert all(type(v) is complex for v in loop)
+    assert batch.tolist() == loop
+    assert all(v != 0.0 for v in loop[:9])
+
+
+def test_batched_quadrature_zero_cases():
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=True)
+    empty = SpectralFunction(0.0, 1.0, np.zeros(128, dtype=complex))
+    got = direct_quadrature(empty, params, [0.3, -0.2], [0.5, 0.0])
+    assert got.tolist() == [0j, 0j]
+    # one-sided band on [4, 16]: at t = 100 the damping cap 2.7 lies below
+    # the band, so the middle point is fully damped
+    band = random_band_limited(8.0, seed=6, two_sided=False)
+    pts = [(0.1, 0.2), (0.1, 100.0), (0.1, 0.2)]
+    ys, ts = zip(*pts)
+    got = direct_quadrature(band, params, ys, ts).tolist()
+    assert got == [direct_quadrature(band, params, y, t) for y, t in pts]
+    assert got[1] == 0.0 and got[0] != 0.0
+
+
+def test_batched_quadrature_shapes():
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=True)
+    ys = np.array([[0.1, -0.2, 0.3], [0.0, 0.5, -0.5]])
+    grid = direct_quadrature(f, params, ys, 0.4)
+    assert grid.shape == (2, 3) and grid.dtype == complex
+    assert grid[1, 2] == direct_quadrature(f, params, -0.5, 0.4)
+    assert type(direct_quadrature(f, params, np.float64(0.1), 0.4)) is complex
+    assert direct_quadrature(f, params, [], []).shape == (0,)
+
+
+def test_batched_quadrature_interpolates_once_per_node_set(monkeypatch):
+    import ctschro.evolve as evolve
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    calls = []
+    orig = evolve.lagrange_uniform
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(evolve, "lagrange_uniform", counting)
+    # y = 0 and t = 0: every cell has one sub-cell, so all points share
+    direct_quadrature(f, params, np.zeros(5), np.zeros(5))
+    assert len(calls) == 1
+    calls.clear()
+    # A, B, A: the single cached slot rebuilds for each change
+    direct_quadrature(f, params, [0.0, 0.0, 0.0], [0.0, 5.0, 0.0])
+    assert len(calls) == 3
+    calls.clear()
+    # the damping cap moves inside one grid cell: equal sub-cell counts but
+    # different clipped edges, so the node set is rebuilt
+    damped = EvolutionParams(m=2.0, gamma=1.0, damping=True)
+    t80 = 745.0 / 12.8 ** 2
+    direct_quadrature(f, damped, [0.5, 0.5], [t80, t80 * (1.0 + 1e-6)])
+    assert len(calls) == 2
+
+
+def test_quadrature_node_budget():
+    from ctschro._numerics import _MAX_NODES, phase_counts
+    edges = np.linspace(0.0, 1.0, 11)
+    counts = phase_counts(edges, 0.0, 0.0, 0.0, 2.0)
+    assert counts.tolist() == [1] * 10
+    # a linear phase whose total change needs just over the budget
+    lin = (_MAX_NODES / 4 + 10) * (np.pi / 8)
+    with pytest.raises(ResolutionError, match="nodes"):
+        phase_counts(edges, lin, 0.0, 0.0, 2.0)
+
+
+def test_stencil_denominators_match_products():
+    from ctschro._numerics import _stencil_denominators
+    for npts in range(2, 12):
+        offs = np.arange(npts, dtype=float)
+        want = [np.prod(j - np.delete(offs, j)) for j in range(npts)]
+        assert _stencil_denominators(npts).tolist() == want
