@@ -46,7 +46,6 @@ from .evolve import (
     evaluate_along_curve,
     field_value,
     make_plan,
-    max_phase_rate,
     propagate_slice,
     slice_l2_norm,
     spectral_l2_norm,

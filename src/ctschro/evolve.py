@@ -16,10 +16,12 @@ Two independent routes are provided:
   wrap-around images out of the evaluated range.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
-  the source grid, refined until the phase change per sub-cell is at most
-  pi/8.  No transform, no periodization, no demodulation.  It takes arrays
-  of (y, t) and reuses one node set across consecutive points that need the
-  same one.
+  the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
+  most 2 pi phase change where the phase moves fast, 4-point Gauss on
+  sub-cells of at most pi/8 where it moves slowly or the cell touches
+  xi = 0 (see ``_numerics.phase_counts`` for the remainder bound).  No
+  transform, no periodization, no demodulation.  It takes arrays of (y, t)
+  and reuses one node set across consecutive points that need the same one.
 
 Both routes read the spectrum between its samples with the same local
 polynomial order, so they converge to the same continuous integral.
@@ -41,7 +43,7 @@ from .errors import GridRangeError, ResolutionError
 __all__ = [
     "SampledField", "PropagationPlan", "make_plan", "propagate_slice",
     "field_value", "evaluate_along_curve", "direct_quadrature",
-    "max_phase_rate", "slice_l2_norm", "spectral_l2_norm",
+    "slice_l2_norm", "spectral_l2_norm",
 ]
 
 @dataclass(frozen=True)
@@ -265,16 +267,18 @@ def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
 
 def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     """Trusted slow evaluation of h_t(y) by refined composite quadrature on
-    the source grid (4-point Gauss per sub-cell, phase change <= pi/8).
+    the source grid: per grid cell, 12-point Gauss on sub-cells of at most
+    2 pi phase and damping-exponent change, or 4-point Gauss on sub-cells of
+    at most pi/8 where the cell changes by at most pi/8 or touches xi = 0.
 
     ``y`` and ``t`` are scalars or arrays that broadcast together; a scalar
     pair gives a Python complex, arrays give a complex array of their
     broadcast shape.  The points are evaluated in order, and a point whose
-    clipped edges and sub-cell counts equal those of the point before reuses
-    its nodes, weights and interpolated spectrum, so a run of such points
-    interpolates the spectrum once.  Each value is bit-identical to a
-    one-point call.  Raises ``ResolutionError`` when one point needs more
-    than ``_numerics._MAX_NODES`` nodes.
+    clipped edges, sub-cell counts and Gauss orders equal those of the point
+    before reuses its nodes, weights and interpolated spectrum, so a run of
+    such points interpolates the spectrum once.  Each value is bit-identical
+    to a one-point call.  Raises ``ResolutionError`` when one point needs
+    more than ``_numerics._MAX_NODES`` nodes.
     """
     y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
                                        np.asarray(t, dtype=float))
@@ -293,41 +297,15 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
         if edges is None:
             continue
         damp = tt ** params.gamma if params.damping else 0.0
-        counts = phase_counts(edges, yy, tt, damp, params.m)
-        if key is None or not (np.array_equal(edges, key[0])
-                               and np.array_equal(counts, key[1])):
+        counts, orders = phase_counts(edges, yy, tt, damp, params.m)
+        rule = (edges, counts, orders)
+        if key is None or not all(map(np.array_equal, rule, key)):
             nodes = None   # release the old set before building the next
-            nodes = node_set(edges, counts, amp, params.m)
-            key = (edges, counts)
+            nodes = node_set(*rule, amp, params.m)
+            key = rule
         total = oscillatory_sum(*nodes, yy, tt, damp)
         flat[i] = total / (2.0 * math.pi)
     return complex(out) if out.ndim == 0 else out
-
-
-def max_phase_rate(f: SpectralFunction, params: EvolutionParams,
-                   y: float, t: float) -> float:
-    """Upper bound |y| + t * m * sup |xi|**(m-1) on the phase derivative over
-    the spectral support.  For m < 1 the supremum sits at the smallest |xi|
-    and is infinite when the support touches 0."""
-    nz = np.nonzero(f.samples)[0]
-    if nz.size == 0:
-        return abs(y)
-    lo, hi = f.support()
-    m = params.m
-    if m == 1.0:
-        peak = 1.0
-    else:
-        mags = [abs(lo), abs(hi)]
-        if lo <= 0.0 <= hi:
-            mags.append(0.0)
-        vals = []
-        for r in mags:
-            if r == 0.0:
-                vals.append(0.0 if m > 1.0 else math.inf)
-            else:
-                vals.append(r ** (m - 1.0))
-        peak = max(vals)
-    return abs(y) + t * m * peak
 
 
 def slice_l2_norm(field: SampledField) -> float:
