@@ -4,9 +4,9 @@ the oscillatory integral shared by the evolution oracle and the TT* kernel.
 
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
 no threading.  Long interpolation queries run in fixed blocks of
-``_BLOCK`` so their (queries x stencil) temporaries stay in cache; every
-value is computed by the same operations whatever the block, so the result
-does not depend on it.
+``_BLOCK`` so their (queries x stencil) temporaries stay small enough for
+the allocator to reuse; every value is computed by the same operations
+whatever the block, so the result does not depend on it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,13 @@ _FINE_ORDER = 12
 # nodes, three times the largest count the test suite needs (1.33 M) and far
 # below the tens of GB an undamped high-frequency query would ask for
 _MAX_NODES = 2 ** 22
-# interpolation queries per block: 2**14 x 8 complex is 2 MB of temporaries
-_BLOCK = 2 ** 14
+# interpolation queries per block.  A block's (queries x 8) temporaries are
+# 128-256 kB at 2**11 and stay in the allocator's heap from block to block.
+# At 2**14 they are 1-2 MB: glibc hands such sizes back to the system when
+# they are freed (unmapped, or trimmed off the heap top) and the next block
+# page-faults them in again.  On the agreement benchmark that was about 0.85 M
+# minor faults and 1 s of system time per run; at 2**11, about 60 k and 0.15 s
+_BLOCK = 2 ** 11
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _DENOM_CACHE: dict[int, np.ndarray] = {}

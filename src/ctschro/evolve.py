@@ -7,13 +7,18 @@ optionally sampled along a curve y = Gamma(x, t).
 
 Two independent routes are provided:
 
-* ``propagate_slice`` - fast synthesis of a whole y-slice.  The spectrum is
-  demodulated around its carrier frequency, so the stored samples are the
-  slowly varying envelope E with h_t(y) = exp(i y carrier) E(y).  The envelope
-  grid satisfies the Nyquist condition for the demodulated bandwidth with a
-  configurable oversampling factor, and the synthesis period exceeds the
-  combined query + dispersive window by the alias safety factor, which keeps
-  wrap-around images out of the evaluated range.
+* ``propagate_slice`` - fast synthesis of a y-slice: a trapezoid sum over
+  the spectrum refined to a step du, read as a discrete Fourier transform.
+  The spectrum is demodulated around its carrier frequency, so the stored
+  samples are the slowly varying envelope E with h_t(y) = exp(i y carrier)
+  E(y).  The envelope grid satisfies the Nyquist condition for the
+  demodulated bandwidth with a configurable oversampling factor, and the
+  synthesis period exceeds the combined query + dispersive window by the
+  alias safety factor, which keeps wrap-around images out of the evaluated
+  range.  A chirp-z transform computes any run of that grid's nodes alone,
+  so a caller that reads one y-span asks for that span and pays three FFTs
+  of about (spectral samples + span nodes) points instead of one FFT of a
+  whole period.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
@@ -24,7 +29,11 @@ Two independent routes are provided:
   and reuses one node set across consecutive points that need the same one.
 
 Both routes read the spectrum between its samples with the same local
-polynomial order, so they converge to the same continuous integral.
+polynomial order, so they converge to the same continuous integral.  They
+share nothing else: the transform route sums the refined spectrum on a
+uniform grid and transforms it, whatever nodes it keeps, and the oracle
+integrates cell by cell in y-space with no transform, periodization or
+demodulation; so their agreement checks each against the other.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 
 from ._numerics import (_DEAD, lagrange_uniform, node_set, oscillatory_sum,
                         phase_counts)
@@ -121,7 +130,13 @@ def _damping_cap(params: EvolutionParams, t: float) -> float:
     """|xi| above which the damping multiplier underflows to exactly 0."""
     if not params.damping or t <= 0.0:
         return math.inf
-    return (_DEAD / t ** params.gamma) ** (1.0 / params.m)
+    rate = t ** params.gamma
+    if rate == 0.0:         # t**gamma underflows: nothing is damped away
+        return math.inf
+    try:
+        return (_DEAD / rate) ** (1.0 / params.m)
+    except OverflowError:   # the cap lies beyond every double
+        return math.inf
 
 
 def _group_shift_extent(params: EvolutionParams, t: float,
@@ -146,10 +161,54 @@ def _zero_slice(plan: PropagationPlan, t: float) -> SampledField:
     return SampledField(plan.y_lo, dy, np.zeros(n, dtype=complex), t, 0.0)
 
 
-def propagate_slice(plan: PropagationPlan, t: float) -> SampledField:
-    """Synthesize the slice h_t on a grid covering the plan's query window."""
+def _chirp(j: np.ndarray, n: int) -> np.ndarray:
+    """exp(i pi j**2 / n) for integer j, with j**2 reduced mod 2n in int64
+    first.  A float phase pi j**2 / n would carry an error of about 1e-16
+    of itself: 5e-10 rad at j = n = 1.5e6."""
+    return np.exp(1j * (math.pi / n) * ((j * j) % (2 * n)))
+
+
+def _chirp_z(a: np.ndarray, n: int, n0: int, n1: int) -> np.ndarray:
+    """sum_k a[k] exp(2 pi i k j / n) for the outputs j = n0 .. n1-1.
+
+    Bluestein's identity 2 k j = k**2 + j**2 - (j - k)**2 turns the sum into
+    a linear convolution of a[k] w(k) with conj(w) over j - k, w(j) =
+    exp(i pi j**2 / n); three FFTs of length >= len(a) + n1 - n0 - 1 do it
+    (Rabiner, Schafer & Rader, "The chirp z-transform algorithm", 1969).
+    """
+    k_len, m_len = a.size, n1 - n0
+    size = next_fast_len(k_len + m_len - 1)
+    spec = fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
+    lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
+    spec *= fft(np.conj(_chirp(lag, n)), size)
+    conv = ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + m_len]
+    return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
+
+
+def propagate_slice(plan: PropagationPlan, t: float,
+                    span: tuple[float, float] | None = None) -> SampledField:
+    """Synthesize the slice h_t on the grid nodes z_lo + n dz of its
+    synthesis window.
+
+    With ``span=None`` the slice covers the whole window, which holds the
+    plan's query window and the dispersive range at time t.  With
+    ``span=(lo, hi)`` it holds only the nodes covering [lo, hi], padded by
+    ``interp_order + 1`` nodes on each side for the interpolation stencil
+    and clipped to the window.  Grid, step, demodulation and alias safety
+    do not depend on the span: the nodes are those of the full slice,
+    computed alone by a chirp-z transform (see ``_chirp_z``), and agree
+    with them to rounding.  The span changes only which nodes are computed,
+    never how, so the route stays independent of the oracle.
+
+    Raises ``GridRangeError`` when the span is empty or misses the window,
+    and ``ResolutionError`` when one period of the full grid would have more
+    than ``plan.max_fft`` nodes, whatever the span, before any array is
+    built.
+    """
     f, p = plan.source, plan.params
     xi0, dxi = f.xi_min, f.delta_xi
+    if span is not None and not span[0] <= span[1]:
+        raise GridRangeError(f"empty slice span {span}")
 
     lo, hi = f.support()
     cap = _damping_cap(p, t)
@@ -176,7 +235,33 @@ def propagate_slice(plan: PropagationPlan, t: float) -> SampledField:
     if j1 - j0 < 1:
         j0, j1 = max(0, j1 - 1), min(f.n_samples - 1, j0 + 1)
     n_fine = (j1 - j0) * q + 1
-    fine_xi = (xi0 + j0 * dxi) + du * np.arange(n_fine)
+    xi_first = xi0 + j0 * dxi
+    xi_last = xi_first + du * (n_fine - 1)
+    carrier = 0.5 * (xi_first + xi_last)
+    half_band = max(0.5 * (xi_last - xi_first), du)
+
+    # the grid of one synthesis period: n_fft nodes dz apart, of which the
+    # first n_z cover the window
+    period = 2.0 * math.pi / du
+    dz_target = math.pi / (half_band * plan.oversampling)
+    n_fft = next_fast_len(max(int(math.ceil(period / dz_target)), n_fine))
+    if n_fft > plan.max_fft:
+        raise ResolutionError(
+            f"slice at t={t} needs an FFT of {n_fft} > max_fft={plan.max_fft}; "
+            "the y-range policy cannot cover the dispersive range")
+    dz = 2.0 * math.pi / (n_fft * du)
+    n_z = min(n_fft, int(math.floor(width / dz)) + 2)
+    n0, n1 = 0, n_z
+    if span is not None:
+        pad = plan.interp_order + 1
+        n0 = max(n0, math.floor((span[0] - z_lo) / dz) - pad)
+        n1 = min(n1, math.ceil((span[1] - z_lo) / dz) + pad + 1)
+        if n1 - n0 < pad:
+            raise GridRangeError(
+                f"slice span {span} misses the synthesis window "
+                f"[{z_lo}, {z_lo + dz * (n_z - 1)}]")
+
+    fine_xi = xi_first + du * np.arange(n_fine)
     if q == 1:
         fine = np.array(f.samples[j0:j1 + 1])
     else:
@@ -189,29 +274,12 @@ def propagate_slice(plan: PropagationPlan, t: float) -> SampledField:
     coef = fine * np.exp(1j * t * abs_pow) * weights
     if p.damping:
         coef *= np.exp(-(t ** p.gamma) * abs_pow)
+    coef *= np.exp(1j * z_lo * du * np.arange(n_fine))
 
-    carrier = 0.5 * (fine_xi[0] + fine_xi[-1])
-    half_band = 0.5 * (fine_xi[-1] - fine_xi[0])
-    half_band = max(half_band, du)
-
-    period = 2.0 * math.pi / du
-    dz_target = math.pi / (half_band * plan.oversampling)
-    n_fft = next_fast_len(max(int(math.ceil(period / dz_target)), n_fine))
-    if n_fft > plan.max_fft:
-        raise ResolutionError(
-            f"slice at t={t} needs an FFT of {n_fft} > max_fft={plan.max_fft}; "
-            "the y-range policy cannot cover the dispersive range")
-    dz = 2.0 * math.pi / (n_fft * du)
-    n_z = min(n_fft, int(math.floor(width / dz)) + 2)
-
-    u0 = fine_xi[0] - carrier
-    k = np.arange(n_fine)
-    spectrum = np.zeros(n_fft, dtype=complex)
-    spectrum[:n_fine] = coef * np.exp(1j * z_lo * du * k)
-    env = (n_fft * np.fft.ifft(spectrum))[:n_z]
-    z = z_lo + dz * np.arange(n_z)
-    env *= np.exp(1j * z * u0)
-    return SampledField(z_lo, dz, env, t, carrier)
+    env = _chirp_z(coef, n_fft, n0, n1)
+    z = z_lo + dz * np.arange(n0, n1)
+    env *= np.exp(1j * z * (xi_first - carrier))
+    return SampledField(z_lo + dz * n0, dz, env, t, carrier)
 
 
 def field_value(field: SampledField, y, order: int = 7):
@@ -231,7 +299,8 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
 
     With ``path="auto"`` batches larger than 32 queries go through the
     transform slice (the per-slice synthesis cost is then amortized) and
-    smaller ones through direct quadrature.
+    smaller ones through direct quadrature.  The transform slice is
+    synthesized on the span of the queries' y alone.
     """
     y = curve_eval(curve, np.asarray(x, dtype=float), t)
     y_arr = np.atleast_1d(y)
@@ -243,7 +312,8 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
         return direct_quadrature(plan.source, plan.params, y, t)
     if path != "transform":
         raise ValueError(f"unknown path {path!r}")
-    sl = propagate_slice(plan, t)
+    span = (float(y_arr.min()), float(y_arr.max())) if y_arr.size else None
+    sl = propagate_slice(plan, t, span)
     vals = np.atleast_1d(field_value(sl, y_arr, plan.interp_order))
     return vals if np.ndim(y) else complex(vals[0])
 

@@ -177,7 +177,8 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     """Pointwise max over the grid times (plus per-x extra times) of the
     amplitude modulus along the curve.
 
-    Per shared time the whole x-batch is read off one transform slice; the
+    Per shared time the whole x-batch is read off one transform slice,
+    synthesized on the plan's query window [y_lo, y_hi] alone; the
     per-x extra times go through one batched direct-quadrature call, which
     interpolates the spectrum once for every run of points sharing a node
     set (at the witness times of the counterexample families that is one
@@ -195,7 +196,7 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     floor = _TAIL_FLOOR * amplitude_bound(f)
 
     for t in tgrid.times:
-        sl = propagate_slice(plan, float(t))
+        sl = propagate_slice(plan, float(t), (plan.y_lo, plan.y_hi))
         win = _live_window(sl, plan, floor)
         if win is None:
             continue

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from ctschro.domain import (
@@ -428,3 +430,137 @@ def test_stencil_denominators_match_products():
         offs = np.arange(npts, dtype=float)
         want = [np.prod(j - np.delete(offs, j)) for j in range(npts)]
         assert _stencil_denominators(npts).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# windowed slices (chirp-z synthesis)
+# ---------------------------------------------------------------------------
+
+# (y_min, delta_y, n_samples) of the full slice of random_band_limited(8, 5)
+# under make_plan with gamma = 1.5, as the inverse-FFT synthesis gave them
+_FULL_GRIDS = {
+    (0.5, True, 1.0): (-13.656163673374383, 0.01226885024685879, 2228),
+    (1.0, False, 0.3): (-10.5, 0.01226885024685879, 1713),
+    (2.0, True, 0.3): (-17.585934065934065, 0.01226885024685879, 2868),
+    (2.0, False, 1.0): (-39.95311355311355, 0.01226885024685879, 6514),
+    (3.0, True, 1.0): (-254.54267467711213, 0.021574846242839372, 23598),
+    (3.0, False, 1.0): (-773.7510993036268, 0.012277749067059677, 126043),
+}
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("damping", [True, False])
+def test_windowed_slice_matches_full_slice(m, damping):
+    """The nodes of a slice synthesized on a span are the full slice's nodes
+    there, and the grid covers the span plus the interpolation stencil."""
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=m, gamma=1.5, damping=damping)
+    plan = make_plan(f, params)
+    bound = amplitude_bound(f)
+    pad = plan.interp_order + 1
+    for t in (0.0, 1e-3, 0.3, 1.0):
+        full = propagate_slice(plan, t)
+        dy = full.delta_y
+        if (m, damping, t) in _FULL_GRIDS:
+            assert (full.y_min, dy, full.n_samples) == _FULL_GRIDS[m, damping, t]
+        spans = [(0.3, 0.3),                          # one point
+                 (plan.y_lo, plan.y_hi),              # the plan's window
+                 (full.y_min - 1.0, plan.y_lo + 0.5)]  # clipped at the left
+        for lo, hi in spans:
+            win = propagate_slice(plan, t, (lo, hi))
+            assert win.delta_y == dy and win.carrier == full.carrier
+            n0 = round((win.y_min - full.y_min) / dy)
+            assert abs(win.y_min - (full.y_min + n0 * dy)) <= 1e-9 * dy
+            assert win.y_min <= max(lo - pad * dy, full.y_min) + 1e-9 * dy
+            assert win.y_max >= min(hi + pad * dy, full.y_max) - 1e-9 * dy
+            assert win.y_min >= full.y_min - 1e-9 * dy
+            assert win.y_max <= full.y_max + 1e-9 * dy
+            same = full.values[n0:n0 + win.n_samples]
+            assert np.max(np.abs(win.values - same)) <= 1e-13 * bound, (t, lo)
+            ys = np.linspace(max(lo, full.y_min), hi, 7)
+            gap = field_value(win, ys) - field_value(full, ys)
+            assert np.max(np.abs(gap)) <= 1e-13 * bound, (t, lo)
+
+
+def test_windowed_slice_rejects_bad_spans():
+    f = random_band_limited(8.0, seed=5)
+    plan = make_plan(f, EvolutionParams(m=2.0, gamma=1.0, damping=False))
+    full = propagate_slice(plan, 0.5)
+    with pytest.raises(GridRangeError):
+        propagate_slice(plan, 0.5, (0.2, 0.1))
+    with pytest.raises(GridRangeError):
+        propagate_slice(plan, 0.5, (full.y_max + 1.0, full.y_max + 2.0))
+
+
+def test_chirp_z_matches_inverse_fft():
+    """Outputs near the end of a 1.5 M-point period, where a phase pi j**2 / n
+    computed in floating point would be off by about 5e-10."""
+    from ctschro.evolve import _chirp_z
+    rng = np.random.default_rng(3)
+    n = 3 * 2 ** 19
+    a = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    spec = np.zeros(n, dtype=complex)
+    spec[:a.size] = a
+    want = n * np.fft.ifft(spec)
+    for n0, n1 in ((0, 40), (n - 300, n), (n // 2 - 7, n // 2 + 9)):
+        got = _chirp_z(a, n, n0, n1)
+        assert np.max(np.abs(got - want[n0:n1])) <= 1e-12 * np.abs(a).sum()
+
+
+def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
+    import ctschro.evolve as evolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the max_fft check")
+    # 256 samples: the slice refines the spectral step, so it interpolates
+    f = random_band_limited(16.0, seed=3, n_samples=256)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    curve = holder_curve(0.5)
+    # the check is on the full grid's period, whatever the span asks for
+    small = make_plan(f, params, curve, max_fft=4096)
+    assert evaluate_along_curve(make_plan(f, params, curve), curve, 0.1, 0.5,
+                                path="transform") != 0.0
+    monkeypatch.setattr(evolve, "lagrange_uniform", forbidden)
+    monkeypatch.setattr(evolve, "_chirp_z", forbidden)
+    with pytest.raises(ResolutionError, match="max_fft"):
+        propagate_slice(small, 0.5)
+    with pytest.raises(ResolutionError, match="max_fft"):
+        propagate_slice(small, 0.5, (0.1, 0.1))
+    with pytest.raises(ResolutionError, match="max_fft"):
+        evaluate_along_curve(small, curve, 0.1, 0.5, path="transform")
+
+
+@pytest.mark.parametrize("m,gamma,t", [(2.0, 2.0, 4e-230),
+                                        (0.5, 1.5, 1e-200),
+                                        (3.0, 1.0, 1e-320)])
+def test_damping_at_vanishing_times(m, gamma, t):
+    """t**gamma underflows to 0 (or the damping cap overflows): both routes
+    read the slice as undamped instead of dividing by zero."""
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=m, gamma=gamma, damping=True)
+    plan = make_plan(f, params)
+    assert direct_quadrature(f, params, 0.3, t) == \
+        direct_quadrature(f, params, 0.3, 0.0)
+    a = evaluate_along_curve(plan, identity_curve(), 0.3, t, path="transform")
+    b = evaluate_along_curve(plan, identity_curve(), 0.3, 0.0,
+                             path="transform")
+    assert abs(a - b) <= 1e-13 * amplitude_bound(f)
+
+
+_GAUSSIAN = gaussian_spectrum()
+
+
+@given(gamma=st.floats(0.5, 3.0), t=st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_gaussian_closed_form_random_gamma_and_time(gamma, t):
+    """Both routes against the damped m = 2 Gaussian closed form at A4's
+    1e-7 relative tolerance."""
+    params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
+    curve = identity_curve()
+    plan = make_plan(_GAUSSIAN, params, curve)
+    xs = np.linspace(-1.0, 1.0, 9)
+    want = gaussian_closed_form(xs, t, gamma)
+    got_t = evaluate_along_curve(plan, curve, xs, t, path="transform")
+    got_q = direct_quadrature(_GAUSSIAN, params, xs, t)
+    assert np.max(np.abs(got_t - want) / np.abs(want)) <= 1e-7
+    assert np.max(np.abs(got_q - want) / np.abs(want)) <= 1e-7
