@@ -40,8 +40,16 @@ _MAX_NODES = 2 ** 22
 # minor faults and 1 s of system time per run; at 2**11, about 60 k and 0.15 s
 _BLOCK = 2 ** 11
 
+# the one Lagrange order of both evaluation routes, on an 8-node stencil, and
+# its denominators prod_{l != j} (j - l) = (-1)**(7-j) j! (7-j)!, exact integers
+_INTERP_ORDER = 7
+_STENCIL = _INTERP_ORDER + 1
+_DENOMINATORS = np.array([(-1) ** (_INTERP_ORDER - j) * math.factorial(j)
+                          * math.factorial(_INTERP_ORDER - j)
+                          for j in range(_STENCIL)], dtype=float)
+_DENOMINATORS.setflags(write=False)
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_DENOM_CACHE: dict[int, np.ndarray] = {}
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,23 +60,11 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _stencil_denominators(npts: int) -> np.ndarray:
-    """prod_{l != j} (j - l) = (-1)**(npts-1-j) * j! * (npts-1-j)! for the
-    stencil offsets 0..npts-1, cached; the entries are exact integers."""
-    if npts not in _DENOM_CACHE:
-        denom = np.array([(-1) ** (npts - 1 - j) * math.factorial(j)
-                          * math.factorial(npts - 1 - j) for j in range(npts)],
-                         dtype=float)
-        denom.setflags(write=False)
-        _DENOM_CACHE[npts] = denom
-    return _DENOM_CACHE[npts]
-
-
 def lagrange_uniform(values: np.ndarray, x0: float, dx: float,
-                     xq: np.ndarray, order: int = 7) -> np.ndarray:
+                     xq: np.ndarray) -> np.ndarray:
     """Local Lagrange interpolation of samples on the uniform grid x0 + k*dx.
 
-    Uses a sliding window of ``order + 1`` nodes centred on each query; windows
+    Uses a sliding window of ``_STENCIL`` nodes centred on each query; windows
     are clamped at the grid ends.  Queries that land exactly on a node return
     the sample itself (no 0/0).  Queries are evaluated ``_BLOCK`` at a time.
     """
@@ -76,39 +72,38 @@ def lagrange_uniform(values: np.ndarray, x0: float, dx: float,
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
-    npts = order + 1
-    if values.shape[0] < npts:
-        raise ValueError(f"need at least {npts} samples for order {order}")
+    if values.shape[0] < _STENCIL:
+        raise ValueError(f"need at least {_STENCIL} samples")
 
     out = np.empty(xq.shape[0], dtype=values.dtype)
     for start in range(0, xq.shape[0], _BLOCK):
         stop = start + _BLOCK
-        _lagrange_block(values, x0, dx, xq[start:stop], npts, out[start:stop])
+        _lagrange_block(values, x0, dx, xq[start:stop], out[start:stop])
     return out[0] if scalar else out
 
 
 def _lagrange_block(values: np.ndarray, x0: float, dx: float, xq: np.ndarray,
-                    npts: int, out: np.ndarray) -> None:
+                    out: np.ndarray) -> None:
     """``lagrange_uniform`` of one block of queries, written into ``out``."""
     n = values.shape[0]
     pos = (xq - x0) / dx
-    i0 = np.floor(pos).astype(np.int64) - (npts // 2 - 1)
-    np.clip(i0, 0, n - npts, out=i0)
-    d = pos - i0                                   # in [0, npts-1] within grid
+    i0 = np.floor(pos).astype(np.int64) - (_STENCIL // 2 - 1)
+    np.clip(i0, 0, n - _STENCIL, out=i0)
+    d = pos - i0                                   # in [0, 7] within grid
 
-    offs = np.arange(npts, dtype=float)
-    diffs = d[:, None] - offs[None, :]             # (nq, npts)
+    offs = np.arange(_STENCIL, dtype=float)
+    diffs = d[:, None] - offs[None, :]             # (nq, _STENCIL)
 
     # w_j = prod_{l != j} (d - l) / (j - l); the full product divided per node.
     on_node = np.abs(diffs) < 1e-12
     safe = np.where(on_node, 1.0, diffs)
     full = np.prod(safe, axis=1)
-    w = full[:, None] / (safe * _stencil_denominators(npts)[None, :])
+    w = full[:, None] / (safe * _DENOMINATORS[None, :])
     hit = on_node.any(axis=1)
     if hit.any():
         w[hit] = np.where(on_node[hit], 1.0, 0.0)
 
-    gathered = values[i0[:, None] + np.arange(npts)[None, :]]
+    gathered = values[i0[:, None] + np.arange(_STENCIL)[None, :]]
     np.einsum("ij,ij->i", w.astype(gathered.dtype, copy=False), gathered,
               out=out)
 

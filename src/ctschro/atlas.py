@@ -220,9 +220,10 @@ def breakpoints(alpha, m) -> list[Breakpoint]:
     return out
 
 
-def continuity_check(alpha, m, offset: float = 1e-9) -> list[ContinuityGap]:
+def continuity_check(alpha, m) -> list[ContinuityGap]:
     """Evaluate the exponent on both sides of every interior breakpoint
-    (float path, offset 1e-9) and report the gaps."""
+    (float path, relative offset 1e-9) and report the gaps."""
+    offset = 1e-9
     gaps = []
     for bp in breakpoints(float(alpha), float(m)):
         g = float(bp.gamma)

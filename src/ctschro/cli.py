@@ -83,6 +83,13 @@ def _family(cfg: dict) -> CounterexampleFamily:
         raise ConfigError(str(exc)) from exc
 
 
+def _n_samples(cfg: dict) -> int:
+    n_samples = int(cfg.get("n_samples", 2048))
+    if n_samples < 64:
+        raise ConfigError("field 'n_samples' must be at least 64")
+    return n_samples
+
+
 def _scales(cfg: dict) -> list[float]:
     scales = cfg.get("scales")
     if not scales:
@@ -144,9 +151,7 @@ def cmd_sweep(cfg: dict) -> dict:
     s_order = float(cfg.get("s_order", 0.0))
     tol = float(cfg.get("tolerance", 0.1))
     interval = cfg.get("interval", "scaling")
-    n_samples = int(cfg.get("n_samples", 2048))
-    if n_samples < 64:
-        raise ConfigError("field 'n_samples' must be at least 64")
+    n_samples = _n_samples(cfg)
     _require_witness_regime(_family({**cfg, "R": scales[0]}))
 
     rows, qs, failure = [], [], None
@@ -230,6 +235,14 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     schur_lams = [float(l) for l in cfg.get("schur_lams", [16.0, 32.0, 64.0, 128.0])]
     schur_tol = float(cfg.get("schur_tolerance", 0.15))
+    if not lams or not all(l >= 4.0 for l in lams):
+        raise ConfigError("field 'lams' must be a nonempty list of entries >= 4")
+    if len(schur_lams) < 4 or not all(l >= 4.0 for l in schur_lams) \
+            or any(b <= a for a, b in zip(schur_lams, schur_lams[1:])):
+        raise ConfigError("field 'schur_lams' must increase strictly with at "
+                          "least 4 entries >= 4")
+    if count < 100:
+        raise ConfigError("field 'count' must be at least 100")
 
     beta = beta_table(alpha, gamma)
     report = verify_kernel_bound(alpha, gamma, lams, count, seed)
@@ -274,13 +287,19 @@ def cmd_eval(cfg: dict) -> dict:
     spectrum = cfg.get("spectrum", "family")
     if spectrum == "family":
         fam = _family(cfg)
-        f = build_counterexample(fam, int(cfg.get("n_samples", 2048)))
+        f = build_counterexample(fam, _n_samples(cfg))
         gamma = fam.gamma
         alpha = fam.alpha
     elif spectrum == "band":
         if cfg.get("seed") is None:
             raise ConfigError("field 'seed' is required for a random band spectrum")
-        f = random_band_limited(float(cfg["lam"]), int(cfg["seed"]))
+        try:
+            lam = float(cfg["lam"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("field 'lam' must be a positive number") from exc
+        if not 0.0 < lam < np.inf:
+            raise ConfigError(f"field 'lam' must be finite and positive: {lam}")
+        f = random_band_limited(lam, int(cfg["seed"]))
         gamma = float(cfg.get("gamma", 1.0))
         alpha = float(cfg.get("alpha", 1.0))
     else:

@@ -217,14 +217,15 @@ class RegularityReport:
     c3_declared: float
 
 
-def verify_curve_regularity(curve: CurveSpec, n_x: int = 41, n_t: int = 41,
-                            slack: float = 1e-12) -> RegularityReport:
+def verify_curve_regularity(curve: CurveSpec, n_x: int = 41,
+                            n_t: int = 41) -> RegularityReport:
     """Empirically check two-sided Lipschitz bounds in x and the Hölder bound
-    in t on a lattice over [-1, 1] x [0, 1].
+    in t on a lattice over [-1, 1] x [0, 1], up to a slack of 1e-12.
 
     Failures are reported, never raised.  The witnessed constants are the
     tightest ratios over all lattice pairs.
     """
+    slack = 1e-12
     xs = np.linspace(-1.0, 1.0, n_x)
     ts = np.linspace(0.0, 1.0, n_t)
     if curve.family == "tabulated":
@@ -348,16 +349,18 @@ def from_profile(fn, xi_min: float, xi_max: float, n_samples: int,
 
 
 def random_band_limited(lam: float, seed: int, n_samples: int | None = None,
-                        n_modes: int = 12, two_sided: bool = True,
-                        mode_extent: float = 2.0) -> SpectralFunction:
+                        two_sided: bool = True) -> SpectralFunction:
     """Random smooth spectrum supported on the band {lam/2 <= |xi| <= 2*lam}.
 
     The profile is a smooth window on each band side times a random
-    trigonometric polynomial with mode positions in [-mode_extent, mode_extent],
-    so the spectrum decays smoothly to zero at the band edges.  The default
-    grid keeps the sample step at 1/16, which resolves the mode oscillation
-    well past the interpolation orders used anywhere downstream.
+    trigonometric polynomial of 12 modes with positions in [-2, 2], so the
+    spectrum decays smoothly to zero at the band edges.  The default grid
+    keeps the sample step at 1/16, which resolves the mode oscillation well
+    past the interpolation order used downstream.  Raises ``DomainError``
+    unless lam is finite and positive.
     """
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"band level lam must be finite and positive: {lam}")
     rng = np.random.default_rng(seed)
     span = 4.0 * lam if two_sided else 1.5 * lam
     if n_samples is None:
@@ -367,8 +370,8 @@ def random_band_limited(lam: float, seed: int, n_samples: int | None = None,
         a, b = sgn * 2 * lam, sgn * lam / 2
         lo, hi = min(a, b), max(a, b)
         window = _bump_shape((xi - lo) / (hi - lo), 0.0, 1.0) * np.exp(4.0)
-        coef = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        pos = rng.uniform(-mode_extent, mode_extent, n_modes)
+        coef = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        pos = rng.uniform(-2.0, 2.0, 12)
         waves = np.exp(1j * np.outer(xi, pos)) @ coef
         return window * waves
 
@@ -462,9 +465,10 @@ def modulated_family(alpha, gamma, R, b, c=0.01) -> CounterexampleFamily:
     return CounterexampleFamily("modulated", alpha, gamma, R, b, c)
 
 
-def build_counterexample(fam: CounterexampleFamily, n_samples: int = 2048,
-                         bump: BumpProfile | None = None) -> SpectralFunction:
-    """Sample fhat_R on a grid exactly covering its support.
+def build_counterexample(fam: CounterexampleFamily,
+                         n_samples: int = 2048) -> SpectralFunction:
+    """Sample fhat_R, with g the default bump, on a grid exactly covering
+    its support.
 
     The L2 norm scales as R**(-1/2); with ``n_samples`` fixed across scales the
     computed norms share one quadrature grid in the rescaled variable, so norm
@@ -472,7 +476,7 @@ def build_counterexample(fam: CounterexampleFamily, n_samples: int = 2048,
     """
     if n_samples < 64:
         raise ResolutionError("counterexample grid needs at least 64 nodes")
-    g = bump if bump is not None else make_bump()
+    g = make_bump()
     R = fam.R
     if fam.kind == "dilated":
         lo, hi = 0.0, R / 2.0

@@ -11,14 +11,14 @@ Two independent routes are provided:
   the spectrum refined to a step du, read as a discrete Fourier transform.
   The spectrum is demodulated around its carrier frequency, so the stored
   samples are the slowly varying envelope E with h_t(y) = exp(i y carrier)
-  E(y).  The envelope grid satisfies the Nyquist condition for the
-  demodulated bandwidth with a configurable oversampling factor, and the
-  synthesis period exceeds the combined query + dispersive window by the
-  alias safety factor, which keeps wrap-around images out of the evaluated
-  range.  A chirp-z transform computes any run of that grid's nodes alone,
-  so a caller that reads one y-span asks for that span and pays three FFTs
-  of about (spectral samples + span nodes) points instead of one FFT of a
-  whole period.
+  E(y).  The grid policy is fixed: the envelope grid is 16 times finer than
+  the Nyquist step of the demodulated band, and the synthesis period is
+  twice the query + dispersive window (plus a margin of 8 on each side),
+  which keeps wrap-around images out of the evaluated range.  A chirp-z
+  transform computes any run of that grid's nodes alone, so a caller that
+  reads one y-span asks for that span and pays three FFTs of about
+  (spectral samples + span nodes) points instead of one FFT of a whole
+  period.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
@@ -28,12 +28,13 @@ Two independent routes are provided:
   transform, no periodization, no demodulation.  It takes arrays of (y, t)
   and reuses one node set across consecutive points that need the same one.
 
-Both routes read the spectrum between its samples with the same local
-polynomial order, so they converge to the same continuous integral.  They
-share nothing else: the transform route sums the refined spectrum on a
-uniform grid and transforms it, whatever nodes it keeps, and the oracle
-integrates cell by cell in y-space with no transform, periodization or
-demodulation; so their agreement checks each against the other.
+Both routes read the spectrum between its samples with the one local
+polynomial order of ``lagrange_uniform``, so they converge to the same
+continuous integral.  They share nothing else: the transform route sums the
+refined spectrum on a uniform grid and transforms it, whatever nodes it
+keeps, and the oracle integrates cell by cell in y-space with no transform,
+periodization or demodulation; so their agreement checks each against the
+other.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from ._numerics import (_DEAD, lagrange_uniform, node_set, oscillatory_sum,
-                        phase_counts)
+from ._numerics import (_DEAD, _STENCIL, lagrange_uniform, node_set,
+                        oscillatory_sum, phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -54,6 +55,15 @@ __all__ = [
     "field_value", "evaluate_along_curve", "direct_quadrature",
     "slice_l2_norm", "spectral_l2_norm",
 ]
+
+# the transform route's grid policy: envelope step = Nyquist step of the
+# demodulated band / _OVERSAMPLING; synthesis period = _ALIAS_SAFETY x the
+# query + dispersive window widened by _TAIL_MARGIN on each side; at most
+# _MAX_FFT nodes per period (256 MB of complex values)
+_OVERSAMPLING = 16.0
+_ALIAS_SAFETY = 2.0
+_TAIL_MARGIN = 8.0
+_MAX_FFT = 2 ** 24
 
 @dataclass(frozen=True)
 class SampledField:
@@ -89,41 +99,30 @@ class SampledField:
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Grid policy for transform-path evaluation of one source spectrum.
+    """Transform-path evaluation of one source spectrum under given params.
 
     ``y_lo``/``y_hi`` bound every curve-composed query; the dispersive range
     of each slice is added per time, so wrap-around images stay at least one
-    full window width away from any query.
+    full window width away from any query.  Everything else about the grid
+    is the module's fixed policy (``_OVERSAMPLING``, ``_ALIAS_SAFETY``,
+    ``_TAIL_MARGIN``, ``_MAX_FFT``).
     """
     source: SpectralFunction
     params: EvolutionParams
     y_lo: float
     y_hi: float
-    oversampling: float = 16.0
-    interp_order: int = 7
-    alias_safety: float = 2.0
-    tail_margin: float = 8.0
-    max_fft: int = 2 ** 24
 
     def __post_init__(self):
-        if self.oversampling < 2.0:
-            raise ResolutionError(
-                "oversampling below 2 violates the slice Nyquist condition")
-        if self.alias_safety < 2.0:
-            raise ResolutionError("alias safety factor must be >= 2")
         if not self.y_lo < self.y_hi:
             raise GridRangeError("empty query window")
 
 
 def make_plan(source: SpectralFunction, params: EvolutionParams,
-              curve: CurveSpec | None = None, pad: float = 0.5,
-              **overrides) -> PropagationPlan:
-    """Plan with a query window covering [-1, 1] composed with the curve:
-    [-1 - c3 - pad, 1 + c3 + pad]."""
-    reach = (curve.c3 if curve is not None else 1.0) + pad
-    y_lo = overrides.pop("y_lo", -1.0 - reach)
-    y_hi = overrides.pop("y_hi", 1.0 + reach)
-    return PropagationPlan(source, params, y_lo, y_hi, **overrides)
+              curve: CurveSpec | None = None) -> PropagationPlan:
+    """Plan with a query window covering [-1, 1] composed with the curve,
+    plus 1/2: [-1.5 - c3, 1.5 + c3], with c3 = 1 when no curve is given."""
+    reach = (curve.c3 if curve is not None else 1.0) + 0.5
+    return PropagationPlan(source, params, -1.0 - reach, 1.0 + reach)
 
 
 def _damping_cap(params: EvolutionParams, t: float) -> float:
@@ -193,7 +192,7 @@ def propagate_slice(plan: PropagationPlan, t: float,
     With ``span=None`` the slice covers the whole window, which holds the
     plan's query window and the dispersive range at time t.  With
     ``span=(lo, hi)`` it holds only the nodes covering [lo, hi], padded by
-    ``interp_order + 1`` nodes on each side for the interpolation stencil
+    ``_numerics._STENCIL`` nodes on each side for the interpolation stencil
     and clipped to the window.  Grid, step, demodulation and alias safety
     do not depend on the span: the nodes are those of the full slice,
     computed alone by a chirp-z transform (see ``_chirp_z``), and agree
@@ -202,7 +201,7 @@ def propagate_slice(plan: PropagationPlan, t: float,
 
     Raises ``GridRangeError`` when the span is empty or misses the window,
     and ``ResolutionError`` when one period of the full grid would have more
-    than ``plan.max_fft`` nodes, whatever the span, before any array is
+    than ``_MAX_FFT`` nodes, whatever the span, before any array is
     built.
     """
     f, p = plan.source, plan.params
@@ -220,13 +219,13 @@ def propagate_slice(plan: PropagationPlan, t: float,
     # stationary-shift extent of the live band fixes the window the envelope
     # can occupy at this time
     s_lo, s_hi = _group_shift_extent(p, t, lo, hi, dxi)
-    z_lo = min(plan.y_lo, s_lo) - plan.tail_margin
-    z_hi = max(plan.y_hi, s_hi) + plan.tail_margin
+    z_lo = min(plan.y_lo, s_lo) - _TAIL_MARGIN
+    z_hi = max(plan.y_hi, s_hi) + _TAIL_MARGIN
     width = z_hi - z_lo
 
     # refine the spectral step until the synthesis period covers the window
     # with the alias safety factor
-    du_max = 2.0 * math.pi / (plan.alias_safety * width)
+    du_max = 2.0 * math.pi / (_ALIAS_SAFETY * width)
     q = max(1, math.ceil(dxi / du_max))
     du = dxi / q
 
@@ -243,20 +242,19 @@ def propagate_slice(plan: PropagationPlan, t: float,
     # the grid of one synthesis period: n_fft nodes dz apart, of which the
     # first n_z cover the window
     period = 2.0 * math.pi / du
-    dz_target = math.pi / (half_band * plan.oversampling)
+    dz_target = math.pi / (half_band * _OVERSAMPLING)
     n_fft = next_fast_len(max(int(math.ceil(period / dz_target)), n_fine))
-    if n_fft > plan.max_fft:
+    if n_fft > _MAX_FFT:
         raise ResolutionError(
-            f"slice at t={t} needs an FFT of {n_fft} > max_fft={plan.max_fft}; "
+            f"slice at t={t} needs an FFT of {n_fft} > max_fft={_MAX_FFT}; "
             "the y-range policy cannot cover the dispersive range")
     dz = 2.0 * math.pi / (n_fft * du)
     n_z = min(n_fft, int(math.floor(width / dz)) + 2)
     n0, n1 = 0, n_z
     if span is not None:
-        pad = plan.interp_order + 1
-        n0 = max(n0, math.floor((span[0] - z_lo) / dz) - pad)
-        n1 = min(n1, math.ceil((span[1] - z_lo) / dz) + pad + 1)
-        if n1 - n0 < pad:
+        n0 = max(n0, math.floor((span[0] - z_lo) / dz) - _STENCIL)
+        n1 = min(n1, math.ceil((span[1] - z_lo) / dz) + _STENCIL + 1)
+        if n1 - n0 < _STENCIL:
             raise GridRangeError(
                 f"slice span {span} misses the synthesis window "
                 f"[{z_lo}, {z_lo + dz * (n_z - 1)}]")
@@ -265,7 +263,7 @@ def propagate_slice(plan: PropagationPlan, t: float,
     if q == 1:
         fine = np.array(f.samples[j0:j1 + 1])
     else:
-        fine = lagrange_uniform(f.samples, xi0, dxi, fine_xi, plan.interp_order)
+        fine = lagrange_uniform(f.samples, xi0, dxi, fine_xi)
 
     abs_pow = np.abs(fine_xi) ** p.m
     weights = np.full(n_fine, du / (2.0 * math.pi))
@@ -282,30 +280,27 @@ def propagate_slice(plan: PropagationPlan, t: float,
     return SampledField(z_lo + dz * n0, dz, env, t, carrier)
 
 
-def field_value(field: SampledField, y, order: int = 7):
+def field_value(field: SampledField, y):
     """Interpolate the slice at positions y (scalar or array), carrier included."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if (y_arr < field.y_min - 1e-12).any() or (y_arr > field.y_max + 1e-12).any():
         raise GridRangeError(
             f"query outside the slice grid [{field.y_min}, {field.y_max}]")
-    env = lagrange_uniform(field.values, field.y_min, field.delta_y, y_arr, order)
+    env = lagrange_uniform(field.values, field.y_min, field.delta_y, y_arr)
     out = env * np.exp(1j * field.carrier * y_arr)
     return out if np.ndim(y) else complex(out[0])
 
 
 def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
-                         path: str = "auto"):
+                         path: str):
     """Amplitude h_t(Gamma(x, t)) for one time and one or many positions.
 
-    With ``path="auto"`` batches larger than 32 queries go through the
-    transform slice (the per-slice synthesis cost is then amortized) and
-    smaller ones through direct quadrature.  The transform slice is
-    synthesized on the span of the queries' y alone.
+    ``path`` names the route: ``"transform"`` reads the values off one slice,
+    synthesized on the span of the queries' y alone, and ``"quadrature"``
+    makes one batched ``direct_quadrature`` call.
     """
     y = curve_eval(curve, np.asarray(x, dtype=float), t)
     y_arr = np.atleast_1d(y)
-    if path == "auto":
-        path = "transform" if y_arr.size > 32 else "quadrature"
     if (y_arr < plan.y_lo).any() or (y_arr > plan.y_hi).any():
         raise GridRangeError("curve query leaves the planned y-range")
     if path == "quadrature":
@@ -314,7 +309,7 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
         raise ValueError(f"unknown path {path!r}")
     span = (float(y_arr.min()), float(y_arr.max())) if y_arr.size else None
     sl = propagate_slice(plan, t, span)
-    vals = np.atleast_1d(field_value(sl, y_arr, plan.interp_order))
+    vals = np.atleast_1d(field_value(sl, y_arr))
     return vals if np.ndim(y) else complex(vals[0])
 
 
@@ -358,7 +353,7 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     dxi, xi0 = f.delta_xi, f.xi_min
 
     def amp(xi):
-        return lagrange_uniform(f.samples, xi0, dxi, xi, order=7)
+        return lagrange_uniform(f.samples, xi0, dxi, xi)
 
     key, nodes = None, None
     for i, (yy, tt) in enumerate(zip(y_arr.ravel().tolist(),

@@ -245,10 +245,10 @@ class KernelBoundReport:
 
 
 def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
-                        seed: int, curve: CurveSpec | None = None,
-                        cutoff: CutoffProfile | None = None) -> KernelBoundReport:
+                        seed: int) -> KernelBoundReport:
     """Seeded random samples (x, y, t1, t2) per level: the ratio of |kernel|
-    to the majorant with the table weights is reported as a per-level maximum.
+    along the Hölder curve of exponent alpha, with the default cutoff, to the
+    majorant with the table weights is reported as a per-level maximum.
 
     Positions keep |x - y| >= lam**-4 (coincidence cutoff); times are drawn
     from the geometric set.  All draws are made in one fixed sequence before
@@ -257,10 +257,8 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     if count < 100:
         raise DomainError("need at least 100 samples per level")
     lams = tuple(float(l) for l in lams)
-    if curve is None:
-        curve = holder_curve(alpha)
-    if cutoff is None:
-        cutoff = make_cutoff()
+    curve = holder_curve(alpha)
+    cutoff = make_cutoff()
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
     beta = beta_table(alpha, gamma)
 

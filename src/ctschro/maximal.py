@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import lagrange_uniform
+from ._numerics import _STENCIL, lagrange_uniform
 from .domain import (
     CounterexampleFamily,
     CurveSpec,
@@ -141,9 +141,10 @@ class MaximalField:
             object.__setattr__(self, name, arr)
 
 
-def default_x_grid(f: SpectralFunction, n_min: int = 513) -> np.ndarray:
-    """Uniform grid on [-1, 1] with at least 8 nodes per 1/lam wavelength."""
-    n = max(n_min, int(math.ceil(8.0 * f.max_abs_xi())) + 1)
+def default_x_grid(f: SpectralFunction) -> np.ndarray:
+    """Uniform grid on [-1, 1] of at least 513 nodes, and at least 8 per
+    1/lam wavelength."""
+    n = max(513, int(math.ceil(8.0 * f.max_abs_xi())) + 1)
     return np.linspace(-1.0, 1.0, n)
 
 
@@ -165,20 +166,19 @@ def _live_window(sl, plan: PropagationPlan, floor: float):
     if window.size == 0 or window.max() <= floor:
         return None
     live = np.nonzero(amps > floor)[0]
-    pad = 8
-    a = sl.y_min + sl.delta_y * max(0, live[0] - pad)
-    b = sl.y_min + sl.delta_y * min(sl.n_samples - 1, live[-1] + pad)
+    a = sl.y_min + sl.delta_y * max(0, live[0] - _STENCIL)
+    b = sl.y_min + sl.delta_y * min(sl.n_samples - 1, live[-1] + _STENCIL)
     return a, b
 
 
 def maximal_field(f: SpectralFunction, params: EvolutionParams,
-                  curve: CurveSpec, x_nodes: np.ndarray, tgrid: TimeGrid,
-                  plan: PropagationPlan | None = None) -> MaximalField:
+                  curve: CurveSpec, x_nodes: np.ndarray,
+                  tgrid: TimeGrid) -> MaximalField:
     """Pointwise max over the grid times (plus per-x extra times) of the
     amplitude modulus along the curve.
 
     Per shared time the whole x-batch is read off one transform slice,
-    synthesized on the plan's query window [y_lo, y_hi] alone; the
+    synthesized on the query window [y_lo, y_hi] of ``make_plan`` alone; the
     per-x extra times go through one batched direct-quadrature call, which
     interpolates the spectrum once for every run of points sharing a node
     set (at the witness times of the counterexample families that is one
@@ -186,8 +186,7 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     bound are treated as zero.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    if plan is None:
-        plan = make_plan(f, params, curve)
+    plan = make_plan(f, params, curve)
     if tgrid.extra_times is not None and tgrid.extra_times.size != x_nodes.size:
         raise DomainError("extra_times must align with x_nodes")
 
@@ -205,8 +204,7 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
         if not mask.any():
             continue
         # modulus of the envelope: the carrier is a unimodular factor
-        env = lagrange_uniform(sl.values, sl.y_min, sl.delta_y,
-                               y[mask], plan.interp_order)
+        env = lagrange_uniform(sl.values, sl.y_min, sl.delta_y, y[mask])
         vals = np.abs(env)
         idx = np.nonzero(mask)[0]
         upd = vals > best[idx]
@@ -255,15 +253,22 @@ class RatioResult:
     interval: tuple[float, float]
 
 
-def maximal_ratio(fam: CounterexampleFamily,
-                  params: EvolutionParams | None = None,
-                  curve: CurveSpec | None = None,
-                  s: float = 0.0,
+def _family_setup(fam: CounterexampleFamily, n_samples: int):
+    """(source on ``n_samples`` samples, params, curve) of a family: m = 2,
+    damping with the family's gamma, along the Hölder curve of its alpha."""
+    f = build_counterexample(fam, n_samples)
+    if not np.any(f.samples):
+        raise ZeroNormError("source spectrum is identically zero")
+    return (f, EvolutionParams(m=2.0, gamma=fam.gamma, damping=True),
+            holder_curve(fam.alpha))
+
+
+def maximal_ratio(fam: CounterexampleFamily, s: float = 0.0,
                   interval: str | tuple[float, float] = "scaling",
-                  n_samples: int = 2048,
-                  n_witness: int = 256,
-                  tgrid: TimeGrid | None = None) -> RatioResult:
-    """Ratio of the maximal-field L2 norm to the source Sobolev norm.
+                  n_samples: int = 2048) -> RatioResult:
+    """Ratio of the maximal-field L2 norm to the source Sobolev norm, for
+    the family's source evolved with m = 2 and the family's gamma along the
+    Hölder curve of its alpha, on the default time grid with witness times.
 
     ``interval`` selects where the maximal field is integrated:
 
@@ -274,14 +279,7 @@ def maximal_ratio(fam: CounterexampleFamily,
     * "full"     - all of [-1, 1] (baseline-dominated at desk scales),
     * or an explicit (a, b).
     """
-    if params is None:
-        params = EvolutionParams(m=2.0, gamma=fam.gamma, damping=True)
-    if curve is None:
-        curve = holder_curve(fam.alpha)
-    f = build_counterexample(fam, n_samples)
-    if not np.any(f.samples):
-        raise ZeroNormError("source spectrum is identically zero")
-
+    f, params, curve = _family_setup(fam, n_samples)
     if interval == "scaling":
         bounds = scaling_interval(fam)
     elif interval == "witness":
@@ -293,16 +291,14 @@ def maximal_ratio(fam: CounterexampleFamily,
 
     if interval == "full":
         xs = np.unique(np.concatenate([default_x_grid(f),
-                                       witness_x_grid(fam, n_witness)]))
+                                       witness_x_grid(fam)]))
     else:
         xs = np.unique(np.concatenate(
-            [np.linspace(bounds[0], bounds[1], max(n_witness, 256)),
-             witness_x_grid(fam, n_witness)]))
+            [np.linspace(bounds[0], bounds[1], 256), witness_x_grid(fam)]))
         xs = xs[(xs >= -1.0) & (xs <= 1.0)]
 
-    if tgrid is None:
-        tgrid = build_time_grid(default_time_exponent(fam.lam),
-                                fam=fam, x_nodes=xs)
+    tgrid = build_time_grid(default_time_exponent(fam.lam),
+                            fam=fam, x_nodes=xs)
     field = maximal_field(f, params, curve, xs, tgrid)
     norm_max = l2_norm_field(field, bounds)
     norm_l2 = sobolev_norm(f, 0.0)
@@ -374,14 +370,11 @@ def fit_slope_guarded(scales, values) -> ExponentFit:
 # lower-bound scans and smallness calibration
 # ---------------------------------------------------------------------------
 
-def witness_minimum(fam: CounterexampleFamily,
-                    params: EvolutionParams | None = None,
-                    curve: CurveSpec | None = None,
-                    n_nodes: int = 256,
-                    n_samples: int = 2048,
+def witness_minimum(fam: CounterexampleFamily, n_nodes: int = 256,
                     t_zero: bool = False):
     """Minimum over interior witness-interval nodes of the amplitude modulus
-    at the witness times.
+    at the witness times, for the family's source on 2048 samples evolved
+    with m = 2 and the family's gamma along the Hölder curve of its alpha.
 
     With ``t_zero`` the scan instead evaluates at t = 0 on (0, c/R), the
     regime where no time motion is needed at all.  All nodes go through one
@@ -389,14 +382,7 @@ def witness_minimum(fam: CounterexampleFamily,
 
     Returns (min value, x nodes, values, times used).
     """
-    if params is None:
-        params = EvolutionParams(m=2.0, gamma=fam.gamma, damping=True)
-    if curve is None:
-        curve = holder_curve(fam.alpha)
-    f = build_counterexample(fam, n_samples)
-    if not np.any(f.samples):
-        raise ZeroNormError("source spectrum is identically zero")
-
+    f, params, curve = _family_setup(fam, 2048)
     if t_zero:
         hi = fam.c / fam.R
         xs = np.linspace(0.0, hi, n_nodes + 2)[1:-1]
@@ -414,10 +400,7 @@ def witness_minimum(fam: CounterexampleFamily,
     return float(vals.min()), xs, vals, ts
 
 
-def calibrate_smallness(fam: CounterexampleFamily,
-                        params: EvolutionParams | None = None,
-                        curve: CurveSpec | None = None,
-                        n_nodes: int = 256,
+def calibrate_smallness(fam: CounterexampleFamily, n_nodes: int = 256,
                         level: float = LOWER_BOUND_LEVEL,
                         c_floor: float = 2.0 ** -20):
     """Halve the smallness constant until the witness scan clears ``level``.
@@ -430,7 +413,7 @@ def calibrate_smallness(fam: CounterexampleFamily,
     history = []
     current = fam
     while True:
-        m, *_ = witness_minimum(current, params, curve, n_nodes)
+        m, *_ = witness_minimum(current, n_nodes)
         history.append((current.c, m))
         if m >= level:
             return current, history

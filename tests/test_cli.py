@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -163,6 +164,31 @@ def test_kernelcheck_requires_seed():
                     "lams": [16.0, 32.0], "count": 100})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lams", [16.0, 2.0]), ("lams", []),
+    ("schur_lams", [3.0, 8.0, 16.0, 32.0]),
+    ("schur_lams", [16.0, 32.0, 24.0, 48.0]),   # the Schur fit needs 4
+    ("schur_lams", [16.0, 32.0, 64.0]),         # increasing levels
+    ("count", 50)])
+def test_kernelcheck_checks_fields_before_kernel_work(field, value, capsys,
+                                                      monkeypatch):
+    import ctschro.cli as cli
+
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work started before the field checks")
+    monkeypatch.setattr(cli, "verify_kernel_bound", no_kernel_work)
+    monkeypatch.setattr(cli, "schur_integral", no_kernel_work)
+    args = {"lams": "16,32", "schur_lams": "16,24,32,48", "count": 100}
+    args[field] = ",".join(map(str, value)) if isinstance(value, list) else value
+    code, out, err = run_cli(
+        ["kernelcheck", "--alpha", "0.5", "--gamma", "2.0", "--seed", "3",
+         "--lams", args["lams"], "--schur-lams", args["schur_lams"],
+         "--count", str(args["count"])], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and field in rec["reason"]
+
+
 def test_kernelcheck_echoes_table_weights(capsys):
     code, out, _ = run_cli(
         ["kernelcheck", "--alpha", "0.2", "--gamma", "0.5",
@@ -227,6 +253,30 @@ def test_eval_band_requires_seed():
     with pytest.raises(ConfigError):
         run_config({"command": "eval", "spectrum": "band", "lam": 16.0,
                     "x": [0.0], "t": [0.0]})
+
+
+@pytest.mark.parametrize("lam", [None, "sixteen", [16.0], float("nan"),
+                                 float("inf"), 0.0, -4.0])
+def test_eval_band_bad_lam_is_config_error(lam, tmp_path, capsys):
+    doc = {"spectrum": "band", "seed": 3, "x": [0.0], "t": [0.0]}
+    if lam is not None:
+        doc["lam"] = lam
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and "'lam'" in rec["reason"]
+
+
+def test_eval_checks_n_samples_as_sweep_does(capsys):
+    cfg = {"family": "dilated", "alpha": 0.25, "gamma": 0.75, "n_samples": 32}
+    for command in ("sweep", "eval"):
+        with pytest.raises(ConfigError, match="n_samples"):
+            run_config({"command": command, "R": 16.0,
+                        "scales": [16.0, 32.0, 64.0, 128.0], **cfg})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,22 @@
+"""Smoke test of the narrative demos: each runs to the end and prints.
+
+Demos 05 (scaling sweep) and 06 (kernel bounds) take several seconds each
+and call only positional signatures that A5 and A7 already exercise, so they
+are left out.
+"""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_sources_and_curves.py",
+                                  "02_propagation_accuracy.py",
+                                  "03_exponent_atlas.py",
+                                  "04_lower_bound_witness.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,15 @@ def test_spectral_function_immutable():
     f = SpectralFunction(0.0, 1.0, np.ones(8, dtype=complex))
     with pytest.raises(ValueError):
         f.samples[0] = 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, -4.0, np.nan, np.inf, -np.inf])
+def test_random_band_limited_rejects_bad_levels(lam):
+    # raised before any array is built: numpy warnings would be errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="lam"):
+            random_band_limited(lam, seed=1)
 
 
 def test_random_band_limited_declares_its_band():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
+from ctschro._numerics import _DENOMINATORS, _STENCIL
 from ctschro.domain import (
     EvolutionParams,
     SpectralFunction,
@@ -18,6 +19,7 @@ from ctschro.domain import (
 )
 from ctschro.errors import GridRangeError, ResolutionError
 from ctschro.evolve import (
+    PropagationPlan,
     direct_quadrature,
     evaluate_along_curve,
     field_value,
@@ -81,17 +83,20 @@ def test_gaussian_closed_form_both_paths():
         assert np.max(np.abs(got_q - want) / np.abs(want)) <= 1e-7
 
 
-def test_alias_contamination_below_budget():
+def test_alias_contamination_below_budget(monkeypatch):
     # widening the synthesis period must not move the values: wrap-around
-    # images are already below 1e-9 at the default safety factor
+    # images are already below 1e-9 at the fixed safety factor of 2
+    import ctschro.evolve as evolve
     f = gaussian_spectrum()
     params = EvolutionParams(m=2.0, gamma=1.5, damping=True)
+    plan = make_plan(f, params)
     ys = np.linspace(-2.0, 2.0, 33)
+    assert evolve._ALIAS_SAFETY == 2.0
     for t in (0.1, 1.0):
-        tight = make_plan(f, params, alias_safety=2.0)
-        wide = make_plan(f, params, alias_safety=8.0)
-        a = field_value(propagate_slice(tight, t), ys)
-        b = field_value(propagate_slice(wide, t), ys)
+        a = field_value(propagate_slice(plan, t), ys)
+        with monkeypatch.context() as mp:
+            mp.setattr(evolve, "_ALIAS_SAFETY", 8.0)
+            b = field_value(propagate_slice(plan, t), ys)
         assert np.max(np.abs(a - b)) <= 1e-9 * np.abs(b).max()
 
 
@@ -166,8 +171,8 @@ def test_auto_path_consistency():
     params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
     curve = identity_curve()
     plan = make_plan(f, params, curve)
-    xs = np.linspace(-0.5, 0.5, 50)   # > 32 queries: auto takes the transform
-    auto = evaluate_along_curve(plan, curve, xs, 0.3)
+    xs = np.linspace(-0.5, 0.5, 50)
+    auto = evaluate_along_curve(plan, curve, xs, 0.3, path="transform")
     quad = evaluate_along_curve(plan, curve, xs, 0.3, path="quadrature")
     floor = 1e-2 * amplitude_bound(f)
     assert np.max(np.abs(auto - quad) / np.maximum(np.abs(quad), floor)) <= 1e-6
@@ -242,7 +247,7 @@ def test_routes_agree_at_live_points(name, m):
         params = EvolutionParams(m=m, gamma=2.0, damping=damping)
         for t in (0.05, 0.3, 1.0):
             reach = 2.0 + t * speed
-            plan = make_plan(f, params, y_lo=-reach, y_hi=reach)
+            plan = PropagationPlan(f, params, -reach, reach)
             sl = propagate_slice(plan, t)
             y = sl.grid()
             inside = (y >= plan.y_lo) & (y <= plan.y_hi)
@@ -277,14 +282,8 @@ def test_out_of_window_queries_raise():
     with pytest.raises(GridRangeError):
         field_value(sl, sl.y_max + 1.0)
     with pytest.raises(GridRangeError):
-        evaluate_along_curve(plan, identity_curve(), plan.y_hi + 1.0, 0.1)
-
-
-def test_oversampling_floor_enforced():
-    f = random_band_limited(8.0, seed=2)
-    params = EvolutionParams()
-    with pytest.raises(ResolutionError):
-        make_plan(f, params, oversampling=1.5)
+        evaluate_along_curve(plan, identity_curve(), plan.y_hi + 1.0, 0.1,
+                             path="quadrature")
 
 
 def test_determinism_bitwise():
@@ -425,11 +424,9 @@ def test_quadrature_node_budget():
 
 
 def test_stencil_denominators_match_products():
-    from ctschro._numerics import _stencil_denominators
-    for npts in range(2, 12):
-        offs = np.arange(npts, dtype=float)
-        want = [np.prod(j - np.delete(offs, j)) for j in range(npts)]
-        assert _stencil_denominators(npts).tolist() == want
+    offs = np.arange(_STENCIL, dtype=float)
+    want = [np.prod(j - np.delete(offs, j)) for j in range(_STENCIL)]
+    assert _DENOMINATORS.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +454,7 @@ def test_windowed_slice_matches_full_slice(m, damping):
     params = EvolutionParams(m=m, gamma=1.5, damping=damping)
     plan = make_plan(f, params)
     bound = amplitude_bound(f)
-    pad = plan.interp_order + 1
+    pad = _STENCIL
     for t in (0.0, 1e-3, 0.3, 1.0):
         full = propagate_slice(plan, t)
         dy = full.delta_y
@@ -517,9 +514,10 @@ def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
     params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
     curve = holder_curve(0.5)
     # the check is on the full grid's period, whatever the span asks for
-    small = make_plan(f, params, curve, max_fft=4096)
-    assert evaluate_along_curve(make_plan(f, params, curve), curve, 0.1, 0.5,
+    small = make_plan(f, params, curve)
+    assert evaluate_along_curve(small, curve, 0.1, 0.5,
                                 path="transform") != 0.0
+    monkeypatch.setattr(evolve, "_MAX_FFT", 4096)
     monkeypatch.setattr(evolve, "lagrange_uniform", forbidden)
     monkeypatch.setattr(evolve, "_chirp_z", forbidden)
     with pytest.raises(ResolutionError, match="max_fft"):

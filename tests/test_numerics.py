@@ -74,8 +74,34 @@ def test_mixed_rule_nodes():
 
 
 # ---------------------------------------------------------------------------
-# blocked interpolation
+# interpolation: the shared order and the blocks
 # ---------------------------------------------------------------------------
+
+def test_interpolation_reproduces_degree_seven_only():
+    """The one stencil of both routes is exact on degree 7 and not on 8."""
+    rng = np.random.default_rng(11)
+    n, x0, dx = 24, -1.3, 0.1
+    grid = x0 + dx * np.arange(n)
+    mid, half = x0 + 0.5 * dx * (n - 1), 0.5 * dx * (n - 1)
+    xq = np.concatenate([
+        x0 + dx * rng.uniform(0.0, n - 1.0, 50),          # interior
+        grid,                                              # on the nodes
+        x0 + dx * rng.uniform(0.0, 3.0, 10),              # clamped, left
+        x0 + dx * (n - 1.0 - rng.uniform(0.0, 3.0, 10))])  # clamped, right
+    assert numerics._INTERP_ORDER == 7
+
+    def gap(coef):
+        def poly(x):
+            return np.polynomial.polynomial.polyval((x - mid) / half, coef)
+        return np.abs(lagrange_uniform(poly(grid), x0, dx, xq) - poly(xq))
+
+    for _ in range(5):
+        coef = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        assert gap(coef).max() <= 1e-13 * np.abs(coef).sum()
+    # the degree-8 remainder is prod_j (x - x_j) / half**8, about 1e-7 here
+    assert gap(np.eye(9)[8]).max() >= 1e-9
+
+
 
 @pytest.mark.parametrize("dtype", [complex, float])
 def test_blocked_interpolation_is_bit_identical(dtype, monkeypatch):
