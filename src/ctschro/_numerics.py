@@ -2,11 +2,21 @@
 and composite Gauss-Legendre quadrature with per-cell refinement, including
 the oscillatory integral shared by the evolution oracle and the TT* kernel.
 
+The interpolant has two forms with one weight formula (``_lagrange_weights``).
+``lagrange_uniform`` reads arbitrary points, building the weights of each
+query.  The cell form (``lagrange_cells``, and ``lagrange_on_rule`` for the
+nodes of a quadrature rule) reads points at the same offsets inside many grid
+cells: the weights depend only on the offset and the stencil's shift, so it
+builds one (offsets x stencil) table and applies it to every cell by a real
+matrix product, without casting the weights to complex.
+
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
-no threading.  Long interpolation queries run in fixed blocks of
-``_BLOCK`` so their (queries x stencil) temporaries stay small enough for
-the allocator to reuse; every value is computed by the same operations
-whatever the block, so the result does not depend on it.
+no thread pool, and matrix products of at most about ``_BLOCK`` values each,
+which OpenBLAS runs on one thread.  Long interpolation queries run in fixed
+blocks of ``_BLOCK`` so their (queries x stencil) temporaries stay small
+enough for the allocator to reuse; every value of ``lagrange_uniform`` is
+computed by the same operations whatever the block, so the result does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_legendre
 
 from .errors import ResolutionError
@@ -37,7 +48,8 @@ _MAX_NODES = 2 ** 22
 # At 2**14 they are 1-2 MB: glibc hands such sizes back to the system when
 # they are freed (unmapped, or trimmed off the heap top) and the next block
 # page-faults them in again.  On the agreement benchmark that was about 0.85 M
-# minor faults and 1 s of system time per run; at 2**11, about 60 k and 0.15 s
+# minor faults and 1 s of system time per run; at 2**11, about 60 k and 0.15 s.
+# The cell form yields at most about _BLOCK values per matrix product too.
 _BLOCK = 2 ** 11
 
 # the one Lagrange order of both evaluation routes, on an 8-node stencil, and
@@ -89,12 +101,19 @@ def _lagrange_block(values: np.ndarray, x0: float, dx: float, xq: np.ndarray,
     pos = (xq - x0) / dx
     i0 = np.floor(pos).astype(np.int64) - (_STENCIL // 2 - 1)
     np.clip(i0, 0, n - _STENCIL, out=i0)
-    d = pos - i0                                   # in [0, 7] within grid
+    w = _lagrange_weights(pos - i0)                # positions in [0, 7]
+    gathered = values[i0[:, None] + np.arange(_STENCIL)[None, :]]
+    np.einsum("ij,ij->i", w.astype(gathered.dtype, copy=False), gathered,
+              out=out)
 
-    offs = np.arange(_STENCIL, dtype=float)
-    diffs = d[:, None] - offs[None, :]             # (nq, _STENCIL)
 
-    # w_j = prod_{l != j} (d - l) / (j - l); the full product divided per node.
+def _lagrange_weights(d: np.ndarray) -> np.ndarray:
+    """(len(d), ``_STENCIL``) weights of the stencil at the positions d,
+    counted in grid steps from its first node.
+
+    w_j = prod_{l != j} (d - l) / (j - l): the full product divided per
+    node.  A position on a node takes that node's sample (no 0/0)."""
+    diffs = d[:, None] - np.arange(_STENCIL, dtype=float)[None, :]
     on_node = np.abs(diffs) < 1e-12
     safe = np.where(on_node, 1.0, diffs)
     full = np.prod(safe, axis=1)
@@ -102,10 +121,110 @@ def _lagrange_block(values: np.ndarray, x0: float, dx: float, xq: np.ndarray,
     hit = on_node.any(axis=1)
     if hit.any():
         w[hit] = np.where(on_node[hit], 1.0, 0.0)
+    return w
 
-    gathered = values[i0[:, None] + np.arange(_STENCIL)[None, :]]
-    np.einsum("ij,ij->i", w.astype(gathered.dtype, copy=False), gathered,
-              out=out)
+
+def lagrange_cells(values: np.ndarray, first: int, n_cells: int,
+                   offsets: np.ndarray) -> np.ndarray:
+    """``lagrange_uniform`` at the same in-cell offsets of consecutive grid
+    cells: row c, column k holds the interpolant at (first + c + offsets[k])
+    grid steps from the first sample, for c < n_cells and offsets in [0, 1).
+    """
+    values = np.asarray(values)
+    offsets = np.asarray(offsets, dtype=float)
+    out = np.empty((n_cells, offsets.size), dtype=values.dtype)
+    _cells_into(values, first, offsets, out)
+    return out
+
+
+def _cells_into(values: np.ndarray, first: int, offsets: np.ndarray,
+                out: np.ndarray) -> None:
+    """``lagrange_cells`` written into ``out`` (one row per cell).
+
+    The weights of a query depend only on its offset and on its stencil's
+    shift: 3 nodes left of the cell inside the grid, fewer where the stencil
+    is clamped at a grid end.  So one (offsets x stencil) table serves every
+    cell of one shift.  The cells' stencils are read as a view of the
+    samples and contracted with the real table by a real matrix product;
+    complex samples enter as their (re, im) pairs, through the Kronecker
+    product of the table with the 2 x 2 identity, so nothing is cast to
+    complex.  Each product yields at most about ``_BLOCK`` values: that
+    keeps the table and the result small, and the BLAS call on one thread.
+    """
+    n, (n_cells, n_off) = values.shape[0], out.shape
+    if n < _STENCIL:
+        raise ValueError(f"need at least {_STENCIL} samples")
+    if first < 0 or first + n_cells > n - 1:
+        raise ValueError(f"cells {first}..{first + n_cells - 1} are not all "
+                         f"inside the grid of {n} samples")
+    cpx = np.iscomplexobj(values)
+    r = 2 if cpx else 1
+    flat = np.ascontiguousarray(values, dtype=complex if cpx else float)
+    # stencils[i]: the samples of the stencil from node i, as a view
+    stencils = sliding_window_view(flat.view(float), r * _STENCIL)[::r]
+    res = out.view(float).reshape(n_cells, r * n_off)
+
+    cells = np.arange(first, first + n_cells)
+    i0 = np.clip(cells - (_STENCIL // 2 - 1), 0, n - _STENCIL)
+    shift = cells - i0
+    # the shift does not decrease with the cell: one run of rows per shift,
+    # whose stencils start at consecutive nodes
+    cuts = np.flatnonzero(np.diff(shift)) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), n_cells]):
+        lead = int(i0[a]) - a
+        for k0 in range(0, n_off, _BLOCK):
+            k1 = min(k0 + _BLOCK, n_off)
+            table = np.kron(_lagrange_weights(shift[a] + offsets[k0:k1]).T,
+                            np.eye(r))
+            rows = max(1, _BLOCK // (k1 - k0))
+            for c0 in range(a, b, rows):
+                c1 = min(c0 + rows, b)
+                np.matmul(stencils[lead + c0:lead + c1], table,
+                          out=res[c0:c1, r * k0:r * k1])
+
+
+def lagrange_on_rule(values: np.ndarray, x0: float, dx: float,
+                     edges: np.ndarray, counts: np.ndarray,
+                     orders: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``lagrange_uniform`` at ``nodes``, the nodes of ``refined_cells(edges,
+    counts, orders)``.
+
+    ``edges[1:-1]`` must be grid points x0 + k dx; the end edges may lie
+    inside their grid cells (a band clipped to a support or a cap).  The
+    nodes of one (count, order) pair sit at the same offsets in every whole
+    cell, so each run of consecutive whole cells with one pair is read by
+    ``lagrange_cells`` at those offsets, one weight table per run.  The two
+    end cells, clipped or not, are read per query at their nodes.
+    """
+    counts = np.maximum(np.asarray(counts, dtype=np.int64), 1)
+    orders = np.asarray(orders)
+    last = counts.size - 1
+    # grid index of edges[1], the first edge on the grid
+    grid1 = round((edges[min(1, last)] - x0) / dx)
+    out = np.empty(nodes.size, dtype=np.asarray(values).dtype)
+    pos = 0
+    for n_gl in np.unique(orders).tolist():
+        xg, _ = gauss_rule(n_gl)
+        idx = np.flatnonzero(orders == n_gl)
+        c = counts[idx]
+        # runs break where the cells stop being consecutive or change count,
+        # and around the end cells, which stand alone
+        lone = (idx == 0) | (idx == last)
+        brk = (np.diff(idx) != 1) | (np.diff(c) != 0) | lone[1:] | lone[:-1]
+        cuts = (np.flatnonzero(brk) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, idx.size]):
+            j, count = int(idx[a]), int(c[a])
+            size = (b - a) * count * n_gl
+            if lone[a]:
+                out[pos:pos + size] = lagrange_uniform(
+                    values, x0, dx, nodes[pos:pos + size])
+            else:
+                offsets = (np.arange(count)[:, None]
+                           + 0.5 * (xg[None, :] + 1.0)) / count
+                _cells_into(values, grid1 + j - 1, offsets.ravel(),
+                            out[pos:pos + size].reshape(b - a, -1))
+            pos += size
+    return out
 
 
 def refined_cells(edges: np.ndarray, counts: np.ndarray,

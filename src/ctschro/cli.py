@@ -68,23 +68,42 @@ def _fmt17(v) -> str:
     return "" if v is None else str(v)
 
 
+def _field(cfg: dict, name: str, default=None, kind=float, many=False):
+    """Field ``name`` of the configuration (``default`` when it is absent or
+    null) converted by ``kind``; with ``many``, a list of them, where a
+    scalar is a list of one.  Raises ``ConfigError`` naming the field when
+    it is missing and has no default, or when a value does not convert."""
+    value = cfg.get(name)
+    if value is None:
+        value = default
+    if value is None:
+        raise ConfigError(f"missing field {name!r}")
+    what = "an integer" if kind is int else "a number"
+    try:
+        if many:
+            return [kind(v) for v in np.atleast_1d(value).tolist()]
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {name!r} must be {what}"
+                          f"{' or a list of them' if many else ''}, "
+                          f"got {value!r}") from exc
+
+
 def _family(cfg: dict) -> CounterexampleFamily:
     kind = cfg.get("family")
     if kind not in ("dilated", "modulated"):
         raise ConfigError(f"field 'family' must be dilated|modulated, got {kind!r}")
     try:
         return CounterexampleFamily(
-            kind, float(cfg["alpha"]), float(cfg["gamma"]), float(cfg["R"]),
-            None if cfg.get("b") is None else float(cfg["b"]),
-            float(cfg.get("c", 0.01)))
-    except KeyError as exc:
-        raise ConfigError(f"missing family field {exc}") from exc
-    except (LabError, ValueError) as exc:
+            kind, _field(cfg, "alpha"), _field(cfg, "gamma"), _field(cfg, "R"),
+            None if cfg.get("b") is None else _field(cfg, "b"),
+            _field(cfg, "c", 0.01))
+    except LabError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _n_samples(cfg: dict) -> int:
-    n_samples = int(cfg.get("n_samples", 2048))
+    n_samples = _field(cfg, "n_samples", 2048, int)
     if n_samples < 64:
         raise ConfigError("field 'n_samples' must be at least 64")
     return n_samples
@@ -94,7 +113,7 @@ def _scales(cfg: dict) -> list[float]:
     scales = cfg.get("scales")
     if not scales:
         raise ConfigError("field 'scales' must be a nonempty increasing list")
-    scales = [float(s) for s in scales]
+    scales = _field(cfg, "scales", many=True)
     if any(s < 4 for s in scales) or any(b <= a for a, b in zip(scales, scales[1:])):
         raise ConfigError("field 'scales' must increase strictly with entries >= 4")
     return scales
@@ -105,30 +124,29 @@ def _scales(cfg: dict) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_atlas(cfg: dict) -> dict:
-    try:
-        m = float(cfg.get("m", 2.0))
-        alphas = cfg.get("alpha_list") or [cfg["alpha"]]
-        gammas = cfg.get("gamma_list") or [cfg["gamma"]]
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
+    m = _field(cfg, "m", 2.0)
+    alphas = (_field(cfg, "alpha_list", many=True) if cfg.get("alpha_list")
+              else [_field(cfg, "alpha")])
+    gammas = (_field(cfg, "gamma_list", many=True) if cfg.get("gamma_list")
+              else [_field(cfg, "gamma")])
     rows, verdicts = [], []
     for a in alphas:
         for g in gammas:
             try:
-                res = exponent(alpha=float(a), gamma=float(g), m=m)
+                res = exponent(alpha=a, gamma=g, m=m)
             except LabError as exc:
                 raise ConfigError(f"field alpha/gamma invalid: {exc}") from exc
-            rows.append({"alpha": float(a), "gamma": float(g), "m": m,
+            rows.append({"alpha": a, "gamma": g, "m": m,
                          "s": float(res.s), "theorem": res.theorem,
                          "regime": res.regime})
     results = {"rows": rows}
     if cfg.get("continuity", False):
-        gap_tol = float(cfg.get("gap_tolerance", 1e-7))
+        gap_tol = _field(cfg, "gap_tolerance", 1e-7)
         worst = 0.0
         report = []
         for a in alphas:
-            for gap in continuity_check(float(a), m):
-                report.append({"alpha": float(a), "gamma": gap.gamma,
+            for gap in continuity_check(a, m):
+                report.append({"alpha": a, "gamma": gap.gamma,
                                "left": gap.left, "right": gap.right,
                                "gap": gap.gap})
                 worst = max(worst, gap.gap)
@@ -148,8 +166,8 @@ def _require_witness_regime(fam: CounterexampleFamily) -> None:
 
 def cmd_sweep(cfg: dict) -> dict:
     scales = _scales(cfg)
-    s_order = float(cfg.get("s_order", 0.0))
-    tol = float(cfg.get("tolerance", 0.1))
+    s_order = _field(cfg, "s_order", 0.0)
+    tol = _field(cfg, "tolerance", 0.1)
     interval = cfg.get("interval", "scaling")
     n_samples = _n_samples(cfg)
     _require_witness_regime(_family({**cfg, "R": scales[0]}))
@@ -198,7 +216,7 @@ def cmd_sweep(cfg: dict) -> dict:
 def cmd_lowerbound(cfg: dict) -> dict:
     fam = _family(cfg)
     _require_witness_regime(fam)
-    n_nodes = int(cfg.get("n_nodes", 256))
+    n_nodes = _field(cfg, "n_nodes", 256, int)
     if n_nodes < 256:
         raise ConfigError("lowerbound scans need at least 256 nodes")
     t_zero = bool(cfg.get("t_zero", False))
@@ -225,16 +243,14 @@ def cmd_lowerbound(cfg: dict) -> dict:
 def cmd_kernelcheck(cfg: dict) -> dict:
     if cfg.get("seed") is None:
         raise ConfigError("field 'seed' is required for kernelcheck")
-    try:
-        alpha = float(cfg["alpha"])
-        gamma = float(cfg["gamma"])
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
-    lams = [float(l) for l in cfg.get("lams", [16.0, 64.0, 256.0])]
-    count = int(cfg.get("count", 500))
-    seed = int(cfg["seed"])
-    schur_lams = [float(l) for l in cfg.get("schur_lams", [16.0, 32.0, 64.0, 128.0])]
-    schur_tol = float(cfg.get("schur_tolerance", 0.15))
+    alpha = _field(cfg, "alpha")
+    gamma = _field(cfg, "gamma")
+    lams = _field(cfg, "lams", [16.0, 64.0, 256.0], many=True)
+    count = _field(cfg, "count", 500, int)
+    seed = _field(cfg, "seed", kind=int)
+    schur_lams = _field(cfg, "schur_lams", [16.0, 32.0, 64.0, 128.0],
+                        many=True)
+    schur_tol = _field(cfg, "schur_tolerance", 0.15)
     if not lams or not all(l >= 4.0 for l in lams):
         raise ConfigError("field 'lams' must be a nonempty list of entries >= 4")
     if len(schur_lams) < 4 or not all(l >= 4.0 for l in schur_lams) \
@@ -244,7 +260,10 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     if count < 100:
         raise ConfigError("field 'count' must be at least 100")
 
-    beta = beta_table(alpha, gamma)
+    try:
+        beta = beta_table(alpha, gamma)
+    except LabError as exc:
+        raise ConfigError(f"fields alpha/gamma: {exc}") from exc
     report = verify_kernel_bound(alpha, gamma, lams, count, seed)
 
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
@@ -293,22 +312,22 @@ def cmd_eval(cfg: dict) -> dict:
     elif spectrum == "band":
         if cfg.get("seed") is None:
             raise ConfigError("field 'seed' is required for a random band spectrum")
-        try:
-            lam = float(cfg["lam"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("field 'lam' must be a positive number") from exc
+        lam = _field(cfg, "lam")
         if not 0.0 < lam < np.inf:
             raise ConfigError(f"field 'lam' must be finite and positive: {lam}")
-        f = random_band_limited(lam, int(cfg["seed"]))
-        gamma = float(cfg.get("gamma", 1.0))
-        alpha = float(cfg.get("alpha", 1.0))
+        f = random_band_limited(lam, _field(cfg, "seed", kind=int))
+        gamma = _field(cfg, "gamma", 1.0)
+        alpha = _field(cfg, "alpha", 1.0)
     else:
         raise ConfigError(f"field 'spectrum' must be family|band, got {spectrum!r}")
-    params = EvolutionParams(m=float(cfg.get("m", 2.0)), gamma=gamma,
-                             damping=bool(cfg.get("damping", True)))
-    curve = holder_curve(alpha)
-    xs = [float(v) for v in np.atleast_1d(cfg.get("x", 0.0))]
-    ts = [float(v) for v in np.atleast_1d(cfg.get("t", 0.0))]
+    try:
+        params = EvolutionParams(m=_field(cfg, "m", 2.0), gamma=gamma,
+                                 damping=bool(cfg.get("damping", True)))
+        curve = holder_curve(alpha)
+    except LabError as exc:
+        raise ConfigError(str(exc)) from exc
+    xs = _field(cfg, "x", 0.0, many=True)
+    ts = _field(cfg, "t", 0.0, many=True)
     if len(ts) == 1:
         ts = ts * len(xs)
     if len(xs) != len(ts):

@@ -29,8 +29,14 @@ Two independent routes are provided:
   and reuses one node set across consecutive points that need the same one.
 
 Both routes read the spectrum between its samples with the one local
-polynomial order of ``lagrange_uniform``, so they converge to the same
-continuous integral.  They share nothing else: the transform route sums the
+interpolant of ``_numerics`` (order ``_INTERP_ORDER``, one weight formula),
+so they converge to the same continuous integral.  Each reads it where its
+queries repeat from one source cell to the next: the slice refines the
+spectrum at the offsets k/q of every cell (``lagrange_cells``), the oracle
+at the Gauss nodes of each cell's (count, order) rule (``lagrange_on_rule``),
+so each builds one weight table per rule instead of weights per query.
+Arbitrary points, such as the y-queries of a slice, use
+``lagrange_uniform``.  They share nothing else: the transform route sums the
 refined spectrum on a uniform grid and transforms it, whatever nodes it
 keeps, and the oracle integrates cell by cell in y-space with no transform,
 periodization or demodulation; so their agreement checks each against the
@@ -45,8 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from ._numerics import (_DEAD, _STENCIL, lagrange_uniform, node_set,
-                        oscillatory_sum, phase_counts)
+from ._numerics import (_DEAD, _STENCIL, lagrange_cells, lagrange_on_rule,
+                        lagrange_uniform, node_set, oscillatory_sum,
+                        phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -263,7 +270,11 @@ def propagate_slice(plan: PropagationPlan, t: float,
     if q == 1:
         fine = np.array(f.samples[j0:j1 + 1])
     else:
-        fine = lagrange_uniform(f.samples, xi0, dxi, fine_xi)
+        # the refined nodes sit at the offsets k/q of each source cell
+        fine = np.empty(n_fine, dtype=f.samples.dtype)
+        fine[:-1] = lagrange_cells(f.samples, j0, j1 - j0,
+                                   np.arange(q) / q).ravel()
+        fine[-1] = f.samples[j1]
 
     abs_pow = np.abs(fine_xi) ** p.m
     weights = np.full(n_fine, du / (2.0 * math.pi))
@@ -352,9 +363,6 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     support = f.support()
     dxi, xi0 = f.delta_xi, f.xi_min
 
-    def amp(xi):
-        return lagrange_uniform(f.samples, xi0, dxi, xi)
-
     key, nodes = None, None
     for i, (yy, tt) in enumerate(zip(y_arr.ravel().tolist(),
                                      t_arr.ravel().tolist())):
@@ -366,7 +374,9 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
         rule = (edges, counts, orders)
         if key is None or not all(map(np.array_equal, rule, key)):
             nodes = None   # release the old set before building the next
-            nodes = node_set(*rule, amp, params.m)
+            # fhat at the nodes, read cell by cell along the rule
+            nodes = node_set(*rule, lambda xi: lagrange_on_rule(
+                f.samples, xi0, dxi, *rule, xi), params.m)
             key = rule
         total = oscillatory_sum(*nodes, yy, tt, damp)
         flat[i] = total / (2.0 * math.pi)

@@ -280,6 +280,66 @@ def test_eval_checks_n_samples_as_sweep_does(capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed fields: configuration errors, exit 2
+# ---------------------------------------------------------------------------
+
+_DILATED = {"family": "dilated", "alpha": 0.25, "gamma": 0.75}
+_VALID = {
+    "atlas": {"alpha": 0.5, "gamma": 1.0},
+    "sweep": {**_DILATED, "scales": [16.0, 32.0, 64.0, 128.0]},
+    "lowerbound": {**_DILATED, "R": 16.0},
+    "kernelcheck": {"alpha": 0.5, "gamma": 2.0, "seed": 3,
+                    "lams": [16.0, 32.0], "schur_lams": [16.0, 24.0, 32.0, 48.0],
+                    "count": 100},
+    "eval": {**_DILATED, "R": 16.0, "x": [0.0], "t": [0.0]},
+}
+_BAND = {"spectrum": "band", "lam": 16.0, "seed": 3, "x": [0.0], "t": [0.0]}
+
+
+def _run_doc(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    return code, out, json.loads(err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("sweep", "n_samples", "many"), ("sweep", "tolerance", "x"),
+    ("sweep", "scales", "16,32"), ("sweep", "alpha", None),
+    ("kernelcheck", "lams", ["x"]), ("kernelcheck", "count", "lots"),
+    ("kernelcheck", "seed", "x"), ("kernelcheck", "alpha", [0.5]),
+    ("lowerbound", "n_nodes", "many"), ("lowerbound", "R", "big"),
+    ("eval", "x", "abc"), ("eval", "t", [0.0, "late"]),
+    ("atlas", "m", "two"), ("atlas", "gamma", {"value": 1}),
+])
+def test_non_numeric_field_exits_2(command, field, value, tmp_path, capsys):
+    doc = {**_VALID[command], field: value}
+    code, out, rec = _run_doc(command, doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+
+
+@pytest.mark.parametrize("command,doc,words", [
+    ("kernelcheck", {**_VALID["kernelcheck"], "alpha": 0.0}, "alpha"),
+    ("kernelcheck", {**_VALID["kernelcheck"], "gamma": -1.0}, "gamma"),
+    ("eval", {**_BAND, "m": -1.0}, "exponent m"),
+    ("eval", {**_BAND, "gamma": 0.0}, "exponent gamma"),
+    ("eval", {**_BAND, "alpha": 2.0}, "alpha"),
+])
+def test_out_of_range_physics_field_exits_2(command, doc, words, tmp_path,
+                                            capsys, monkeypatch):
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the field checks")
+    for name in ("verify_kernel_bound", "schur_integral", "direct_quadrature"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, rec = _run_doc(command, doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and words in rec["reason"]
+
+
+# ---------------------------------------------------------------------------
 # records: determinism, round trip, serialization
 # ---------------------------------------------------------------------------
 

@@ -362,12 +362,12 @@ def test_batched_quadrature_interpolates_once_per_node_set(monkeypatch):
     f = random_band_limited(8.0, seed=5)
     params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
     calls = []
-    orig = evolve.lagrange_uniform
+    orig = evolve.lagrange_on_rule
 
     def counting(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
-    monkeypatch.setattr(evolve, "lagrange_uniform", counting)
+    monkeypatch.setattr(evolve, "lagrange_on_rule", counting)
     # y = 0 and t = 0: every cell has one sub-cell, so all points share
     direct_quadrature(f, params, np.zeros(5), np.zeros(5))
     assert len(calls) == 1
@@ -519,6 +519,7 @@ def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
                                 path="transform") != 0.0
     monkeypatch.setattr(evolve, "_MAX_FFT", 4096)
     monkeypatch.setattr(evolve, "lagrange_uniform", forbidden)
+    monkeypatch.setattr(evolve, "lagrange_cells", forbidden)
     monkeypatch.setattr(evolve, "_chirp_z", forbidden)
     with pytest.raises(ResolutionError, match="max_fft"):
         propagate_slice(small, 0.5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ctschro._numerics as numerics
-from ctschro._numerics import lagrange_uniform, phase_counts, refined_cells
+from ctschro._numerics import (lagrange_cells, lagrange_on_rule,
+                               lagrange_uniform, phase_counts, refined_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -127,3 +128,138 @@ def test_blocked_interpolation_is_bit_identical(dtype, monkeypatch):
     # the on-node queries return the samples themselves
     assert lagrange_uniform(values, x0, dx, x0 + dx * 7) == values[7]
     assert lagrange_uniform(values, x0, dx, np.array([])).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the cell form of the interpolant
+# ---------------------------------------------------------------------------
+
+def _a4_rule_pairs():
+    """Every (sub-cell count, Gauss order) that ``phase_counts`` gives the
+    oracle on the A4 spectra and points."""
+    from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
+                                random_band_limited)
+    from ctschro.evolve import _oracle_edges
+    curve = holder_curve(0.5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    rng = np.random.default_rng(7)
+    pairs = set()
+    for k, lam in enumerate((16.0, 32.0, 64.0, 128.0)):
+        f = random_band_limited(lam, seed=50 + k)
+        support = f.support()
+        xs, ts = rng.uniform(-1.0, 1.0, 100), rng.uniform(0.0, 1.0, 100)
+        for x, t in zip(xs.tolist(), ts.tolist()):
+            y = float(curve_eval(curve, x, t))
+            counts, orders = phase_counts(_oracle_edges(f, params, support, t),
+                                          y, t, 0.0, 2.0)
+            pairs.update(zip(counts.tolist(), orders.tolist()))
+    return sorted(pairs)
+
+
+def _dyadic(offsets):
+    """Offsets rounded to multiples of 2**-40, so that cell + offset is
+    exact and both forms interpolate at the very same positions: in double
+    precision, lagrange_uniform's position (x - x0) / dx loses the low bits
+    of the offset, and with them up to 2e-14 of max|values| on random
+    samples."""
+    return np.round(np.asarray(offsets) * 2.0 ** 40) / 2.0 ** 40
+
+
+A4_PAIRS = _a4_rule_pairs()
+# in-cell offsets: the slice refinement's k/q, and the nodes of each A4 rule
+# on the unit cell
+OFFSETS = {**{f"q{q}": _dyadic(np.arange(q) / q) for q in (2, 3, 7, 16)},
+           **{f"rule{c}x{o}": _dyadic(refined_cells(np.array([0.0, 1.0]),
+                                                    [c], [o])[0])
+              for c, o in A4_PAIRS}}
+
+
+def test_a4_rules_are_covered():
+    assert (1, 4) in A4_PAIRS and (1, 12) in A4_PAIRS and len(A4_PAIRS) >= 4
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("name", sorted(OFFSETS))
+def test_cell_form_matches_lagrange_uniform(name, dtype):
+    """Every cell of a 20-sample grid: clamped stencils at both ends (the
+    first and last three cells) and centred ones between."""
+    offsets = OFFSETS[name]
+    rng = np.random.default_rng(len(offsets))
+    n, x0, dx = 20, -1.25, 0.125
+    values = rng.standard_normal(n)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(n)
+    for first, n_cells in ((0, n - 1), (2, 3), (n - 4, 3), (5, 1)):
+        cells = np.arange(first, first + n_cells)
+        got = lagrange_cells(values, first, n_cells, offsets)
+        x = x0 + dx * (cells[:, None] + offsets[None, :])
+        want = lagrange_uniform(values, x0, dx, x.ravel()).reshape(x.shape)
+        assert got.shape == (n_cells, offsets.size)
+        assert got.dtype == values.dtype
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(values).max()
+    # an offset of 0 is the sample itself
+    assert lagrange_cells(values, 0, n - 1, [0.0])[:, 0].tolist() == \
+        values[:-1].tolist()
+
+
+def test_cell_form_reproduces_degree_seven():
+    rng = np.random.default_rng(12)
+    n, x0, dx = 24, -1.3, 0.1
+    cells = np.arange(n - 1)
+    offsets = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 9)])
+    x = x0 + dx * (cells[:, None] + offsets[None, :])
+    mid, half = x0 + 0.5 * dx * (n - 1), 0.5 * dx * (n - 1)
+    for _ in range(5):
+        coef = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+
+        def poly(xx):
+            return np.polynomial.polynomial.polyval((xx - mid) / half, coef)
+        got = lagrange_cells(poly(x0 + dx * np.arange(n)), 0, n - 1, offsets)
+        assert np.abs(got - poly(x)).max() <= 1e-13 * np.abs(coef).sum()
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_cell_form_blocks(block, monkeypatch):
+    """Offsets beyond one block, and blocks of a few rows each."""
+    monkeypatch.setattr(numerics, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 30
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    offsets = _dyadic(np.sort(rng.uniform(0.0, 1.0, 150)))
+    got = lagrange_cells(values, 0, n - 1, offsets)
+    x = np.arange(n - 1)[:, None] + offsets[None, :]
+    want = lagrange_uniform(values, 0.0, 1.0, x.ravel()).reshape(x.shape)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(values).max()
+
+
+def test_cell_form_rejects_cells_off_the_grid():
+    values = np.ones(12)
+    for first, n_cells in ((-1, 3), (9, 3), (0, 12)):
+        with pytest.raises(ValueError, match="inside the grid"):
+            lagrange_cells(values, first, n_cells, [0.5])
+    with pytest.raises(ValueError, match="samples"):
+        lagrange_cells(np.ones(7), 0, 2, [0.5])
+
+
+@pytest.mark.parametrize("lo,hi", [(-2.0, 2.375), (-2.0, 1.5), (-1.93, 1.37),
+                                   (-1.01, -0.4), (0.22, 0.27)])
+def test_rule_form_matches_lagrange_uniform_at_the_nodes(lo, hi):
+    """The oracle's read of a node set: runs of whole cells by the cell form,
+    the end cells (clipped here unless they fall on the grid) per query.
+    The whole grid puts clamped stencils in the runs at both ends.  The
+    bound is twice the cell form's: the cell form reads a node at its exact
+    in-cell offset, ``refined_cells`` rounds its position (up to 7e-15 of
+    max|values| here)."""
+    rng = np.random.default_rng(3)
+    n, x0, dx = 36, -2.0, 0.125
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    j0 = max(0, math.floor((lo - x0) / dx))
+    j1 = min(n - 1, math.ceil((hi - x0) / dx))
+    edges = np.clip(x0 + dx * np.arange(j0, j1 + 1), lo, hi)
+    for lin, quad in ((0.0, 0.0), (13.0, 0.2), (3.0, 4.0), (60.0, 9.0)):
+        counts, orders = phase_counts(edges, lin, quad, 0.0, 2.0)
+        nodes, _ = refined_cells(edges, counts, orders)
+        got = lagrange_on_rule(values, x0, dx, edges, counts, orders, nodes)
+        want = lagrange_uniform(values, x0, dx, nodes)
+        assert got.shape == nodes.shape
+        assert np.abs(got - want).max() <= 2e-14 * np.abs(values).max()
