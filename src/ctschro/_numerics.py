@@ -13,20 +13,22 @@ matrix product, without casting the weights to complex.
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
 no thread pool, and matrix products of at most about ``_BLOCK`` values each,
 which OpenBLAS runs on one thread.  Long interpolation queries run in fixed
-blocks of ``_BLOCK`` so their (queries x stencil) temporaries stay small
-enough for the allocator to reuse; every value of ``lagrange_uniform`` is
-computed by the same operations whatever the block, so the result does not
-depend on it.
+blocks of ``_BLOCK`` so their (queries x stencil) temporaries stay small;
+every value of ``lagrange_uniform`` is computed by the same operations
+whatever the block, so the result does not depend on it.  Importing this
+module sets the allocator policy under which both evaluation routes reuse
+their freed temporaries instead of faulting them in again
+(``_pin_allocator``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import roots_legendre
 
 from .errors import ResolutionError
 
@@ -43,14 +45,27 @@ _FINE_ORDER = 12
 # nodes, three times the largest count the test suite needs (1.33 M) and far
 # below the tens of GB an undamped high-frequency query would ask for
 _MAX_NODES = 2 ** 22
-# interpolation queries per block.  A block's (queries x 8) temporaries are
-# 128-256 kB at 2**11 and stay in the allocator's heap from block to block.
-# At 2**14 they are 1-2 MB: glibc hands such sizes back to the system when
-# they are freed (unmapped, or trimmed off the heap top) and the next block
-# page-faults them in again.  On the agreement benchmark that was about 0.85 M
-# minor faults and 1 s of system time per run; at 2**11, about 60 k and 0.15 s.
-# The cell form yields at most about _BLOCK values per matrix product too.
+# interpolation queries per block: a block's (queries x 8) temporaries are
+# 128-256 kB, and the cell form yields at most about _BLOCK values per matrix
+# product (see the module docstring).  Freed blocks of any size below
+# _MMAP_THRESHOLD stay in the heap under the allocator policy below.
 _BLOCK = 2 ** 11
+# glibc's allocator policy, set once at import by _pin_allocator.  Every
+# evaluation point allocates MB-sized temporaries: node sets and the
+# oscillatory integrand (tens of bytes per node), chirp-z buffers of a few
+# MB per slice.  glibc serves a request above M_MMAP_THRESHOLD by a mapping
+# of its own, unmapped when freed, and hands free memory above
+# M_TRIM_THRESHOLD at the top of its heap back to the system.  The default
+# thresholds (128 kB, raised only after a large block is freed) make each
+# such temporary fault its pages in anew at every point: about 180 k minor
+# faults per in-process repetition of the 100-point agreement benchmark.
+# At 32 MiB and 64 MiB they stay in the heap (at most 10 faults per
+# repetition), and up to 64 MB of freed memory stays with the process.
+# No value changes.
+_MMAP_THRESHOLD = 32 * 2 ** 20
+_TRIM_THRESHOLD = 64 * 2 ** 20
+# mallopt's parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 # the one Lagrange order of both evaluation routes, on an 8-node stencil, and
 # its denominators prod_{l != j} (j - l) = (-1)**(7-j) j! (7-j)!, exact integers
@@ -61,15 +76,55 @@ _DENOMINATORS = np.array([(-1) ** (_INTERP_ORDER - j) * math.factorial(j)
                           for j in range(_STENCIL)], dtype=float)
 _DENOMINATORS.setflags(write=False)
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def _pin_allocator() -> None:
+    """Set glibc's mmap and trim thresholds to ``_MMAP_THRESHOLD`` and
+    ``_TRIM_THRESHOLD``; a no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_allocator()
+
+
+def _rule(nodes: list[float], weights: list[float]):
+    """A read-only (nodes, weights) pair."""
+    pair = (np.array(nodes), np.array(weights))
+    for a in pair:
+        a.setflags(write=False)
+    return pair
+
+
+# Gauss-Legendre nodes and weights on [-1, 1] of the two rules in use, to the
+# last bit as scipy.special.roots_legendre computes them
+_GAUSS_RULES = {
+    _COARSE_ORDER: _rule(
+        [-0.8611363115940526, -0.3399810435848563,
+         0.3399810435848563, 0.8611363115940526],
+        [0.3478548451374538, 0.6521451548625462,
+         0.6521451548625462, 0.3478548451374538]),
+    _FINE_ORDER: _rule(
+        [-0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
+         -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
+         0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+         0.7699026741943047, 0.9041172563704749, 0.9815606342467192],
+        [0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
+         0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
+         0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+         0.16007832854334608, 0.10693932599531782, 0.04717533638651319]),
+}
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1], cached."""
-    if n not in _GL_CACHE:
-        xg, wg = roots_legendre(n)
-        _GL_CACHE[n] = (np.asarray(xg), np.asarray(wg))
-    return _GL_CACHE[n]
+    """Gauss-Legendre nodes/weights on [-1, 1] (read-only) for n = 4 or 12,
+    the orders of the coarse and the fine rule."""
+    return _GAUSS_RULES[n]
 
 
 def lagrange_uniform(values: np.ndarray, x0: float, dx: float,

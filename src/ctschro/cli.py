@@ -89,6 +89,34 @@ def _field(cfg: dict, name: str, default=None, kind=float, many=False):
                           f"got {value!r}") from exc
 
 
+def _flag(cfg: dict, name: str, default: bool) -> bool:
+    """Boolean field ``name`` of the configuration: JSON true or false, and
+    ``default`` when it is absent or null.  Raises ``ConfigError`` naming
+    the field for any other value, so that "false" cannot mean true."""
+    value = cfg.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
+    return value
+
+
+def _interval(cfg: dict) -> str | tuple[float, float]:
+    """Field ``interval`` of ``sweep``: scaling (the default), witness, full,
+    or two numbers a < b inside [-1, 1]."""
+    value = cfg.get("interval")
+    if value is None:
+        return "scaling"
+    if value in ("scaling", "witness", "full"):
+        return value
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        a, b = _field(cfg, "interval", many=True)
+        if -1.0 <= a < b <= 1.0:
+            return a, b
+    raise ConfigError("field 'interval' must be scaling|witness|full or two "
+                      f"numbers -1 <= a < b <= 1, got {value!r}")
+
+
 def _family(cfg: dict) -> CounterexampleFamily:
     kind = cfg.get("family")
     if kind not in ("dilated", "modulated"):
@@ -140,7 +168,7 @@ def cmd_atlas(cfg: dict) -> dict:
                          "s": float(res.s), "theorem": res.theorem,
                          "regime": res.regime})
     results = {"rows": rows}
-    if cfg.get("continuity", False):
+    if _flag(cfg, "continuity", False):
         gap_tol = _field(cfg, "gap_tolerance", 1e-7)
         worst = 0.0
         report = []
@@ -168,7 +196,7 @@ def cmd_sweep(cfg: dict) -> dict:
     scales = _scales(cfg)
     s_order = _field(cfg, "s_order", 0.0)
     tol = _field(cfg, "tolerance", 0.1)
-    interval = cfg.get("interval", "scaling")
+    interval = _interval(cfg)
     n_samples = _n_samples(cfg)
     _require_witness_regime(_family({**cfg, "R": scales[0]}))
 
@@ -219,10 +247,10 @@ def cmd_lowerbound(cfg: dict) -> dict:
     n_nodes = _field(cfg, "n_nodes", 256, int)
     if n_nodes < 256:
         raise ConfigError("lowerbound scans need at least 256 nodes")
-    t_zero = bool(cfg.get("t_zero", False))
+    t_zero = _flag(cfg, "t_zero", False)
     level = LOWER_BOUND_LEVEL
     history = []
-    if cfg.get("auto_calibrate", False) and not t_zero:
+    if _flag(cfg, "auto_calibrate", False) and not t_zero:
         fam, history = calibrate_smallness(fam, n_nodes=n_nodes)
         min_val = history[-1][1]
     else:
@@ -322,7 +350,7 @@ def cmd_eval(cfg: dict) -> dict:
         raise ConfigError(f"field 'spectrum' must be family|band, got {spectrum!r}")
     try:
         params = EvolutionParams(m=_field(cfg, "m", 2.0), gamma=gamma,
-                                 damping=bool(cfg.get("damping", True)))
+                                 damping=_flag(cfg, "damping", True))
         curve = holder_curve(alpha)
     except LabError as exc:
         raise ConfigError(str(exc)) from exc

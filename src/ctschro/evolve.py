@@ -16,9 +16,9 @@ Two independent routes are provided:
   twice the query + dispersive window (plus a margin of 8 on each side),
   which keeps wrap-around images out of the evaluated range.  A chirp-z
   transform computes any run of that grid's nodes alone, so a caller that
-  reads one y-span asks for that span and pays three FFTs of about
-  (spectral samples + span nodes) points instead of one FFT of a whole
-  period.
+  reads one y-span asks for that span and pays three FFTs (``numpy.fft``)
+  of about (spectral samples + span nodes) points instead of one FFT of a
+  whole period.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
@@ -45,11 +45,11 @@ other.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from ._numerics import (_DEAD, _STENCIL, lagrange_cells, lagrange_on_rule,
                         lagrange_uniform, node_set, oscillatory_sum,
@@ -71,6 +71,29 @@ _OVERSAMPLING = 16.0
 _ALIAS_SAFETY = 2.0
 _TAIL_MARGIN = 8.0
 _MAX_FFT = 2 ** 24
+
+
+def _smooth_numbers(limit: int) -> list[int]:
+    """The products 2**a 3**b 5**c 7**d 11**e <= limit, in increasing order."""
+    found = [1]
+    for p in (2, 3, 5, 7, 11):
+        found = [n * p ** k for n in found
+                 for k in range(int(math.log(limit / n, p)) + 2)
+                 if n * p ** k <= limit]
+    return sorted(found)
+
+
+# the transform lengths pocketfft runs fastest on: 11-smooth numbers, up to
+# the largest length a chirp-z transform of one slice can need
+_FAST_LENGTHS = _smooth_numbers(2 * _MAX_FFT)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 11-smooth number >= target, for 1 <= target <= 2
+    ``_MAX_FFT``: the length ``scipy.fft.next_fast_len`` picks for complex
+    transforms."""
+    return _FAST_LENGTHS[bisect.bisect_left(_FAST_LENGTHS, target)]
+
 
 @dataclass(frozen=True)
 class SampledField:
@@ -179,15 +202,17 @@ def _chirp_z(a: np.ndarray, n: int, n0: int, n1: int) -> np.ndarray:
 
     Bluestein's identity 2 k j = k**2 + j**2 - (j - k)**2 turns the sum into
     a linear convolution of a[k] w(k) with conj(w) over j - k, w(j) =
-    exp(i pi j**2 / n); three FFTs of length >= len(a) + n1 - n0 - 1 do it
-    (Rabiner, Schafer & Rader, "The chirp z-transform algorithm", 1969).
+    exp(i pi j**2 / n); three ``numpy.fft`` transforms of the smallest
+    11-smooth length >= len(a) + n1 - n0 - 1 do it (Rabiner, Schafer &
+    Rader, "The chirp z-transform algorithm", 1969).  The inverse transform
+    runs in place.
     """
     k_len, m_len = a.size, n1 - n0
-    size = next_fast_len(k_len + m_len - 1)
-    spec = fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
+    size = _next_fast_len(k_len + m_len - 1)
+    spec = np.fft.fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
     lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
-    spec *= fft(np.conj(_chirp(lag, n)), size)
-    conv = ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + m_len]
+    spec *= np.fft.fft(np.conj(_chirp(lag, n)), size)
+    conv = np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + m_len]
     return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
 
 
@@ -250,11 +275,14 @@ def propagate_slice(plan: PropagationPlan, t: float,
     # first n_z cover the window
     period = 2.0 * math.pi / du
     dz_target = math.pi / (half_band * _OVERSAMPLING)
-    n_fft = next_fast_len(max(int(math.ceil(period / dz_target)), n_fine))
-    if n_fft > _MAX_FFT:
+    # _MAX_FFT is 11-smooth, so the fast length of n_need exceeds it exactly
+    # when n_need does
+    n_need = max(int(math.ceil(period / dz_target)), n_fine)
+    if n_need > _MAX_FFT:
         raise ResolutionError(
-            f"slice at t={t} needs an FFT of {n_fft} > max_fft={_MAX_FFT}; "
+            f"slice at t={t} needs an FFT of {n_need} > max_fft={_MAX_FFT}; "
             "the y-range policy cannot cover the dispersive range")
+    n_fft = _next_fast_len(n_need)
     dz = 2.0 * math.pi / (n_fft * du)
     n_z = min(n_fft, int(math.floor(width / dz)) + 2)
     n0, n1 = 0, n_z

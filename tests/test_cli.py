@@ -339,6 +339,57 @@ def test_out_of_range_physics_field_exits_2(command, doc, words, tmp_path,
     assert rec["error"] == "config" and words in rec["reason"]
 
 
+@pytest.mark.parametrize("command,field,value", [
+    ("eval", "damping", "false"), ("eval", "damping", 0),
+    ("lowerbound", "t_zero", "false"), ("lowerbound", "auto_calibrate", "no"),
+    ("atlas", "continuity", "false"), ("atlas", "continuity", 1),
+    ("sweep", "interval", "bogus"), ("sweep", "interval", [0.5]),
+    ("sweep", "interval", [0.5, 0.1]), ("sweep", "interval", [0.0, 2.0]),
+    ("sweep", "interval", ["a", 0.5]), ("sweep", "interval", {"a": 0.1}),
+])
+def test_malformed_flag_or_interval_exits_2(command, field, value, tmp_path,
+                                            capsys, monkeypatch):
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the field checks")
+    for name in ("maximal_ratio", "witness_minimum", "calibrate_smallness",
+                 "direct_quadrature", "continuity_check"):
+        monkeypatch.setattr(cli, name, no_work)
+    doc = {**_VALID[command], field: value}
+    code, out, rec = _run_doc(command, doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+
+
+def test_damping_flag_reads_json_booleans():
+    def value(**flag):
+        rec = run_config({"command": "eval", **_DILATED, "R": 16.0,
+                          "x": [0.3], "t": [0.5], **flag})
+        return rec["results"]["rows"][0]["value_abs"]
+    damped = value()
+    assert value(damping=None) == value(damping=True) == damped
+    assert value(damping=False) > 10.0 * damped
+
+
+@pytest.mark.parametrize("value,passed", [
+    (None, "scaling"), ("witness", "witness"), ("full", "full"),
+    ([-0.25, 0.5], (-0.25, 0.5)), ([-1, 1], (-1.0, 1.0)),
+])
+def test_sweep_interval_reaches_maximal_ratio(value, passed, monkeypatch):
+    import ctschro.cli as cli
+    from ctschro.errors import ResolutionError
+    seen = []
+
+    def record(fam, s, interval, n_samples):
+        seen.append(interval)
+        raise ResolutionError("stop after the first scale")
+    monkeypatch.setattr(cli, "maximal_ratio", record)
+    rec = run_config({"command": "sweep", **_VALID["sweep"],
+                      "interval": value})
+    assert seen == [passed] and not rec["passed"]
+
+
 # ---------------------------------------------------------------------------
 # records: determinism, round trip, serialization
 # ---------------------------------------------------------------------------

@@ -504,6 +504,46 @@ def test_chirp_z_matches_inverse_fft():
         assert np.max(np.abs(got - want[n0:n1])) <= 1e-12 * np.abs(a).sum()
 
 
+def test_next_fast_len_is_scipys():
+    sfft = pytest.importorskip("scipy.fft")
+    from ctschro.evolve import _MAX_FFT, _next_fast_len
+    rng = np.random.default_rng(10)
+    targets = [*range(1, 2 ** 16 + 1),
+               *rng.integers(1, _MAX_FFT, 1000, endpoint=True).tolist(),
+               _MAX_FFT - 1, _MAX_FFT, _MAX_FFT + 1]
+    assert [_next_fast_len(t) for t in targets] == \
+        [sfft.next_fast_len(t) for t in targets]
+
+
+def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
+    sfft = pytest.importorskip("scipy.fft")
+    import ctschro.evolve as evolve
+    from ctschro.evolve import _chirp, _chirp_z
+
+    def scipy_chirp_z(a, n, n0, n1):
+        k_len, m_len = a.size, n1 - n0
+        size = sfft.next_fast_len(k_len + m_len - 1)
+        spec = sfft.fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
+        lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
+        spec *= sfft.fft(np.conj(_chirp(lag, n)), size)
+        conv = sfft.ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + m_len]
+        return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
+
+    calls = []
+    monkeypatch.setattr(evolve, "_chirp_z",
+                        lambda *args: calls.append(args) or _chirp_z(*args))
+    # A4's shape: lam = 64 band spectrum, undamped m = 2, Hoelder 1/2 curve
+    f = random_band_limited(64.0, seed=52)
+    plan = make_plan(f, EvolutionParams(m=2.0, gamma=1.0, damping=False),
+                     holder_curve(0.5))
+    for x, t in ((0.3, 0.05), (-0.7, 0.6)):
+        evaluate_along_curve(plan, holder_curve(0.5), x, t, path="transform")
+    propagate_slice(plan, 0.2)
+    assert len(calls) == 3
+    for args in calls:
+        assert _chirp_z(*args).tobytes() == scipy_chirp_z(*args).tobytes()
+
+
 def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
     import ctschro.evolve as evolve
 
