@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .domain import CounterexampleFamily
+from .domain import CounterexampleFamily, scaling_law
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -235,15 +235,18 @@ def continuity_check(alpha, m) -> list[ContinuityGap]:
 
 def predicted_ratio_slope(fam: CounterexampleFamily) -> float:
     """Predicted growth exponent in R of the maximal-to-L2 norm ratio of the
-    counterexample family (clamped at 0 where the threshold is void)."""
-    a, g = fam.alpha, fam.gamma
-    if fam.kind == "dilated":
-        if g < 1:
-            return max(0.0, 0.5 - a / g)
-        return max(0.0, 0.5 - a)
-    if fam.b == 2.0 and g >= 2.0:
-        return 0.5
-    if fam.b == g and max(1.0 / (2 * a), 1.0) <= g < 2.0:
-        return (g - 1.0) / 2.0
-    raise RegimeError(
-        f"no slope prediction for modulated family with b={fam.b}, gamma={g}")
+    counterexample family: s(alpha, gamma, 2), times b for the modulated
+    family (frequency scale R**b).  Raises ``RegimeError`` where the family's
+    own law max(0, (1 + e)/2), for a scaling interval ~ R**e, differs: the
+    family is not sharp there, so a sweep would test the construction and
+    not the theorem."""
+    s = float(exponent(alpha=fam.alpha, gamma=fam.gamma, m=2.0).s)
+    predicted = s if fam.kind == "dilated" else fam.b * s
+    _, e = scaling_law(fam)
+    law = max(0.0, 0.5 * (1.0 + e))
+    if abs(predicted - law) > 1e-12:
+        raise RegimeError(
+            f"the {fam.kind} family at alpha={fam.alpha}, gamma={fam.gamma} "
+            f"is not sharp: its scaling law gives slope {law}, the atlas "
+            f"{predicted}")
+    return predicted

@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._numerics import _MAX_NODES
 from .atlas import continuity_check, exponent, predicted_ratio_slope
 from .domain import (
     CounterexampleFamily,
@@ -31,7 +32,7 @@ from .domain import (
     holder_curve,
     random_band_limited,
 )
-from .errors import ConfigError, LabError
+from .errors import ConfigError, LabError, RegimeError
 from .evolve import direct_quadrature
 from .kernel import (
     beta_table,
@@ -130,10 +131,16 @@ def _family(cfg: dict) -> CounterexampleFamily:
         raise ConfigError(str(exc)) from exc
 
 
+# every sweep scale integrates the whole band at its witness times, so a
+# spectrum of more samples can never pass the oracle's node budget
+_MAX_SAMPLES = _MAX_NODES // 4
+
+
 def _n_samples(cfg: dict) -> int:
     n_samples = _field(cfg, "n_samples", 2048, int)
-    if n_samples < 64:
-        raise ConfigError("field 'n_samples' must be at least 64")
+    if not 64 <= n_samples <= _MAX_SAMPLES:
+        raise ConfigError(f"field 'n_samples' must lie in "
+                          f"[64, {_MAX_SAMPLES}], got {n_samples}")
     return n_samples
 
 
@@ -184,32 +191,25 @@ def cmd_atlas(cfg: dict) -> dict:
     return {"results": results, "verdicts": verdicts}
 
 
-def _require_witness_regime(fam: CounterexampleFamily) -> None:
-    from .domain import witness_interval
-    try:
-        witness_interval(fam)
-    except LabError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_sweep(cfg: dict) -> dict:
     scales = _scales(cfg)
     s_order = _field(cfg, "s_order", 0.0)
     tol = _field(cfg, "tolerance", 0.1)
     interval = _interval(cfg)
     n_samples = _n_samples(cfg)
-    _require_witness_regime(_family({**cfg, "R": scales[0]}))
+    try:
+        predicted = predicted_ratio_slope(_family({**cfg, "R": scales[0]}))
+    except RegimeError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    rows, qs, failure = [], [], None
-    fam = None
+    rows, qs = [], []
     for R in scales:
         fam = _family({**cfg, "R": R})
         try:
             res = maximal_ratio(fam, s=s_order, interval=interval,
                                 n_samples=n_samples)
-        except LabError as exc:   # partial results still emitted
-            failure = f"scale R={R}: {exc}"
-            break
+        except LabError as exc:   # an unresolved scale is no evidence: exit 3
+            raise type(exc)(f"scale R={R}: {exc}") from exc
         qs.append(res.q)
         rows.append({"family": fam.kind, "alpha": fam.alpha, "gamma": fam.gamma,
                      "m": 2.0, "b": fam.b, "c": fam.c, "s_order": s_order,
@@ -217,33 +217,26 @@ def cmd_sweep(cfg: dict) -> dict:
                      "norm_maxfield": res.norm_maxfield,
                      "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs})
 
-    predicted = predicted_ratio_slope(fam)
-    if failure is None:
-        fit = fit_slope_guarded(scales, qs)
-        passed = abs(fit.slope - predicted) <= tol
-        slope, intercept = fit.slope, fit.intercept
-        fit_info = {"max_residual": fit.max_residual,
-                    "dropped_scales": list(fit.dropped_scales)}
-    else:
-        passed, slope, intercept = False, None, None
-        fit_info = {"error": failure}
+    fit = fit_slope_guarded(scales, qs)
+    passed = abs(fit.slope - predicted) <= tol
     verdict = "pass" if passed else "fail"
     for row in rows:
-        row["slope"] = slope
+        row["slope"] = fit.slope
         row["predicted_slope"] = predicted
         row["verdict"] = verdict
     return {
-        "results": {"rows": rows, "slope": slope, "intercept": intercept,
-                    "predicted_slope": predicted, **fit_info},
+        "results": {"rows": rows, "slope": fit.slope,
+                    "intercept": fit.intercept, "predicted_slope": predicted,
+                    "max_residual": fit.max_residual,
+                    "dropped_scales": list(fit.dropped_scales)},
         "verdicts": [{"name": "slope_matches_prediction", "passed": passed,
-                      "measured": slope, "predicted": predicted,
+                      "measured": fit.slope, "predicted": predicted,
                       "tolerance": tol}],
     }
 
 
 def cmd_lowerbound(cfg: dict) -> dict:
     fam = _family(cfg)
-    _require_witness_regime(fam)
     n_nodes = _field(cfg, "n_nodes", 256, int)
     if n_nodes < 256:
         raise ConfigError("lowerbound scans need at least 256 nodes")

@@ -36,8 +36,8 @@ __all__ = [
     "SpectralFunction", "from_profile", "random_band_limited",
     "amplitude_bound", "sobolev_norm",
     "CounterexampleFamily", "dilated_family", "modulated_family",
-    "build_counterexample", "witness_interval", "scaling_interval",
-    "witness_time",
+    "build_counterexample", "scaling_law", "witness_interval",
+    "scaling_interval", "witness_time",
 ]
 
 
@@ -159,11 +159,15 @@ def tabulated_curve(x_nodes, t_nodes, table, alpha, c1=1.0, c2=1.0, c3=1.0) -> C
     """Piecewise-bilinear curve from a table of Gamma values.
 
     ``table[i, j] = Gamma(x_nodes[j], t_nodes[i])``; the first time node must
-    be 0 with ``table[0] == x_nodes`` so that Gamma(x, 0) = x.
+    be 0 with ``table[0] == x_nodes`` so that Gamma(x, 0) = x.  Both node
+    arrays must increase strictly (``curve_eval`` locates cells by bisection).
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
     table = np.asarray(table, dtype=float)
+    if not all(n.ndim == 1 and n.size > 1 and np.all(np.diff(n) > 0)
+               for n in (x_nodes, t_nodes)):
+        raise DomainError("x_nodes and t_nodes must increase strictly")
     if table.shape != (t_nodes.size, x_nodes.size):
         raise DomainError("table shape must be (len(t_nodes), len(x_nodes))")
     if t_nodes[0] != 0.0 or not np.array_equal(table[0], x_nodes):
@@ -441,13 +445,9 @@ class CounterexampleFamily:
             raise DomainError("scale parameter R must be >= 2")
         if not (0.0 < self.c < 1.0):
             raise DomainError("smallness constant c must lie in (0, 1)")
-        if self.kind == "modulated":
-            if self.b is None or self.b < 1:
-                raise DomainError("modulated family needs b >= 1")
-            if self.alpha <= 0.25:
-                raise RegimeError("modulated family requires alpha > 1/4")
-            if self.gamma < 1:
-                raise RegimeError("modulated family requires gamma >= 1")
+        if self.kind == "modulated" and (self.b is None or self.b < 1):
+            raise DomainError("modulated family needs b >= 1")
+        scaling_law(self)   # RegimeError outside the supported regimes
 
     @property
     def lam(self) -> float:
@@ -491,44 +491,47 @@ def build_counterexample(fam: CounterexampleFamily,
     return SpectralFunction(lo, hi, vals, band=band)
 
 
-def witness_interval(fam: CounterexampleFamily) -> tuple[float, float]:
-    """Open interval of positions x where the witness-time construction
-    certifies a uniformly large evolved amplitude.
+def scaling_law(fam: CounterexampleFamily) -> tuple[float, float]:
+    """Coefficient and R-exponent (coef, e) of the scaling interval's length
+    coef * R**e; the only place that holds the families' regimes.
 
-    Raises ``RegimeError`` when (gamma, b) fall outside the supported regimes.
+    * dilated:   (c, -2 alpha / min(gamma, 1));
+    * modulated: (2c, 0) for b = 2 with gamma >= 2 and alpha > 1/4, and
+                 (2c, gamma - 2) for b = gamma in [max(1/(2 alpha), 1), 2);
+                 ``RegimeError`` for every other b.
     """
-    a, g, c, R = fam.alpha, fam.gamma, fam.c, fam.R
+    a, g, c = fam.alpha, fam.gamma, fam.c
     if fam.kind == "dilated":
-        if g < 1:
-            return (0.0, c * R ** (-2 * a / g))
-        return (0.0, c * R ** (-2 * a))
-    # modulated: b = gamma in [max(1/(2 alpha), 1), 2), or b = 2 with gamma >= 2
-    if fam.b == 2.0 and g >= 2.0:
-        return (0.0, c ** a * R ** (-2 * a) + 2 * c)
+        return c, -2 * a / min(g, 1.0)
+    if fam.b == 2.0 and g >= 2.0 and a > 0.25:
+        return 2 * c, 0.0
     if fam.b == g and max(1.0 / (2 * a), 1.0) <= g < 2.0:
-        return (0.0, c ** a * R ** (-2 * a) + 2 * c * R ** (g - 2))
+        return 2 * c, g - 2
     raise RegimeError(
-        f"modulated family with b={fam.b}, gamma={g} is outside the "
-        "supported regimes (b = gamma in [max(1/(2 alpha), 1), 2) or "
-        "b = 2 with gamma >= 2)")
+        f"modulated family with b={fam.b}, gamma={g}, alpha={a} is outside "
+        "the supported regimes (b = gamma in [max(1/(2 alpha), 1), 2), or "
+        "b = 2 with gamma >= 2 and alpha > 1/4)")
 
 
 def scaling_interval(fam: CounterexampleFamily) -> tuple[float, float]:
-    """Subinterval of the witness interval whose length is a pure power of R.
-
-    For the dilated family this is the witness interval itself.  For the
-    modulated family the witness interval length is c**alpha * R**(-2 alpha)
-    plus 2c * R**(gamma-2) (resp. 2c); the first term decays faster but has a
-    much larger constant at small c, so slopes fitted on desk scales over the
-    full interval are polluted by a transient.  The subinterval keeps only the
-    term that carries the asymptotic scaling.
+    """(0, coef * R**e) from ``scaling_law``: the subinterval of the witness
+    interval whose length is a pure power of R.  For the modulated family it
+    drops the witness interval's c**alpha * R**(-2 alpha) term, which decays
+    faster but has a much larger constant at small c, so slopes fitted on
+    desk scales over the whole witness interval are polluted by a transient.
     """
-    if fam.kind == "dilated":
-        return witness_interval(fam)
-    witness_interval(fam)  # regime validation
-    if fam.b == 2.0 and fam.gamma >= 2.0:
-        return (0.0, 2 * fam.c)
-    return (0.0, 2 * fam.c * fam.R ** (fam.gamma - 2))
+    coef, e = scaling_law(fam)
+    return (0.0, coef * fam.R ** e)
+
+
+def witness_interval(fam: CounterexampleFamily) -> tuple[float, float]:
+    """Open interval of positions x where the witness-time construction
+    certifies a uniformly large evolved amplitude: the scaling interval,
+    widened for the modulated family by c**alpha * R**(-2 alpha)."""
+    _, hi = scaling_interval(fam)
+    if fam.kind == "modulated":
+        hi = fam.c ** fam.alpha * fam.R ** (-2 * fam.alpha) + hi
+    return (0.0, hi)
 
 
 def witness_time(fam: CounterexampleFamily, x: float) -> float:

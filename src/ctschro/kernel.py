@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import _DEAD, oscillatory_quadrature
+from .atlas import exponent
 from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
                      holder_curve)
 from .errors import DomainError, RegimeError
@@ -126,32 +127,28 @@ class BetaChoice:
 
 def beta_table(alpha: float, gamma: float) -> BetaChoice:
     """Optimal (beta1, beta2) per (alpha, gamma) regime, with the resulting
-    row-integral exponent.  Raises ``RegimeError`` outside the table."""
+    row-integral exponent 2 s(alpha, gamma, 2) from the atlas.  Raises
+    ``RegimeError`` outside the table."""
     a, g = alpha, gamma
     if not (0.0 < a <= 1.0) or g <= 0.0:
         raise RegimeError(f"(alpha, gamma) = ({a}, {g}) outside the table")
     if a >= 0.5:
         if g < 1.0:
-            return BetaChoice(0.0, 1.0 / (2 * g), 0.0, False)
-        if g < 2.0:
-            return BetaChoice(0.0, 1.0 / (2 * g), 1.0 - 1.0 / g, True)
-        return BetaChoice(0.0, 0.0, 0.5, False)
-    if a <= 0.25:
-        if g < 2 * a:
-            return BetaChoice(a / g, 1.0 / (2 * g), 0.0, False)
-        if g < 1.0:
-            return BetaChoice(a / g, 1.0 / (2 * g), 1.0 - 2 * a / g, True)
-        return BetaChoice(0.0, 0.0, 1.0 - 2 * a, False)
-    # 1/4 < alpha < 1/2
-    if g < 2 * a:
-        return BetaChoice(a / g, 1.0 / (2 * g), 0.0, False)
-    if g < 1.0:
-        return BetaChoice(a / g, 1.0 / (2 * g), 1.0 - 2 * a / g, True)
-    if g < 1.0 / (2 * a):
-        return BetaChoice(0.0, 1.0 / (2 * g), 1.0 - 2 * a, False)
-    if g < 2.0:
-        return BetaChoice(0.0, 1.0 / (2 * g), 1.0 - 1.0 / g, True)
-    return BetaChoice(0.0, 0.0, 0.5, False)
+            b1, b2, eps = 0.0, 1.0 / (2 * g), False
+        elif g < 2.0:
+            b1, b2, eps = 0.0, 1.0 / (2 * g), True
+        else:
+            b1, b2, eps = 0.0, 0.0, False
+    elif g < 2 * a:
+        b1, b2, eps = a / g, 1.0 / (2 * g), False
+    elif g < 1.0:
+        b1, b2, eps = a / g, 1.0 / (2 * g), True
+    elif a <= 0.25 or g >= 2.0:
+        b1, b2, eps = 0.0, 0.0, False
+    else:   # 1/4 < alpha < 1/2, 1 <= gamma < 2
+        b1, b2, eps = 0.0, 1.0 / (2 * g), g >= 1.0 / (2 * a)
+    s = exponent(alpha=a, gamma=g, m=2.0).s
+    return BetaChoice(b1, b2, 2 * float(s), eps)
 
 
 def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,

@@ -176,6 +176,36 @@ def test_predicted_slopes_for_acceptance_points():
         == pytest.approx(0.5)
 
 
+def test_predicted_slopes_pinned_bitwise():
+    # the A5 predictions, to the bit
+    assert predicted_ratio_slope(dilated_family(0.25, 0.75, 16.0)) \
+        == 0.16666666666666669
+    assert predicted_ratio_slope(dilated_family(0.25, 2.0, 16.0)) == 0.25
+    assert predicted_ratio_slope(modulated_family(1 / 3, 1.6, 16.0, b=1.6)) \
+        == 0.30000000000000004
+    assert predicted_ratio_slope(modulated_family(0.5, 3.0, 16.0, b=2.0)) \
+        == 0.5
+
+
+def _supported_modulated_grid():
+    for a in np.linspace(0.26, 1.0, 38):
+        for g in np.linspace(1.0, 4.0, 61):
+            a, g = float(a), float(g)
+            if g >= 2.0:
+                yield a, g, 2.0
+            elif max(1.0 / (2 * a), 1.0) <= g:
+                yield a, g, g
+
+
+def test_modulated_prediction_is_b_times_atlas_exponent():
+    points = list(_supported_modulated_grid())
+    assert len(points) > 1000
+    for a, g, b in points:
+        s = exponent(alpha=a, gamma=g, m=2.0).s
+        predicted = predicted_ratio_slope(modulated_family(a, g, 16.0, b=b))
+        assert abs(predicted - b * s) <= 1e-12, (a, g, b)
+
+
 def test_predicted_slope_clamps_void_thresholds():
     assert predicted_ratio_slope(dilated_family(0.4, 0.5, 16.0)) == 0.0
 

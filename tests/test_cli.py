@@ -142,6 +142,21 @@ def test_unsupported_regime_is_config_error(capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "config"
 
 
+def test_sweep_where_the_family_is_not_sharp_exits_2(capsys, monkeypatch):
+    # dilated (1/2, 3/2): the family's law gives slope 0, the atlas s = 1/6,
+    # so no sweep there could test the theorem
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the regime check")
+    monkeypatch.setattr(cli, "maximal_ratio", no_work)
+    code, out, err = run_cli(
+        ["sweep", "--family", "dilated", "--alpha", "0.5", "--gamma", "1.5",
+         "--scales", "16,32,64,128"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     import ctschro.cli as cli
 
@@ -271,12 +286,25 @@ def test_eval_band_bad_lam_is_config_error(lam, tmp_path, capsys):
     assert rec["error"] == "config" and "'lam'" in rec["reason"]
 
 
-def test_eval_checks_n_samples_as_sweep_does(capsys):
-    cfg = {"family": "dilated", "alpha": 0.25, "gamma": 0.75, "n_samples": 32}
-    for command in ("sweep", "eval"):
-        with pytest.raises(ConfigError, match="n_samples"):
-            run_config({"command": command, "R": 16.0,
-                        "scales": [16.0, 32.0, 64.0, 128.0], **cfg})
+def test_eval_checks_n_samples_as_sweep_does(monkeypatch):
+    # both bounds hold before any spectrum is built; past 2**20 samples no
+    # sweep scale could pass the oracle's node budget
+    import ctschro.cli as cli
+    import ctschro.maximal as maximal
+    from ctschro._numerics import _MAX_NODES
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("spectrum built before the n_samples check")
+    for module, name in ((cli, "build_counterexample"),
+                         (maximal, "build_counterexample"),
+                         (cli, "maximal_ratio")):
+        monkeypatch.setattr(module, name, no_work)
+    cfg = {"family": "dilated", "alpha": 0.25, "gamma": 0.75, "R": 16.0,
+           "scales": [16.0, 32.0, 64.0, 128.0]}
+    for n_samples in (32, _MAX_NODES // 4 + 1):
+        for command in ("sweep", "eval"):
+            with pytest.raises(ConfigError, match="n_samples"):
+                run_config({"command": command, "n_samples": n_samples, **cfg})
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +413,31 @@ def test_sweep_interval_reaches_maximal_ratio(value, passed, monkeypatch):
         seen.append(interval)
         raise ResolutionError("stop after the first scale")
     monkeypatch.setattr(cli, "maximal_ratio", record)
-    rec = run_config({"command": "sweep", **_VALID["sweep"],
-                      "interval": value})
-    assert seen == [passed] and not rec["passed"]
+    with pytest.raises(ResolutionError):
+        run_config({"command": "sweep", **_VALID["sweep"], "interval": value})
+    assert seen == [passed]
+
+
+def test_sweep_resolution_failure_exits_3_naming_the_scale(capsys,
+                                                           monkeypatch):
+    # an unresolved scale is no evidence against the theorem: it is not a
+    # failed verdict (exit 1) but an internal limit (exit 3)
+    import ctschro.cli as cli
+    from ctschro.errors import ResolutionError
+    real = cli.maximal_ratio
+
+    def second_scale_fails(fam, s, interval, n_samples):
+        if fam.R == 32.0:
+            raise ResolutionError("slice needs an FFT past max_fft")
+        return real(fam, s=s, interval=interval, n_samples=n_samples)
+    monkeypatch.setattr(cli, "maximal_ratio", second_scale_fails)
+    code, out, err = run_cli(
+        ["sweep", "--family", "dilated", "--alpha", "0.25", "--gamma", "2",
+         "--scales", "16,32,64,128"], capsys)
+    assert code == 3 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "ResolutionError"
+    assert "R=32" in rec["reason"] and "max_fft" in rec["reason"]
 
 
 # ---------------------------------------------------------------------------

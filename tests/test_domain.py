@@ -18,6 +18,7 @@ from ctschro.domain import (
     modulated_family,
     random_band_limited,
     scaling_interval,
+    scaling_law,
     shear_curve,
     sobolev_norm,
     tabulated_curve,
@@ -107,6 +108,19 @@ def test_tabulated_curve_requires_identity_row():
     ts = np.linspace(0, 1, 3)
     with pytest.raises(DomainError):
         tabulated_curve(xs, ts, np.ones((3, 5)), alpha=1.0)
+
+
+@pytest.mark.parametrize("xs,ts", [
+    ([-1.0, 0.0, 0.0, 1.0], [0.0, 0.5, 1.0]),      # repeated x node
+    ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.5]),           # decreasing t node
+    ([-1.0, np.nan, 1.0], [0.0, 0.5, 1.0]),        # unordered NaN
+    ([0.0], [0.0, 1.0]),                           # no cell at all
+])
+def test_tabulated_curve_requires_increasing_nodes(xs, ts):
+    xs, ts = np.array(xs), np.array(ts)
+    table = np.tile(xs, (ts.size, 1))
+    with pytest.raises(DomainError, match="increase strictly"):
+        tabulated_curve(xs, ts, table, alpha=1.0)
 
 
 def test_identity_curve_regularity():
@@ -272,6 +286,29 @@ def test_witness_interval_regime_errors():
     with pytest.raises(RegimeError):
         # b = gamma also requires gamma >= 1/(2 alpha)
         witness_interval(modulated_family(0.3, 1.2, 16.0, b=1.2))
+
+
+def test_scaling_law_of_each_regime():
+    assert scaling_law(dilated_family(0.25, 0.75, 16.0)) \
+        == (0.01, -2 * 0.25 / 0.75)
+    assert scaling_law(dilated_family(0.25, 2.0, 16.0)) == (0.01, -0.5)
+    assert scaling_law(modulated_family(0.5, 3.0, 16.0, b=2.0)) == (0.02, 0.0)
+    assert scaling_law(modulated_family(1 / 3, 1.6, 16.0, b=1.6)) \
+        == (0.02, 1.6 - 2)
+    fam = modulated_family(1 / 3, 1.6, 64.0, b=1.6)
+    coef, e = scaling_law(fam)
+    assert scaling_interval(fam) == (0.0, coef * 64.0 ** e)
+
+
+@pytest.mark.parametrize("alpha,gamma,b", [
+    (0.5, 1.5, 3.0),    # b is neither 2 nor gamma
+    (0.5, 2.5, 2.5),    # b = gamma requires gamma < 2
+    (0.3, 1.2, 1.2),    # b = gamma also requires gamma >= 1/(2 alpha)
+    (0.25, 3.0, 2.0),   # b = 2 requires alpha > 1/4
+])
+def test_unsupported_modulated_family_raises_at_construction(alpha, gamma, b):
+    with pytest.raises(RegimeError):
+        modulated_family(alpha, gamma, 16.0, b=b)
 
 
 def test_scaling_interval_is_inside_witness_interval():

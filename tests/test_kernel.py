@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ctschro.atlas import exponent
 from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
                             identity_curve)
 from ctschro.errors import DomainError, RegimeError
@@ -186,6 +187,21 @@ def test_beta_table_rows():
     assert row.beta2 == pytest.approx(1 / 2.4)
     assert row.i_exponent == pytest.approx(1 / 3)
     assert not row.eps_flag
+
+
+def test_beta_table_exponents_pinned_bitwise():
+    # the predicted_I_exponent that kernelcheck reports at the A7 points
+    assert beta_table(0.5, 2.0).i_exponent == 0.5
+    assert beta_table(0.2, 0.5).i_exponent == 0.19999999999999996
+    assert beta_table(1 / 3, 1.2).i_exponent == 0.33333333333333337
+
+
+def test_beta_table_exponent_is_twice_the_atlas_exponent():
+    for a in np.linspace(0.01, 1.0, 50):
+        for g in np.linspace(0.01, 4.0, 200):
+            a, g = float(a), float(g)
+            want = 2 * exponent(alpha=a, gamma=g, m=2.0).s
+            assert beta_table(a, g).i_exponent == want, (a, g)
 
 
 def test_beta_table_covers_all_eleven_regimes():
