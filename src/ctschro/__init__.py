@@ -58,6 +58,7 @@ from .kernel import (
     beta_table,
     kernel_eval,
     kernel_majorant,
+    kernel_values,
     make_cutoff,
     schur_integral,
     verify_kernel_bound,

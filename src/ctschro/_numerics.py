@@ -10,6 +10,18 @@ cells: the weights depend only on the offset and the stencil's shift, so it
 builds one (offsets x stencil) table and applies it to every cell by a real
 matrix product, without casting the weights to complex.
 
+The oscillatory integral has a row form: one call of ``phase_counts``,
+``refined_cells``/``node_set``, ``oscillatory_sum`` or
+``oscillatory_quadrature`` covers P integrals, with ``edges`` of shape
+(P, n+1) and ``lin``, ``quad``, ``damp`` of shape (P,).  Each row's nodes
+are laid out as a one-row call lays them out (grouped by order, each group
+in cell order), every per-node value comes from the same elementwise
+operations, and each row is summed by its own ``np.sum``; so every row's
+value is bit-identical to a one-row call.  Rows are integrated in chunks of
+consecutive rows with at most ``_CHUNK`` = 2**14 nodes in all (a larger row
+stands alone), so a call's temporaries stay at a few MB however many rows
+it has.
+
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
 no thread pool, and matrix products of at most about ``_BLOCK`` values each,
 which OpenBLAS runs on one thread.  Long interpolation queries run in fixed
@@ -75,6 +87,12 @@ _DENOMINATORS = np.array([(-1) ** (_INTERP_ORDER - j) * math.factorial(j)
                           * math.factorial(_INTERP_ORDER - j)
                           for j in range(_STENCIL)], dtype=float)
 _DENOMINATORS.setflags(write=False)
+
+# values per chunk of a row-form call (2**14): the nodes of a chunk of
+# oscillatory quadratures, or the cells of a block of rows of sub-cell
+# counts.  As many as one interpolation block's (queries x stencil)
+# temporaries hold, so each of the chunk's node arrays is 128-256 kB.
+_CHUNK = _STENCIL * _BLOCK
 
 
 def _pin_allocator() -> None:
@@ -288,17 +306,22 @@ def refined_cells(edges: np.ndarray, counts: np.ndarray,
     counts[j] equal sub-cells carrying an orders[j]-point Gauss rule.
 
     The nodes come grouped by order, smallest order first, and each group in
-    cell order; with a single order that is plain cell order.
+    cell order; with a single order that is plain cell order.  In the row
+    form (``edges`` of shape (P, n+1), ``counts`` and ``orders`` of shape
+    (P, n)) the rows' nodes follow one another, each row laid out as a
+    one-row call lays it out and computed by the same operations.
     """
+    edges = np.asarray(edges, dtype=float)
     counts = np.maximum(np.asarray(counts, dtype=np.int64), 1)
     orders = np.asarray(orders)
     widths = np.diff(edges) / counts
+    groups = np.unique(orders).tolist()
     nodes, weights = [], []
-    for n_gl in np.unique(orders).tolist():
+    for n_gl in groups:
         sel = orders == n_gl
         c = counts[sel]
         # sub-cell left endpoints: index of each sub-cell within its grid cell
-        starts = np.repeat(edges[:-1][sel], c)
+        starts = np.repeat(edges[..., :-1][sel], c)
         sub_w = np.repeat(widths[sel], c)
         first = np.cumsum(c) - c
         within = (np.arange(c.sum()) - np.repeat(first, c)).astype(float)
@@ -308,10 +331,20 @@ def refined_cells(edges: np.ndarray, counts: np.ndarray,
         half = sub_w[:, None] / 2.0
         nodes.append((lefts[:, None] + (xg[None, :] + 1.0) * half).ravel())
         weights.append((wg[None, :] * half).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    # each group holds the rows one after another; each row takes its run
+    # of every group in turn
+    size = np.array([(counts * (orders == n_gl)).sum(axis=-1) * n_gl
+                     for n_gl in groups]).reshape(len(groups), -1).T.tolist()
+    runs, ends = [], [0] * len(groups)
+    for row in size:
+        for k, n in enumerate(row):
+            runs.append((k, ends[k], ends[k] + n))
+            ends[k] += n
+    return tuple(np.concatenate([part[k][a:b] for k, a, b in runs])
+                 for part in (nodes, weights))
 
 
-def phase_counts(edges: np.ndarray, lin: float, quad: float, damp: float,
+def phase_counts(edges: np.ndarray, lin, quad, damp,
                  m: float) -> tuple[np.ndarray, np.ndarray]:
     """(sub-cell counts, Gauss orders) of the grid cells [edges[j], edges[j+1]]
     for the integrand of ``oscillatory_quadrature``.
@@ -327,83 +360,140 @@ def phase_counts(edges: np.ndarray, lin: float, quad: float, damp: float,
     the sub-cell width: 3e-13 for the coarse rule, 1.3e-19 for the fine one,
     which needs 6 nodes per pi of change instead of 32.
 
+    Row form: ``lin``, ``quad`` and ``damp`` of shape (P,), with ``edges``
+    of shape (P, n+1), or (n+1,) shared by every row.  Counts and orders
+    then have shape (P, n), and row p equals a one-row call with row p's
+    values: every cell is computed by the same operations.
+
     Raises ``ResolutionError`` when these sub-cells need more than
-    ``_MAX_NODES`` nodes; nothing is allocated for them first.
+    ``_MAX_NODES`` nodes, naming the first such row in the row form; nothing
+    is allocated for them first.
     """
-    left, right = edges[:-1], edges[1:]
+    rows = np.ndim(lin) > 0
+    edges = np.asarray(edges, dtype=float)
+    lin, quad, damp = (np.asarray(v, dtype=float).reshape(-1, 1)
+                       for v in (lin, quad, damp))
+    left, right = edges[..., :-1], edges[..., 1:]
     ap = np.abs(edges) ** m
-    apl, apr = ap[:-1], ap[1:]
-    dpow = np.abs(apr - apl)
-    # the cells touching 0 (left <= 0 <= right) are one run of indices; in
-    # the one straddling 0, |xi|**m varies by |left|**m + |right|**m
-    touch = slice(np.searchsorted(right, 0.0),
-                  np.searchsorted(left, 0.0, side="right"))
-    straddle = (left[touch] < 0) & (right[touch] > 0)
-    dpow[touch] = np.where(straddle, apl[touch] + apr[touch], dpow[touch])
-    change = abs(lin) * (right - left) + abs(quad) * dpow
-    if damp:
-        change = change + damp * dpow
-    counts = np.ceil(change / _PHASE_BUDGET)
-    if m < 1.0:
+    apl, apr = ap[..., :-1], ap[..., 1:]
+    # across a cell straddling 0, |xi|**m varies by |left|**m + |right|**m
+    dpow = np.where((left < 0) & (right > 0), apl + apr, np.abs(apr - apl))
+    # (rows x cells) arrays are updated in place, which rounds the same
+    change = np.abs(lin) * (right - left)
+    change += np.abs(quad) * dpow
+    if damp.any():
+        np.add(change, damp * dpow, out=change, where=damp != 0.0)
+    counts = change / _PHASE_BUDGET
+    np.ceil(counts, out=counts)
+    # the cells touching 0 (left <= 0 <= right) keep the coarse rule
+    touch = (left <= 0.0) & (right >= 0.0)
+    if m < 1.0 and touch.any():
         # cells touching 0: uniform subdivision must shrink the first
-        # sub-cell's |xi|**m variation below the budget
-        w = right[touch] - left[touch]
-        need = np.ceil(w * (8.0 * abs(quad) / math.pi) ** (1.0 / m))
-        counts[touch] = np.maximum(counts[touch], need)
+        # sub-cell's |xi|**m variation below the budget; the factor is a
+        # Python float per row, as in a one-row call
+        r, c = np.nonzero(np.broadcast_to(touch, counts.shape))
+        scale = np.array([(8.0 * abs(q) / math.pi) ** (1.0 / m)
+                          for q in quad.ravel().tolist()])
+        w = np.broadcast_to(right - left, counts.shape)[r, c]
+        counts[r, c] = np.maximum(counts[r, c], np.ceil(w * scale[r]))
     fine = counts > 1.0
-    fine[touch] = False
-    counts = np.maximum(counts, 1.0)
-    orders = np.full(counts.shape, _COARSE_ORDER)
-    if fine.any():
-        counts[fine] = np.ceil(change[fine] / _FINE_BUDGET)
-        orders[fine] = _FINE_ORDER
-    n_nodes = float(counts @ orders)
-    if not n_nodes <= _MAX_NODES:
+    fine &= ~touch
+    np.maximum(counts, 1.0, out=counts)
+    np.divide(change, _FINE_BUDGET, out=change)
+    np.copyto(counts, np.ceil(change, out=change), where=fine)
+    orders = np.where(fine, _FINE_ORDER, _COARSE_ORDER)
+    n_nodes = (counts * orders).sum(axis=-1)
+    over = np.flatnonzero(~(n_nodes <= _MAX_NODES))
+    if over.size:
+        i = int(over[0])
+        row = f" row {i}" if rows else ""
         raise ResolutionError(
-            f"oscillatory quadrature needs {n_nodes:.0f} nodes, more than the "
-            f"limit of {_MAX_NODES}")
-    return counts.astype(np.int64), orders
+            f"oscillatory quadrature{row} needs {n_nodes[i]:.0f} nodes, more "
+            f"than the limit of {_MAX_NODES}")
+    counts = counts.astype(np.int64)
+    return (counts, orders) if rows else (counts[0], orders[0])
 
 
 def node_set(edges: np.ndarray, counts: np.ndarray, orders: np.ndarray,
              amp: Callable[[np.ndarray], np.ndarray], m: float):
     """(nodes, weights, |nodes|**m, amp(nodes)) of the rule that
     ``phase_counts`` chose: ``orders[j]``-point Gauss on ``counts[j]`` equal
-    sub-cells of each grid cell.  This is everything of the integrand that
-    does not depend on ``lin``, ``quad`` or ``damp``."""
+    sub-cells of each grid cell, one row after another in the row form.
+    This is everything of the integrand that does not depend on ``lin``,
+    ``quad`` or ``damp``."""
     nodes, weights = refined_cells(edges, counts, orders)
     return nodes, weights, np.abs(nodes) ** m, amp(nodes)
 
 
 def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
-                    abs_pow: np.ndarray, a: np.ndarray,
-                    lin: float, quad: float, damp: float) -> complex:
+                    abs_pow: np.ndarray, a: np.ndarray, lin, quad, damp,
+                    sizes: np.ndarray | None = None):
     """sum over a ``node_set`` of
 
         weight * amp * exp(i (lin xi + quad |xi|^m)) * exp(-damp |xi|^m)
+
+    ``lin``, ``quad`` and ``damp`` are numbers, or arrays of one value per
+    node.  With ``sizes``, the node set holds rows of ``sizes[p]`` nodes
+    each, and the result is an array of one sum per row: each row is summed
+    by its own ``np.sum``, so it equals the sum of a one-row call.
     """
     # a named amplitude keeps numpy from writing the product into it in place,
     # which would change the operand order and the rounding
     integrand = a * np.exp(1j * (lin * nodes + quad * abs_pow))
-    if damp:
-        integrand *= np.exp(-damp * abs_pow)
-    return np.sum(integrand * weights)
+    if np.ndim(damp) or damp:
+        # nodes of undamped rows keep their value, as in a one-row call
+        np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,
+                    where=damp != 0.0)
+    terms = integrand * weights
+    if sizes is None:
+        return np.sum(terms)
+    ends = np.cumsum(sizes).tolist()
+    return np.array([np.sum(terms[e - n:e])
+                     for n, e in zip(np.asarray(sizes).tolist(), ends)],
+                    dtype=complex)
+
+
+def _chunks(sizes: list[int]):
+    """[a, b) ranges of consecutive rows with at most ``_CHUNK`` nodes in
+    all; a row with more forms a chunk of its own."""
+    a, total = 0, 0
+    for p, n in enumerate(sizes):
+        if total and total + n > _CHUNK:
+            yield a, p
+            a, total = p, 0
+        total += n
+    if a < len(sizes):
+        yield a, len(sizes)
 
 
 def oscillatory_quadrature(edges: np.ndarray,
-                           amp: Callable[[np.ndarray], np.ndarray],
-                           lin: float, quad: float, damp: float,
-                           m: float) -> complex:
-    """integral over [edges[0], edges[-1]] of
+                           amp: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                           lin, quad, damp, m: float) -> np.ndarray:
+    """P integrals: row p is the integral over [edges[p, 0], edges[p, -1]] of
 
-        amp(xi) * exp(i (lin xi + quad |xi|^m)) * exp(-damp |xi|^m) dxi
+        amp(xi, p) exp(i (lin[p] xi + quad[p] |xi|^m)) exp(-damp[p] |xi|^m) dxi
 
-    by the mixed rule of ``phase_counts``: 4-point Gauss on sub-cells of at
-    most pi/8 phase and damping-exponent change where a grid cell changes
-    that little or touches xi = 0, 12-point Gauss on sub-cells of at most
-    2 pi change elsewhere.  ``edges`` must be nondecreasing; the caller clips
-    them to the live band.
+    for ``edges`` of shape (P, n+1), nondecreasing along each row (the
+    caller clips them to the live band), and ``lin``, ``quad``, ``damp`` of
+    shape (P,).  ``amp(nodes, row)`` gives the amplitude at nodes of the
+    rows ``row``.
+
+    Each row takes the mixed rule of ``phase_counts``: 4-point Gauss on
+    sub-cells of at most pi/8 phase and damping-exponent change where a grid
+    cell changes that little or touches xi = 0, 12-point Gauss on sub-cells
+    of at most 2 pi change elsewhere.  The counts of every row come first,
+    so a row past ``_MAX_NODES`` raises before any node is built.  Then
+    consecutive rows are integrated ``_CHUNK`` nodes at a time, each row's
+    nodes laid out and summed as in a one-row call.
     """
+    lin, quad, damp = (np.asarray(v, dtype=float) for v in (lin, quad, damp))
     counts, orders = phase_counts(edges, lin, quad, damp, m)
-    return oscillatory_sum(*node_set(edges, counts, orders, amp, m),
-                           lin, quad, damp)
+    sizes = (counts * orders).sum(axis=1)
+    out = np.empty(sizes.size, dtype=complex)
+    for a, b in _chunks(sizes.tolist()):
+        row = np.repeat(np.arange(a, b), sizes[a:b])
+        rule = node_set(edges[a:b], counts[a:b], orders[a:b],
+                        lambda xi: amp(xi, row), m)
+        out[a:b] = oscillatory_sum(*rule, lin[row], quad[row], damp[row],
+                                   sizes[a:b])
+    return out

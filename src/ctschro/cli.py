@@ -132,7 +132,8 @@ def _family(cfg: dict) -> CounterexampleFamily:
 
 
 # every sweep scale integrates the whole band at its witness times, so a
-# spectrum of more samples can never pass the oracle's node budget
+# spectrum of more samples can never pass the oracle's node budget; the same
+# bound caps kernelcheck's draws and Schur row
 _MAX_SAMPLES = _MAX_NODES // 4
 
 
@@ -280,6 +281,14 @@ def cmd_kernelcheck(cfg: dict) -> dict:
                           "least 4 entries >= 4")
     if count < 100:
         raise ConfigError("field 'count' must be at least 100")
+    # the kernel draws and the Schur row's y-nodes are held in memory whole
+    if count * len(lams) > _MAX_SAMPLES:
+        raise ConfigError(f"fields 'count' x 'lams' ask for {count * len(lams)} "
+                          f"kernel samples, more than {_MAX_SAMPLES}")
+    if 8 * max(schur_lams) + 1 > _MAX_SAMPLES:
+        raise ConfigError(f"field 'schur_lams' asks for a Schur row of "
+                          f"8 x {max(schur_lams):g} + 1 nodes, more than "
+                          f"{_MAX_SAMPLES}")
 
     try:
         beta = beta_table(alpha, gamma)

@@ -51,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (_DEAD, _STENCIL, lagrange_cells, lagrange_on_rule,
-                        lagrange_uniform, node_set, oscillatory_sum,
-                        phase_counts)
+from ._numerics import (_CHUNK, _DEAD, _STENCIL, lagrange_cells,
+                        lagrange_on_rule, lagrange_uniform, node_set,
+                        oscillatory_sum, phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -352,15 +352,26 @@ def evaluate_along_curve(plan: PropagationPlan, curve: CurveSpec, x, t: float,
     return vals if np.ndim(y) else complex(vals[0])
 
 
-def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
-                  support: tuple[float, float], t: float) -> np.ndarray | None:
-    """Source-grid cell edges of the live band at time t, clipped to the
-    support and the damping cap; None when nothing is left to integrate."""
+def _oracle_band(params: EvolutionParams, support: tuple[float, float],
+                 t: float) -> tuple[float, float] | None:
+    """(lo, hi): the support clipped to the damping cap at time t; None when
+    nothing is left to integrate."""
     cap = _damping_cap(params, t)
     lo = max(support[0], -cap)
     hi = min(support[1], cap)
     if hi <= lo:  # empty spectrum, or the damping killed the whole band
         return None
+    return lo, hi
+
+
+def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
+                  support: tuple[float, float], t: float) -> np.ndarray | None:
+    """Source-grid cell edges of the live band at time t, clipped to the
+    support and the damping cap; None when nothing is left to integrate."""
+    band = _oracle_band(params, support, t)
+    if band is None:
+        return None
+    lo, hi = band
     dxi, xi0 = f.delta_xi, f.xi_min
     j0 = max(0, int(math.floor((lo - xi0) / dxi)))
     j1 = min(f.n_samples - 1, int(math.ceil((hi - xi0) / dxi)))
@@ -377,12 +388,15 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
 
     ``y`` and ``t`` are scalars or arrays that broadcast together; a scalar
     pair gives a Python complex, arrays give a complex array of their
-    broadcast shape.  The points are evaluated in order, and a point whose
-    clipped edges, sub-cell counts and Gauss orders equal those of the point
-    before reuses its nodes, weights and interpolated spectrum, so a run of
-    such points interpolates the spectrum once.  Each value is bit-identical
-    to a one-point call.  Raises ``ResolutionError`` when one point needs
-    more than ``_numerics._MAX_NODES`` nodes.
+    broadcast shape.  The points are taken in blocks of consecutive points.
+    In a block, the points with the same clipped band share one edge set,
+    and one row-form ``phase_counts`` gives all their sub-cell counts and
+    Gauss orders.  The points are then evaluated in order, and a point
+    whose band, counts and orders equal those of the point before reuses its
+    nodes, weights and interpolated spectrum, so a run of such points
+    interpolates the spectrum once.  Each value is bit-identical to a
+    one-point call.  Raises ``ResolutionError`` when one point needs more
+    than ``_numerics._MAX_NODES`` nodes.
     """
     y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
                                        np.asarray(t, dtype=float))
@@ -390,24 +404,53 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     flat = out.reshape(-1)
     support = f.support()
     dxi, xi0 = f.delta_xi, f.xi_min
+    ys, ts = y_arr.ravel().tolist(), t_arr.ravel().tolist()
+    damps = [tt ** params.gamma if params.damping else 0.0 for tt in ts]
+    bands = [_oracle_band(params, support, tt) for tt in ts]
+    # points per block: their (points x cells) counts hold about _CHUNK values
+    step = max(1, _CHUNK // f.n_samples)
 
-    key, nodes = None, None
-    for i, (yy, tt) in enumerate(zip(y_arr.ravel().tolist(),
-                                     t_arr.ravel().tolist())):
-        edges = _oracle_edges(f, params, support, tt)
-        if edges is None:
-            continue
-        damp = tt ** params.gamma if params.damping else 0.0
-        counts, orders = phase_counts(edges, yy, tt, damp, params.m)
-        rule = (edges, counts, orders)
-        if key is None or not all(map(np.array_equal, rule, key)):
-            nodes = None   # release the old set before building the next
-            # fhat at the nodes, read cell by cell along the rule
-            nodes = node_set(*rule, lambda xi: lagrange_on_rule(
-                f.samples, xi0, dxi, *rule, xi), params.m)
-            key = rule
-        total = oscillatory_sum(*nodes, yy, tt, damp)
-        flat[i] = total / (2.0 * math.pi)
+    key, nodes = None, None     # (band, counts, orders) of the nodes in hand
+    for start in range(0, len(ts), step):
+        block = range(start, min(start + step, len(ts)))
+        rules = {}
+        for band in dict.fromkeys(bands[i] for i in block if bands[i]):
+            idx = [i for i in block if bands[i] == band]
+            edges = _oracle_edges(f, params, support, ts[idx[0]])
+            if edges is None:
+                continue
+            counts, orders = phase_counts(edges, [ys[i] for i in idx],
+                                          [ts[i] for i in idx],
+                                          [damps[i] for i in idx], params.m)
+            # whether each point's counts and orders repeat those of the
+            # point before it in the band; the band's first point in the
+            # block is compared with the nodes in hand when it comes up
+            repeat = ((counts[1:] == counts[:-1]).all(axis=1)
+                      & (orders[1:] == orders[:-1]).all(axis=1))
+            same = [None] + repeat.tolist()
+            for k, i in enumerate(idx):
+                rules[i] = (band, edges, counts[k], orders[k], same[k])
+        for i in block:
+            if i not in rules:
+                continue
+            band, edges, counts, orders, same = rules[i]
+            # with the band in hand, the point evaluated last is the one
+            # before this point in the band
+            if key is None or key[0] != band:
+                same = False
+            elif same is None:
+                same = (np.array_equal(counts, key[1])
+                        and np.array_equal(orders, key[2]))
+            if not same:
+                nodes = None   # release the old set before building the next
+                # copies: views would keep the block's rule arrays alive
+                key = (band, counts.copy(), orders.copy())
+                rule = (edges, *key[1:])
+                # fhat at the nodes, read cell by cell along the rule
+                nodes = node_set(*rule, lambda xi: lagrange_on_rule(
+                    f.samples, xi0, dxi, *rule, xi), params.m)
+            total = oscillatory_sum(*nodes, ys[i], ts[i], damps[i])
+            flat[i] = total / (2.0 * math.pi)
     return complex(out) if out.ndim == 0 else out
 
 

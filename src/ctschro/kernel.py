@@ -8,6 +8,16 @@ integrals, all for the quadratic dispersion m = 2:
 
 with Psi a smooth positive even cutoff supported on 1/2 <= |xi| <= 2.
 |K| is always at most lam times the integral of Psi.
+
+``kernel_values`` evaluates arrays of samples, and ``kernel_eval`` is its
+one-sample case.  Each sample's dy, dt, damping and damping cap are Python
+floats; the two band sides of each live sample are two rows of the shared
+row-form quadrature (``_numerics.oscillatory_quadrature``), ``_SAMPLES``
+samples per call, and the shared rule lays out and sums each row as a
+one-row call, in chunks of at most 2**14 nodes.  So every value is the same
+to the bit however the samples are batched.  ``schur_integral`` evaluates a
+row integral in one call, and ``verify_kernel_bound`` all its draws in one
+call, after drawing them in one fixed sequence.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _DEAD, oscillatory_quadrature
+from ._numerics import _CHUNK, _DEAD, oscillatory_quadrature
 from .atlas import exponent
 from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
                      holder_curve)
@@ -25,8 +35,8 @@ from .errors import DomainError, RegimeError
 
 __all__ = [
     "CutoffSpec", "CutoffProfile", "make_cutoff",
-    "kernel_eval", "BetaChoice", "beta_table", "kernel_majorant",
-    "schur_integral", "KernelSample", "KernelBoundReport",
+    "kernel_values", "kernel_eval", "BetaChoice", "beta_table",
+    "kernel_majorant", "schur_integral", "KernelSample", "KernelBoundReport",
     "verify_kernel_bound",
 ]
 
@@ -73,37 +83,76 @@ def make_cutoff(spec: CutoffSpec = CutoffSpec()) -> CutoffProfile:
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
-def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
-                params: EvolutionParams, curve: CurveSpec,
-                cutoff: CutoffProfile) -> complex:
-    """Evaluate the kernel by refined quadrature over the annulus
-    lam/2 <= |xi| <= 2*lam (damping-dead parts of the band are clipped)."""
+# grid cells per band side
+_CELLS = 96
+# samples per block of kernel_values: the block's band edges, two rows of
+# _CELLS + 1 per sample, are about one chunk of the shared rule
+_SAMPLES = max(1, _CHUNK // (2 * (_CELLS + 1)))
+
+
+def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
+                  curve: CurveSpec, cutoff: CutoffProfile) -> np.ndarray:
+    """The kernel at every sample (x, y, t1, t2, lam) of arrays that
+    broadcast together, as a complex array of their broadcast shape, by
+    refined quadrature over the annulus lam/2 <= |xi| <= 2*lam
+    (damping-dead parts of the band are clipped).
+
+    Each sample's dy, dt, damping and damping cap are Python floats; a
+    sample whose cap lies at or below the inner band edge is exactly 0.  The
+    two band sides of each live sample are two rows of one row-form
+    ``oscillatory_quadrature`` per block of ``_SAMPLES`` samples, so every
+    value equals a one-sample call to the bit.
+    """
     if params.m != 2.0:
         raise RegimeError("the kernel is defined for quadratic dispersion m = 2")
-    if lam < 4.0:
+    x, y, t1, t2, lam = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, t1, t2, lam)))
+    if np.any(lam < 4.0):
         raise DomainError("frequency level lam must be at least 4")
     for t in (t1, t2):
-        if not 0.0 <= t <= 1.0:
+        if not np.all((0.0 <= t) & (t <= 1.0)):
             raise DomainError("times must lie in [0, 1]")
 
     g = params.gamma
-    dy = float(curve_eval(curve, x, t1)) - float(curve_eval(curve, y, t2))
-    dt = t1 - t2
-    damp = t1 ** g + t2 ** g
+    out = np.zeros(x.shape, dtype=complex)
+    flat = out.reshape(-1)
+    cols = [v.ravel() for v in (x, y, t1, t2, lam)]
+    for start in range(0, flat.size, _SAMPLES):
+        block = zip(*(c[start:start + _SAMPLES].tolist() for c in cols))
+        live, ends, rows = [], [], []
+        for k, (xx, yy, s1, s2, level) in enumerate(block, start):
+            dy = (float(curve_eval(curve, xx, s1))
+                  - float(curve_eval(curve, yy, s2)))
+            dt = s1 - s2
+            damp = s1 ** g + s2 ** g
+            inner = cutoff.spec.inner * level
+            outer = cutoff.spec.outer * level
+            cap = math.inf if damp == 0.0 else math.sqrt(_DEAD / damp)
+            hi = min(outer, cap)
+            if hi <= inner:
+                continue
+            live.append(k)
+            ends += [(inner, hi), (-hi, -inner)]
+            rows += [(dy, dt, damp, level)] * 2
+        if not live:
+            continue
+        a, b = np.array(ends).T
+        dys, dts, damps, levels = np.array(rows).T
+        # _CELLS cells per band side resolve the cutoff profile; the shared
+        # rule subdivides them where the phase or the damping varies fast
+        edges = np.ascontiguousarray(np.linspace(a, b, _CELLS + 1, axis=-1))
+        sides = oscillatory_quadrature(
+            edges, lambda xi, row: cutoff(xi / levels[row]),
+            dys, dts, damps, 2.0)
+        flat[live] = sides[0::2] + sides[1::2]
+    return out
 
-    inner = cutoff.spec.inner * lam
-    outer = cutoff.spec.outer * lam
-    cap = math.inf if damp == 0.0 else math.sqrt(_DEAD / damp)
-    hi = min(outer, cap)
-    if hi <= inner:
-        return 0.0 + 0.0j
-    # 96 cells per band side resolve the cutoff profile; the shared rule
-    # subdivides them where the phase or the damping varies fast
-    pos, neg = (oscillatory_quadrature(np.linspace(a, b, 97),
-                                       lambda xi: cutoff(xi / lam),
-                                       dy, dt, damp, 2.0)
-                for a, b in ((inner, hi), (-hi, -inner)))
-    return complex(pos + neg)
+
+def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
+                params: EvolutionParams, curve: CurveSpec,
+                cutoff: CutoffProfile) -> complex:
+    """The kernel at one sample: ``kernel_values`` of one row."""
+    return complex(kernel_values(x, y, t1, t2, lam, params, curve, cutoff)[()])
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +232,10 @@ def schur_integral(x: float, lam: float, params: EvolutionParams,
     time assignment t(.) given as a callable on positions."""
     y_nodes = np.asarray(y_nodes, dtype=float)
     tx = float(t_assignment(x))
-    vals = np.empty(y_nodes.size)
-    for i, yy in enumerate(y_nodes):
-        vals[i] = abs(kernel_eval(x, float(yy), tx, float(t_assignment(float(yy))),
-                                  lam, params, curve, cutoff))
+    ty = [float(t_assignment(float(yy))) for yy in y_nodes]
+    values = kernel_values(x, y_nodes, tx, ty, lam, params, curve, cutoff)
+    # Python abs of each value: np.abs rounds differently in the last place
+    vals = np.array([abs(v) for v in values.tolist()], dtype=float)
     return float(np.trapezoid(vals, y_nodes))
 
 
@@ -273,10 +322,11 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
             t2 = float(tset[rng.integers(0, tset.size)])
             draws.append((x, y, t1, t2, lam))
 
-    samples = [KernelSample(x, y, t1, t2, lam,
-                            kernel_eval(x, y, t1, t2, lam, params, curve, cutoff),
+    values = kernel_values(*np.array(draws, dtype=float).reshape(-1, 5).T,
+                           params, curve, cutoff).tolist()
+    samples = [KernelSample(x, y, t1, t2, lam, value,
                             kernel_majorant(x, y, lam, beta, alpha, gamma))
-               for x, y, t1, t2, lam in draws]
+               for (x, y, t1, t2, lam), value in zip(draws, values)]
 
     max_ratios, worst = [], []
     for i, lam in enumerate(lams):

@@ -307,6 +307,40 @@ def test_eval_checks_n_samples_as_sweep_does(monkeypatch):
                 run_config({"command": command, "n_samples": n_samples, **cfg})
 
 
+def test_kernelcheck_bounds_its_sizes_before_any_draw(monkeypatch, capsys):
+    # count x len(lams) kernel draws and the 8 max(schur_lams) + 1 y-nodes
+    # of the Schur row are each bounded by 2**20 before any draw or array
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("kernel work started before the size checks")
+    monkeypatch.setattr(cli, "verify_kernel_bound", no_work)
+    monkeypatch.setattr(cli, "schur_integral", no_work)
+    limit = cli._MAX_SAMPLES
+    assert limit == 2 ** 20
+    cfg = {"command": "kernelcheck", "alpha": 0.5, "gamma": 2.0, "seed": 3,
+           "lams": [16.0, 32.0], "count": 100,
+           "schur_lams": [16.0, 32.0, 64.0, 128.0]}
+    for field, over in (("count", {"count": limit // 2 + 1}),
+                        ("schur_lams", {"schur_lams": [16.0, 32.0, 64.0,
+                                                       limit / 8]}),
+                        ("schur_lams", {"schur_lams": [16.0, 32.0, 64.0,
+                                                       1e9]})):
+        with pytest.raises(ConfigError, match=field):
+            run_config({**cfg, **over})
+    # at the bounds the run goes on to the kernel work
+    for at in ({"count": limit // 2},
+               {"schur_lams": [16.0, 32.0, 64.0, (limit - 1) / 8]}):
+        with pytest.raises(AssertionError, match="kernel work"):
+            run_config({**cfg, **at})
+    code, out, err = run_cli(
+        ["kernelcheck", "--alpha", "0.5", "--gamma", "2.0", "--seed", "3",
+         "--lams", "16,32", "--schur-lams", "16,32,64,1e9", "--count", "100"],
+        capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
 # ---------------------------------------------------------------------------
 # malformed fields: configuration errors, exit 2
 # ---------------------------------------------------------------------------

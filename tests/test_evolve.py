@@ -382,6 +382,10 @@ def test_batched_quadrature_interpolates_once_per_node_set(monkeypatch):
     t80 = 745.0 / 12.8 ** 2
     direct_quadrature(f, damped, [0.5, 0.5], [t80, t80 * (1.0 + 1e-6)])
     assert len(calls) == 2
+    calls.clear()
+    # caps beyond the support leave one band: one node set over two blocks
+    direct_quadrature(f, damped, np.full(6, 0.5), 1e-9 * np.arange(1.0, 7.0))
+    assert len(calls) == 1
 
 
 def test_batched_quadrature_keys_on_rule_orders(monkeypatch):

@@ -14,6 +14,7 @@ from ctschro.kernel import (
     geometric_time_set,
     kernel_eval,
     kernel_majorant,
+    kernel_values,
     make_cutoff,
     schur_integral,
     verify_kernel_bound,
@@ -141,6 +142,50 @@ def test_nonstationary_decay_at_zero_times():
     c_int = max(u * u * k_abs(u / lam) / lam for u in u_cal)
     for u in np.linspace(48.0, 1024.0, 41):
         assert k_abs(u / lam) <= lam * c_int / u ** 2
+
+
+def test_kernel_values_equal_one_row_calls():
+    # mixed rows: dead samples (at t1 = t2 = 1 the damping cap 19.3 lies
+    # below the inner band edge from lam = 64 on, so the value is exactly 0),
+    # samples with dt = 0 and no damping, and three levels; 251 live samples
+    # of 768-46704 nodes (1.5 M in all) span four blocks and about 90 chunks
+    # of the shared rule, some of them a single row past the chunk budget
+    rng = np.random.default_rng(21)
+    rows = []
+    for lam in (16.0, 64.0, 256.0):
+        tset = geometric_time_set(lam)
+        for k in range(100):
+            x, y = rng.uniform(-1.0, 1.0, 2).tolist()
+            t1, t2 = (float(t) for t in rng.choice(tset, 2))
+            if k % 10 == 0:
+                t1 = t2 = 0.0
+            elif k % 10 == 1:
+                t1 = t2 = 1.0
+            rows.append((x, y, t1, t2, lam))
+    cols = np.array(rows).T
+    got = kernel_values(*cols, P2, CRV, CUT)
+    assert got.shape == (300,) and got.dtype == complex
+    want = [kernel_eval(*row, P2, CRV, CUT) for row in rows]
+    assert got.tolist() == want
+    # dead: the damping cap sqrt(745 / (t1**2 + t2**2)) at or below lam / 2
+    dead = {k for k, (_, _, t1, t2, lam) in enumerate(rows)
+            if t1 ** 2 + t2 ** 2 >= 745.0 / (lam / 2) ** 2}
+    assert {k for k in range(100, 300) if k % 10 == 1} <= dead
+    assert all((want[k] == 0.0) == (k in dead) for k in range(300))
+    # broadcasting, and a 2-D shape kept
+    grid = kernel_values(0.3, cols[1].reshape(30, 10), 0.25, 0.125, 64.0,
+                         P2, CRV, CUT)
+    assert grid.shape == (30, 10)
+    assert grid[3, 4] == kernel_eval(0.3, cols[1][34], 0.25, 0.125, 64.0,
+                                     P2, CRV, CUT)
+
+
+def test_kernel_values_check_every_sample():
+    with pytest.raises(DomainError):
+        kernel_values([0.0, 0.1], 0.5, 0.0, [0.5, 1.5], 16.0, P2, CRV, CUT)
+    with pytest.raises(DomainError):
+        kernel_values(0.0, 0.5, 0.0, 0.0, [16.0, 2.0], P2, CRV, CUT)
+    assert kernel_values([], [], [], [], 16.0, P2, CRV, CUT).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +354,31 @@ def test_verify_kernel_bound_smoke_and_determinism():
     assert all(np.isfinite(r) for r in rep1.max_ratios)
     with pytest.raises(DomainError):
         verify_kernel_bound(0.5, 2.0, [16.0], 50, seed=1)
+
+
+# the reports of the one-sample-per-call evaluation, to the bit: the draws,
+# their kernel values and the majorants of the worst sample per level
+_PINNED_REPORTS = {
+    3: ((1.48204438973551, 1.8937522500534028),
+        ((0.5306206175353949, -0.009600182801924317, 0.0, 0.015625, 16.0,
+          6.689202783947387 + 4.506454429458035j, 5.442198024379068),
+         (0.5786623593238112, -0.8496344593856902, 0.015625, 0.0, 32.0,
+          0.8518586833061303 - 8.923163554692136j, 4.733318783950712))),
+    99: ((1.3875236541306868, 1.6488404057020445),
+         ((0.6222061857975283, -0.3245639528168929, 0.03125, 0.0078125, 16.0,
+           1.4938560229135611 - 5.504888695799995j, 4.110907601221897),
+          (0.580356881117629, -0.35547058678760646, 0.001953125, 0.015625,
+           32.0, 8.696588641004782 - 4.163246915228622j, 5.8475924277880384))),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_REPORTS))
+def test_verify_kernel_bound_reports_are_pinned(seed):
+    rep = verify_kernel_bound(0.5, 2.0, [16.0, 32.0], 100, seed=seed)
+    ratios, worst = _PINNED_REPORTS[seed]
+    assert rep.max_ratios == ratios
+    assert tuple((s.x, s.y, s.t1, s.t2, s.lam, s.value, s.bound)
+                 for s in rep.worst) == worst
 
 
 def test_verify_kernel_bound_respects_coincidence_cutoff():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ctschro._numerics as numerics
+from ctschro.errors import ResolutionError
 from ctschro._numerics import (lagrange_cells, lagrange_on_rule,
                                lagrange_uniform, phase_counts, refined_cells)
 
@@ -72,6 +73,96 @@ def test_mixed_rule_nodes():
     # one order gives plain cell order
     one, _ = refined_cells(edges, [2, 1, 3], [4, 4, 4])
     assert (np.diff(one) > 0).all() and one.size == 24
+
+
+# ---------------------------------------------------------------------------
+# the row form: one call for P integrals, each row as a one-row call
+# ---------------------------------------------------------------------------
+
+_ROWS = [(0.0, 0.0, 0.0), (1.2, 0.05, 0.0), (3.0, 0.5, 0.3), (40.0, 6.0, 2.0),
+         (-7.0, -0.9, 0.0), (0.0, 3.0, 1e-3)]
+
+
+def _row_edges(p):
+    """Sorted edges of one row, with cells on both sides of xi = 0."""
+    rng = np.random.default_rng(p)
+    return np.sort(np.concatenate([rng.uniform(-2.0, 3.0, 30), [0.0]]))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_row_form_phase_counts_equal_one_row_calls(m):
+    lin, quad, damp = (np.array(v) for v in zip(*_ROWS))
+    shared = np.concatenate([np.linspace(-1.0, 0.0, 9),
+                             np.linspace(0.05, 3.0, 30)])
+    own = np.array([_row_edges(p) for p in range(len(_ROWS))])
+    for edges in (shared, own):
+        counts, orders = phase_counts(edges, lin, quad, damp, m)
+        assert counts.shape == orders.shape == (len(_ROWS), edges.shape[-1] - 1)
+        for p, (a, b, c) in enumerate(_ROWS):
+            one = phase_counts(edges if edges.ndim == 1 else edges[p],
+                               a, b, c, m)
+            assert counts[p].tolist() == one[0].tolist()
+            assert orders[p].tolist() == one[1].tolist()
+
+
+def test_row_form_nodes_follow_one_row_layouts():
+    edges = np.array([_row_edges(p) for p in range(len(_ROWS))])
+    lin, quad, damp = (np.array(v) for v in zip(*_ROWS))
+    counts, orders = phase_counts(edges, lin, quad, damp, 2.0)
+    assert set(orders[3].tolist()) == {4, 12}      # rows of mixed orders
+    nodes, weights = refined_cells(edges, counts, orders)
+    parts = [refined_cells(edges[p], counts[p], orders[p])
+             for p in range(len(_ROWS))]
+    assert nodes.tolist() == np.concatenate([n for n, _ in parts]).tolist()
+    assert weights.tolist() == np.concatenate([w for _, w in parts]).tolist()
+
+
+def _one_row_quadrature(edges, amp, lin, quad, damp, m):
+    """The integral of one row through the one-row primitives."""
+    counts, orders = phase_counts(edges, lin, quad, damp, m)
+    rule = numerics.node_set(edges, counts, orders, amp, m)
+    return numerics.oscillatory_sum(*rule, lin, quad, damp)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+def test_row_form_quadrature_sums_each_row_as_one_row_calls(m):
+    # 40 rows of 400-3000 nodes each: several chunks, which split rows of
+    # different damping, frequency and amplitude scale
+    rng = np.random.default_rng(4)
+    n_rows = 40
+    lo = rng.uniform(-3.0, 0.5, n_rows)
+    edges = lo[:, None] + rng.uniform(0.5, 4.0, n_rows)[:, None] \
+        * np.linspace(0.0, 1.0, 97)
+    lin = rng.uniform(-300.0, 300.0, n_rows)
+    quad = rng.uniform(-30.0, 30.0, n_rows)
+    damp = np.where(np.arange(n_rows) % 3 == 0, 0.0,
+                    rng.uniform(0.0, 2.0, n_rows))
+    scale = rng.uniform(0.5, 2.0, n_rows)
+    got = numerics.oscillatory_quadrature(
+        edges, lambda xi, row: np.cos(xi / scale[row]), lin, quad, damp, m)
+    counts, orders = phase_counts(edges, lin, quad, damp, m)
+    assert (counts * orders).sum() > 3 * numerics._CHUNK
+    want = [_one_row_quadrature(edges[p], lambda xi: np.cos(xi / scale[p]),
+                                lin[p], quad[p], damp[p], m)
+            for p in range(n_rows)]
+    assert got.tolist() == want
+
+
+def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes built before the node budget check")
+    monkeypatch.setattr(numerics, "refined_cells", no_nodes)
+    edges = np.tile(np.linspace(1.0, 2.0, 11), (4, 1))
+    # a linear phase of (k - 1/2) 2 pi per cell puts each of the ten cells
+    # on k sub-cells of the 12-point rule: 120 k nodes
+    k = numerics._MAX_NODES // 120
+    lin = np.array([0.0, k + 0.5, k + 1.5, 1.0]) * 2.0 * np.pi / 0.1
+    zero = np.zeros(4)
+    with pytest.raises(ResolutionError, match="row 1 needs"):
+        phase_counts(edges, lin, zero, zero, 2.0)
+    with pytest.raises(ResolutionError, match="row 1 needs"):
+        numerics.oscillatory_quadrature(edges, lambda xi, row: xi, lin,
+                                        zero, zero, 2.0)
 
 
 # ---------------------------------------------------------------------------
