@@ -53,6 +53,8 @@ _COARSE_ORDER = 4
 # the fine rule: 12-point Gauss on sub-cells of at most 2 pi change
 _FINE_BUDGET = 2.0 * math.pi
 _FINE_ORDER = 12
+# below this phase modulus exp(i phase) rounds to (1, phase) (_unit_phase)
+_SMALL_PHASE = 2.0 ** -27
 # largest node count of one oscillatory quadrature: 32 MB per float array of
 # nodes, three times the largest count the test suite needs (1.33 M) and far
 # below the tens of GB an undamped high-frequency query would ask for
@@ -425,6 +427,25 @@ def node_set(edges: np.ndarray, counts: np.ndarray, orders: np.ndarray,
     return nodes, weights, np.abs(nodes) ** m, amp(nodes)
 
 
+def _unit_phase(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) of a real array, as ``np.exp(1j * phase)`` gives it.
+
+    When every |phase| is below ``_SMALL_PHASE`` = 2**-27, the value is
+    built as (1, phase + 0.0) with no transcendental: phase**2 / 2 <
+    2**-55, so cos(phase) rounds to 1, and |phase|**3 / 6 is below half an
+    ulp of phase, so sin(phase) rounds to phase.  These are the correctly
+    rounded values, which glibc's complex exponential returns; the + 0.0
+    turns -0 into +0, as 1j * -0.0 does.  Any larger or NaN phase sends the
+    whole array through ``np.exp``.
+    """
+    if not (np.abs(phase) < _SMALL_PHASE).all():
+        return np.exp(1j * phase)
+    out = np.empty(phase.shape, dtype=complex)
+    out.real = 1.0
+    np.add(phase, 0.0, out=out.imag)
+    return out
+
+
 def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
                     abs_pow: np.ndarray, a: np.ndarray, lin, quad, damp,
                     sizes: np.ndarray | None = None):
@@ -436,10 +457,15 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     node.  With ``sizes``, the node set holds rows of ``sizes[p]`` nodes
     each, and the result is an array of one sum per row: each row is summed
     by its own ``np.sum``, so it equals the sum of a one-row call.
+
+    A call whose phases all lie below 2**-27 in modulus (the oracle at the
+    tiny witness times with y = 0) takes exp(i phase) = (1, phase), the
+    correctly rounded value and that of ``np.exp`` bit for bit (see
+    ``_unit_phase``); every other call evaluates ``np.exp``.
     """
     # a named amplitude keeps numpy from writing the product into it in place,
     # which would change the operand order and the rounding
-    integrand = a * np.exp(1j * (lin * nodes + quad * abs_pow))
+    integrand = a * _unit_phase(lin * nodes + quad * abs_pow)
     if np.ndim(damp) or damp:
         # nodes of undamped rows keep their value, as in a one-row call
         np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,

@@ -44,6 +44,7 @@ from .kernel import (
 from .maximal import (
     LOWER_BOUND_LEVEL,
     calibrate_smallness,
+    check_ratio_resolution,
     fit_slope,
     fit_slope_guarded,
     maximal_ratio,
@@ -192,6 +193,15 @@ def cmd_atlas(cfg: dict) -> dict:
     return {"results": results, "verdicts": verdicts}
 
 
+def _at_scale(R: float, fn, *args, **kwargs):
+    """fn(*args, **kwargs), naming the scale R in the reason of a
+    ``LabError``: an unresolved scale is no evidence, so the run exits 3."""
+    try:
+        return fn(*args, **kwargs)
+    except LabError as exc:
+        raise type(exc)(f"scale R={R}: {exc}") from exc
+
+
 def cmd_sweep(cfg: dict) -> dict:
     scales = _scales(cfg)
     s_order = _field(cfg, "s_order", 0.0)
@@ -203,18 +213,19 @@ def cmd_sweep(cfg: dict) -> dict:
     except RegimeError as exc:
         raise ConfigError(str(exc)) from exc
 
+    fams = [_family({**cfg, "R": R}) for R in scales]
+    # the slices of every scale are resolvable, checked by arithmetic before
+    # the first slice of the first scale
+    for fam in fams:
+        _at_scale(fam.R, check_ratio_resolution, fam, n_samples)
     rows, qs = [], []
-    for R in scales:
-        fam = _family({**cfg, "R": R})
-        try:
-            res = maximal_ratio(fam, s=s_order, interval=interval,
-                                n_samples=n_samples)
-        except LabError as exc:   # an unresolved scale is no evidence: exit 3
-            raise type(exc)(f"scale R={R}: {exc}") from exc
+    for fam in fams:
+        res = _at_scale(fam.R, maximal_ratio, fam, s=s_order,
+                        interval=interval, n_samples=n_samples)
         qs.append(res.q)
         rows.append({"family": fam.kind, "alpha": fam.alpha, "gamma": fam.gamma,
                      "m": 2.0, "b": fam.b, "c": fam.c, "s_order": s_order,
-                     "R": R, "lambda": fam.lam, "Q": res.q,
+                     "R": fam.R, "lambda": fam.lam, "Q": res.q,
                      "norm_maxfield": res.norm_maxfield,
                      "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs})
 

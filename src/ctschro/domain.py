@@ -15,6 +15,7 @@ function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -326,6 +327,12 @@ class SpectralFunction:
 
     def support(self) -> tuple[float, float]:
         """Frequency extent of the nonzero samples (grid extent if all zero)."""
+        return self._support
+
+    @cached_property
+    def _support(self) -> tuple[float, float]:
+        # the samples are read-only, so their extent is found once: every
+        # slice and oracle call clips its band to it
         nz = np.nonzero(self.samples)[0]
         if nz.size == 0:
             return (self.xi_min, self.xi_min)

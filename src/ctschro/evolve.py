@@ -58,7 +58,8 @@ from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
 __all__ = [
-    "SampledField", "PropagationPlan", "make_plan", "propagate_slice",
+    "SampledField", "PropagationPlan", "make_plan", "SliceGrid", "slice_grid",
+    "propagate_slice",
     "field_value", "evaluate_along_curve", "direct_quadrature",
     "slice_l2_norm", "spectral_l2_norm",
 ]
@@ -197,44 +198,89 @@ def _chirp(j: np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * (math.pi / n) * ((j * j) % (2 * n)))
 
 
-def _chirp_z(a: np.ndarray, n: int, n0: int, n1: int) -> np.ndarray:
-    """sum_k a[k] exp(2 pi i k j / n) for the outputs j = n0 .. n1-1.
+# numpy computes x * tmp, for a temporary tmp of at least 256 KiB (its
+# NPY_MIN_ELIDE_BYTES: 2**14 complex values), as tmp * x written into tmp;
+# the complex product of swapped operands can round differently in the last
+# bit.  A cached chirp is no temporary, so ``_times_chirp`` orders the
+# operands as the product with a fresh chirp ran.
+_ELIDED_LEN = 2 ** 14
+
+
+def _times_chirp(x: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+    """x * chirp, with the operands in the order numpy gives x * (a fresh
+    array equal to chirp)."""
+    return chirp * x if chirp.size >= _ELIDED_LEN else x * chirp
+
+
+@dataclass(frozen=True, eq=False)
+class _ChirpZ:
+    """The factors of a chirp-z transform (see ``_chirp_z``) of ``k_len``
+    inputs to the outputs j = n0 .. n1-1 of a period of n nodes: the input
+    chirp, the FFT of the conjugate lag chirp and the output chirp."""
+    n: int
+    n0: int
+    n1: int
+    size: int
+    chirp_in: np.ndarray
+    lag_fft: np.ndarray
+    chirp_out: np.ndarray
+
+
+def _chirp_z_factors(k_len: int, n: int, n0: int, n1: int) -> _ChirpZ:
+    """``_ChirpZ`` of k_len inputs, n0 .. n1-1 outputs and period n, at the
+    smallest 11-smooth length >= k_len + n1 - n0 - 1."""
+    size = _next_fast_len(k_len + n1 - n0 - 1)
+    lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
+    return _ChirpZ(n, n0, n1, size,
+                   _chirp(np.arange(k_len, dtype=np.int64), n),
+                   np.fft.fft(np.conj(_chirp(lag, n)), size),
+                   _chirp(np.arange(n0, n1, dtype=np.int64), n))
+
+
+def _chirp_z(a: np.ndarray, cz: _ChirpZ) -> np.ndarray:
+    """sum_k a[k] exp(2 pi i k j / cz.n) for the outputs j = cz.n0 .. cz.n1-1.
 
     Bluestein's identity 2 k j = k**2 + j**2 - (j - k)**2 turns the sum into
     a linear convolution of a[k] w(k) with conj(w) over j - k, w(j) =
-    exp(i pi j**2 / n); three ``numpy.fft`` transforms of the smallest
-    11-smooth length >= len(a) + n1 - n0 - 1 do it (Rabiner, Schafer &
-    Rader, "The chirp z-transform algorithm", 1969).  The inverse transform
-    runs in place.
+    exp(i pi j**2 / n); three ``numpy.fft`` transforms of length cz.size do
+    it (Rabiner, Schafer & Rader, "The chirp z-transform algorithm", 1969),
+    one of them cached in ``cz``.  The inverse transform runs in place.
     """
-    k_len, m_len = a.size, n1 - n0
-    size = _next_fast_len(k_len + m_len - 1)
-    spec = np.fft.fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
-    lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
-    spec *= np.fft.fft(np.conj(_chirp(lag, n)), size)
-    conv = np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + m_len]
-    return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
+    k_len = a.size
+    spec = np.fft.fft(_times_chirp(a, cz.chirp_in), cz.size)
+    spec *= cz.lag_fft
+    conv = np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + cz.n1 - cz.n0]
+    return _times_chirp(conv, cz.chirp_out)
 
 
-def propagate_slice(plan: PropagationPlan, t: float,
-                    span: tuple[float, float] | None = None) -> SampledField:
-    """Synthesize the slice h_t on the grid nodes z_lo + n dz of its
-    synthesis window.
+@dataclass(frozen=True)
+class SliceGrid:
+    """The synthesis grid of one slice, from arithmetic alone.
 
-    With ``span=None`` the slice covers the whole window, which holds the
-    plan's query window and the dispersive range at time t.  With
-    ``span=(lo, hi)`` it holds only the nodes covering [lo, hi], padded by
-    ``_numerics._STENCIL`` nodes on each side for the interpolation stencil
-    and clipped to the window.  Grid, step, demodulation and alias safety
-    do not depend on the span: the nodes are those of the full slice,
-    computed alone by a chirp-z transform (see ``_chirp_z``), and agree
-    with them to rounding.  The span changes only which nodes are computed,
-    never how, so the route stays independent of the oracle.
+    The slice sums the source cells j0 .. j1 refined q times, at the step du
+    = delta_xi / q, and yields the nodes z_lo + n dz, n0 <= n < n1, of a
+    period of n_fft nodes.  Two times with equal grids differ only in the
+    time phase and the damping of the refined spectrum.
+    """
+    j0: int
+    j1: int
+    q: int
+    z_lo: float
+    du: float
+    n_fft: int
+    dz: float
+    n0: int
+    n1: int
 
-    Raises ``GridRangeError`` when the span is empty or misses the window,
-    and ``ResolutionError`` when one period of the full grid would have more
-    than ``_MAX_FFT`` nodes, whatever the span, before any array is
-    built.
+
+def slice_grid(plan: PropagationPlan, t: float,
+               span: tuple[float, float] | None = None) -> SliceGrid | None:
+    """The grid ``propagate_slice(plan, t, span)`` synthesizes on, or None
+    when the damping or an empty spectrum leaves no band (a zero slice).
+
+    Arithmetic only: no array is built, so a caller can check the
+    resolution of many times before the first slice.  Raises
+    ``GridRangeError`` and ``ResolutionError`` as ``propagate_slice`` does.
     """
     f, p = plan.source, plan.params
     xi0, dxi = f.xi_min, f.delta_xi
@@ -246,7 +292,7 @@ def propagate_slice(plan: PropagationPlan, t: float,
     lo = max(lo, -cap)
     hi = min(hi, cap)
     if hi <= lo:  # empty spectrum, or the damping killed the whole band
-        return _zero_slice(plan, t)
+        return None
 
     # stationary-shift extent of the live band fixes the window the envelope
     # can occupy at this time
@@ -268,7 +314,6 @@ def propagate_slice(plan: PropagationPlan, t: float,
     n_fine = (j1 - j0) * q + 1
     xi_first = xi0 + j0 * dxi
     xi_last = xi_first + du * (n_fine - 1)
-    carrier = 0.5 * (xi_first + xi_last)
     half_band = max(0.5 * (xi_last - xi_first), du)
 
     # the grid of one synthesis period: n_fft nodes dz apart, of which the
@@ -293,30 +338,108 @@ def propagate_slice(plan: PropagationPlan, t: float,
             raise GridRangeError(
                 f"slice span {span} misses the synthesis window "
                 f"[{z_lo}, {z_lo + dz * (n_z - 1)}]")
+    return SliceGrid(j0, j1, q, z_lo, du, n_fft, dz, n0, n1)
 
-    fine_xi = xi_first + du * np.arange(n_fine)
-    if q == 1:
-        fine = np.array(f.samples[j0:j1 + 1])
+
+@dataclass(frozen=True, eq=False)
+class _Synthesis:
+    """Everything of a slice's synthesis that depends on its grid alone:
+    the refined spectrum ``fine``, |fine xi|**m, the trapezoid weights, the
+    z_lo phase ramp, the chirp-z factors and the output demodulation."""
+    fine: np.ndarray
+    abs_pow: np.ndarray
+    weights: np.ndarray
+    ramp: np.ndarray
+    chirp_z: _ChirpZ
+    demod: np.ndarray
+    carrier: float
+
+
+def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
+    """The ``_Synthesis`` of the grid g for the source f and the power m."""
+    dxi = f.delta_xi
+    n_fine = (g.j1 - g.j0) * g.q + 1
+    xi_first = f.xi_min + g.j0 * dxi
+    xi_last = xi_first + g.du * (n_fine - 1)
+    carrier = 0.5 * (xi_first + xi_last)
+
+    fine_xi = xi_first + g.du * np.arange(n_fine)
+    if g.q == 1:
+        fine = np.array(f.samples[g.j0:g.j1 + 1])
     else:
         # the refined nodes sit at the offsets k/q of each source cell
         fine = np.empty(n_fine, dtype=f.samples.dtype)
-        fine[:-1] = lagrange_cells(f.samples, j0, j1 - j0,
-                                   np.arange(q) / q).ravel()
-        fine[-1] = f.samples[j1]
-
-    abs_pow = np.abs(fine_xi) ** p.m
-    weights = np.full(n_fine, du / (2.0 * math.pi))
+        fine[:-1] = lagrange_cells(f.samples, g.j0, g.j1 - g.j0,
+                                   np.arange(g.q) / g.q).ravel()
+        fine[-1] = f.samples[g.j1]
+    weights = np.full(n_fine, g.du / (2.0 * math.pi))
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    coef = fine * np.exp(1j * t * abs_pow) * weights
-    if p.damping:
-        coef *= np.exp(-(t ** p.gamma) * abs_pow)
-    coef *= np.exp(1j * z_lo * du * np.arange(n_fine))
+    ramp = np.exp(1j * g.z_lo * g.du * np.arange(n_fine))
+    z = g.z_lo + g.dz * np.arange(g.n0, g.n1)
+    return _Synthesis(fine, np.abs(fine_xi) ** m, weights, ramp,
+                      _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1),
+                      np.exp(1j * z * (xi_first - carrier)), carrier)
 
-    env = _chirp_z(coef, n_fft, n0, n1)
-    z = z_lo + dz * np.arange(n0, n1)
-    env *= np.exp(1j * z * (xi_first - carrier))
-    return SampledField(z_lo + dz * n0, dz, env, t, carrier)
+
+class _GridInHand:
+    """The last grid a run of slices synthesized on, with its
+    ``_Synthesis``: ``propagate_slice`` reuses the synthesis while the plan
+    and the grid repeat.  A caller holds one for one run of slices only."""
+    __slots__ = ("plan", "grid", "synthesis")
+
+    def __init__(self):
+        self.plan = self.grid = self.synthesis = None
+
+
+def propagate_slice(plan: PropagationPlan, t: float,
+                    span: tuple[float, float] | None = None,
+                    _held: _GridInHand | None = None) -> SampledField:
+    """Synthesize the slice h_t on the grid nodes z_lo + n dz of its
+    synthesis window.
+
+    With ``span=None`` the slice covers the whole window, which holds the
+    plan's query window and the dispersive range at time t.  With
+    ``span=(lo, hi)`` it holds only the nodes covering [lo, hi], padded by
+    ``_numerics._STENCIL`` nodes on each side for the interpolation stencil
+    and clipped to the window.  Grid, step, demodulation and alias safety
+    do not depend on the span: the nodes are those of the full slice,
+    computed alone by a chirp-z transform (see ``_chirp_z``), and agree
+    with them to rounding.  The span changes only which nodes are computed,
+    never how, so the route stays independent of the oracle.
+
+    The synthesis runs in two steps.  ``slice_grid`` decides the grid by
+    arithmetic; ``_synthesis`` builds what depends on the grid alone (the
+    refined spectrum, |xi|**m, the weights, the phase ramp, the chirps, the
+    FFT of the lag chirp and the demodulation).  Per time only the time
+    phase, the damping, two FFTs and the products remain.  ``_held``
+    (private to ``maximal_field``) keeps the last grid's synthesis across
+    the calls of one run of times, so a run of equal grids builds it once;
+    every value is the same as that of a fresh call, bit for bit.
+
+    Raises ``GridRangeError`` when the span is empty or misses the window,
+    and ``ResolutionError`` when one period of the full grid would have more
+    than ``_MAX_FFT`` nodes, whatever the span, before any array is
+    built.
+    """
+    grid = slice_grid(plan, t, span)
+    if grid is None:
+        return _zero_slice(plan, t)
+    held = _GridInHand() if _held is None else _held
+    if held.plan is not plan or held.grid != grid:
+        held.synthesis = None  # release the old factors before the next
+        held.synthesis = _synthesis(plan.source, plan.params.m, grid)
+        held.plan, held.grid = plan, grid
+    syn, p = held.synthesis, plan.params
+
+    coef = syn.fine * np.exp(1j * t * syn.abs_pow) * syn.weights
+    if p.damping:
+        coef *= np.exp(-(t ** p.gamma) * syn.abs_pow)
+    coef *= syn.ramp
+    env = _chirp_z(coef, syn.chirp_z)
+    env *= syn.demod
+    return SampledField(grid.z_lo + grid.dz * grid.n0, grid.dz, env, t,
+                        syn.carrier)
 
 
 def field_value(field: SampledField, y):

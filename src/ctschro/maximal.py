@@ -37,16 +37,18 @@ from .errors import (
 )
 from .evolve import (
     PropagationPlan,
+    _GridInHand,
     direct_quadrature,
     make_plan,
     propagate_slice,
+    slice_grid,
 )
 
 __all__ = [
     "TimeGrid", "build_time_grid", "default_time_exponent",
     "MaximalField", "maximal_field", "l2_norm_field",
     "default_x_grid", "witness_x_grid",
-    "RatioResult", "maximal_ratio",
+    "RatioResult", "maximal_ratio", "check_ratio_resolution",
     "ExponentFit", "fit_slope", "fit_slope_guarded",
     "witness_minimum", "calibrate_smallness",
     "LOWER_BOUND_LEVEL",
@@ -194,8 +196,10 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     arg = np.zeros(x_nodes.size)
     floor = _TAIL_FLOOR * amplitude_bound(f)
 
+    held = _GridInHand()   # the grid of the slice before, for this call only
     for t in tgrid.times:
-        sl = propagate_slice(plan, float(t), (plan.y_lo, plan.y_hi))
+        sl = propagate_slice(plan, float(t), (plan.y_lo, plan.y_hi),
+                             _held=held)
         win = _live_window(sl, plan, floor)
         if win is None:
             continue
@@ -307,6 +311,27 @@ def maximal_ratio(fam: CounterexampleFamily, s: float = 0.0,
         raise ZeroNormError("Sobolev normalization norm vanished")
     return RatioResult(norm_max / norm_hs, norm_max, norm_l2, norm_hs,
                        fam.R, fam.lam, s, bounds)
+
+
+def check_ratio_resolution(fam: CounterexampleFamily,
+                           n_samples: int = 2048) -> None:
+    """Raise ``ResolutionError``, naming the time t, when a slice of
+    ``maximal_ratio(fam, n_samples=n_samples)`` would need more than
+    ``evolve._MAX_FFT`` nodes in one period.
+
+    Arithmetic only: it builds the source and the time grid and runs
+    ``evolve.slice_grid`` at every grid time on the window ``maximal_field``
+    asks for, in the same order, but synthesizes no slice; so a sweep checks
+    every scale in well under a second before the first slice of the first.
+    The oracle's node budget (``_numerics._MAX_NODES``) at the per-x witness
+    times is not covered: it is decided per witness point by the oracle's
+    own phase counts over every source cell, not by the slice grid, and a
+    point past it still raises from ``maximal_ratio`` at its scale.
+    """
+    f, params, curve = _family_setup(fam, n_samples)
+    plan = make_plan(f, params, curve)
+    for t in build_time_grid(default_time_exponent(fam.lam)).times.tolist():
+        slice_grid(plan, t, (plan.y_lo, plan.y_hi))
 
 
 # ---------------------------------------------------------------------------

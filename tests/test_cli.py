@@ -474,6 +474,27 @@ def test_sweep_resolution_failure_exits_3_naming_the_scale(capsys,
     assert "R=32" in rec["reason"] and "max_fft" in rec["reason"]
 
 
+def test_sweep_checks_every_scale_before_the_first_slice(capsys,
+                                                         monkeypatch):
+    # modulated (1/2, 3, b 2): only the last scale is unresolvable, at
+    # t = 5.13e-05 (an FFT of 17 964 240 > 2**24); the run exits 3 naming it
+    # before any maximal field of the first scale is computed
+    import ctschro.maximal as maximal
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a maximal field before the resolution check")
+    monkeypatch.setattr(maximal, "maximal_field", forbidden)
+    code, out, err = run_cli(
+        ["sweep", "--family", "modulated", "--alpha", "0.5", "--gamma", "3",
+         "--b", "2", "--scales", "512,1024,2048,4096"], capsys)
+    assert code == 3 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "ResolutionError"
+    assert "scale R=4096" in rec["reason"]
+    assert "t=5.132424409507535e-05" in rec["reason"]
+    assert "17964240 > max_fft" in rec["reason"]
+
+
 # ---------------------------------------------------------------------------
 # records: determinism, round trip, serialization
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def test_windowed_slice_rejects_bad_spans():
 def test_chirp_z_matches_inverse_fft():
     """Outputs near the end of a 1.5 M-point period, where a phase pi j**2 / n
     computed in floating point would be off by about 5e-10."""
-    from ctschro.evolve import _chirp_z
+    from ctschro.evolve import _chirp_z, _chirp_z_factors
     rng = np.random.default_rng(3)
     n = 3 * 2 ** 19
     a = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
@@ -504,7 +504,7 @@ def test_chirp_z_matches_inverse_fft():
     spec[:a.size] = a
     want = n * np.fft.ifft(spec)
     for n0, n1 in ((0, 40), (n - 300, n), (n // 2 - 7, n // 2 + 9)):
-        got = _chirp_z(a, n, n0, n1)
+        got = _chirp_z(a, _chirp_z_factors(a.size, n, n0, n1))
         assert np.max(np.abs(got - want[n0:n1])) <= 1e-12 * np.abs(a).sum()
 
 
@@ -533,9 +533,14 @@ def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
         conv = sfft.ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + m_len]
         return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
 
+    # the transform with its cached factors, as the slices computed it
     calls = []
-    monkeypatch.setattr(evolve, "_chirp_z",
-                        lambda *args: calls.append(args) or _chirp_z(*args))
+
+    def spy(a, cz):
+        out = _chirp_z(a, cz)
+        calls.append((a.copy(), cz, out.copy()))   # the slice scales out
+        return out
+    monkeypatch.setattr(evolve, "_chirp_z", spy)
     # A4's shape: lam = 64 band spectrum, undamped m = 2, Hoelder 1/2 curve
     f = random_band_limited(64.0, seed=52)
     plan = make_plan(f, EvolutionParams(m=2.0, gamma=1.0, damping=False),
@@ -544,8 +549,59 @@ def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
         evaluate_along_curve(plan, holder_curve(0.5), x, t, path="transform")
     propagate_slice(plan, 0.2)
     assert len(calls) == 3
-    for args in calls:
-        assert _chirp_z(*args).tobytes() == scipy_chirp_z(*args).tobytes()
+    # input and output chirps below and at or above 2**14 values: both
+    # operand orders of _times_chirp are checked
+    sizes = [(a.size, cz.n1 - cz.n0) for a, cz, _ in calls]
+    for side in (0, 1):
+        assert min(s[side] for s in sizes) < 2 ** 14 <= max(s[side] for s in sizes)
+    for a, cz, got in calls:
+        assert got.tobytes() == scipy_chirp_z(a, cz.n, cz.n0, cz.n1).tobytes()
+
+
+def _held_case():
+    """The damped modulated family (1/2, 3, R 16, b 2) on 128 samples along
+    its Hoelder curve, and its default time grid: the damping cap clips j0
+    partway, the dispersive range widens the window until q grows from 1 to
+    3, and the last 17 slices are dead."""
+    from ctschro.domain import modulated_family
+    from ctschro.maximal import build_time_grid, default_time_exponent
+    fam = modulated_family(0.5, 3.0, 16.0, 2.0)
+    f = build_counterexample(fam, 128)
+    plan = make_plan(f, EvolutionParams(m=2.0, gamma=3.0, damping=True),
+                     holder_curve(0.5))
+    return plan, build_time_grid(default_time_exponent(fam.lam)).times.tolist()
+
+
+def test_slices_on_a_held_grid_are_fresh_slices():
+    from ctschro.evolve import _GridInHand, slice_grid
+    plan, times = _held_case()
+    window = (plan.y_lo, plan.y_hi)
+    grids = [slice_grid(plan, t, window) for t in times]
+    live = [g for g in grids if g is not None]
+    assert len({g.j0 for g in live}) == 2 and len({g.q for g in live}) == 3
+    assert len(live) < len(grids)
+    for span in (window, None):
+        held = _GridInHand()
+        for t in times:
+            got = propagate_slice(plan, t, span, _held=held)
+            want = propagate_slice(plan, t, span)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.y_min, got.delta_y, got.carrier) == \
+                (want.y_min, want.delta_y, want.carrier)
+
+
+def test_held_grid_is_rebuilt_for_another_plan():
+    from ctschro.evolve import _GridInHand, slice_grid
+    plan, _ = _held_case()
+    f = plan.source
+    twice = make_plan(SpectralFunction(f.xi_min, f.xi_max, 2.0 * f.samples),
+                      plan.params, holder_curve(0.5))
+    assert slice_grid(plan, 1e-4) == slice_grid(twice, 1e-4)
+    held = _GridInHand()
+    a = propagate_slice(plan, 1e-4, _held=held)
+    b = propagate_slice(twice, 1e-4, _held=held)
+    assert b.values.tobytes() == propagate_slice(twice, 1e-4).values.tobytes()
+    assert np.array_equal(b.values, 2.0 * a.values)
 
 
 def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
@@ -565,6 +621,8 @@ def test_slice_over_max_fft_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(evolve, "lagrange_uniform", forbidden)
     monkeypatch.setattr(evolve, "lagrange_cells", forbidden)
     monkeypatch.setattr(evolve, "_chirp_z", forbidden)
+    monkeypatch.setattr(evolve, "_synthesis", forbidden)
+    monkeypatch.setattr(evolve, "_chirp_z_factors", forbidden)
     with pytest.raises(ResolutionError, match="max_fft"):
         propagate_slice(small, 0.5)
     with pytest.raises(ResolutionError, match="max_fft"):

@@ -119,6 +119,70 @@ def test_maximal_field_deterministic():
     assert a.argmax_t.tobytes() == b.argmax_t.tobytes()
 
 
+def _family_field_case(kind):
+    """(source, params, curve, x nodes, time grid) of a family's maximal
+    field: the dilated (1/4, 3/4, R 16), whose window widens with t, or the
+    damped modulated (1/2, 3, R 16, b 2) on 128 samples, whose damping cap
+    clips j0 partway, whose q grows from 1 to 3 and whose last slices die."""
+    if kind == "dilated":
+        fam, n_samples = dilated_family(0.25, 0.75, 16.0), 2048
+    else:
+        fam, n_samples = modulated_family(0.5, 3.0, 16.0, 2.0), 128
+    f = build_counterexample(fam, n_samples)
+    params = EvolutionParams(m=2.0, gamma=fam.gamma, damping=True)
+    xs = np.linspace(-1.0, 1.0, 129)
+    return (f, params, holder_curve(fam.alpha), xs,
+            build_time_grid(default_time_exponent(fam.lam)))
+
+
+def _grid_runs(f, params, curve, tgrid):
+    """The grids of maximal_field's slices, and how many runs of equal
+    consecutive grids they form (dead slices have none)."""
+    from ctschro.evolve import make_plan, slice_grid
+    plan = make_plan(f, params, curve)
+    grids = [g for t in tgrid.times.tolist()
+             if (g := slice_grid(plan, t, (plan.y_lo, plan.y_hi)))]
+    return grids, sum(1 for a, b in zip([None, *grids], grids) if a != b)
+
+
+@pytest.mark.parametrize("kind", ["dilated", "modulated"])
+def test_maximal_field_equals_fresh_slices(kind, monkeypatch):
+    import ctschro.evolve as evolve
+    import ctschro.maximal as maximal
+    f, params, curve, xs, tgrid = _family_field_case(kind)
+    grids, runs = _grid_runs(f, params, curve, tgrid)
+    if kind == "dilated":
+        assert len({g.z_lo for g in grids}) > 1
+    else:
+        assert len({g.j0 for g in grids}) > 1 and len({g.q for g in grids}) > 1
+    assert 1 < runs < len(grids)
+    held = maximal_field(f, params, curve, xs, tgrid)
+    monkeypatch.setattr(maximal, "propagate_slice",
+                        lambda plan, t, span, _held: evolve.propagate_slice(
+                            plan, t, span))
+    fresh = maximal_field(f, params, curve, xs, tgrid)
+    assert held.values.tobytes() == fresh.values.tobytes()
+    assert held.argmax_t.tobytes() == fresh.argmax_t.tobytes()
+    assert held.values.max() > 0.0
+
+
+@pytest.mark.parametrize("kind", ["dilated", "modulated"])
+def test_maximal_field_builds_one_grid_per_run_of_equal_grids(kind,
+                                                               monkeypatch):
+    import ctschro.evolve as evolve
+    f, params, curve, xs, tgrid = _family_field_case(kind)
+    _, runs = _grid_runs(f, params, curve, tgrid)
+    built = []
+    real = evolve._synthesis
+    monkeypatch.setattr(evolve, "_synthesis",
+                        lambda *args: built.append(args[2]) or real(*args))
+    maximal_field(f, params, curve, xs, tgrid)
+    assert len(built) == runs
+    # nothing is held past the call: the next call builds its first grid
+    maximal_field(f, params, curve, xs, build_time_grid(-4, ratio=2.0))
+    assert len(built) > runs
+
+
 # ---------------------------------------------------------------------------
 # field norms
 # ---------------------------------------------------------------------------

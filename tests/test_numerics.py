@@ -166,6 +166,125 @@ def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the small-phase factor
+# ---------------------------------------------------------------------------
+
+_TINY = 2.0 ** -27
+
+
+def _exp_formula(nodes, weights, abs_pow, a, lin, quad, damp, sizes=None):
+    """``oscillatory_sum`` with np.exp at every phase, as written before the
+    small-phase factor."""
+    integrand = a * np.exp(1j * (lin * nodes + quad * abs_pow))
+    if np.ndim(damp) or damp:
+        np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,
+                    where=damp != 0.0)
+    terms = integrand * weights
+    if sizes is None:
+        return np.sum(terms)
+    ends = np.cumsum(sizes)
+    return np.array([np.sum(terms[e - n:e]) for n, e in zip(sizes, ends)])
+
+
+def _small_phases(rng, n):
+    """n phases in (-2**-27, 2**-27), log-uniform in modulus down to the
+    subnormals, both signs, with 0, -0 and the extremes first."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1e-310, np.nextafter(_TINY, 0.0), -np.nextafter(_TINY, 0.0)]
+    mags = 2.0 ** rng.uniform(-1075.0, -27.0, n - len(special))
+    return np.concatenate([special, mags * rng.choice([-1.0, 1.0], mags.size)])
+
+
+def test_small_phase_factor_is_np_exp_bit_for_bit():
+    phase = _small_phases(np.random.default_rng(12), 200_000)
+    assert (np.abs(phase) < _TINY).all()
+    got = numerics._unit_phase(phase)
+    assert got.tobytes() == np.exp(1j * phase).tobytes()
+
+
+def _sum_case(rng, n):
+    nodes = np.sort(rng.uniform(-40.0, 40.0, n))
+    weights = rng.uniform(0.0, 0.1, n)
+    abs_pow = np.abs(nodes) ** 2
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return nodes, weights, abs_pow, a
+
+
+@pytest.mark.parametrize("damp", [0.0, 1e-3])
+def test_oscillatory_sum_at_small_phases_is_the_exp_formula(damp):
+    rng = np.random.default_rng(13)
+    nodes, weights, abs_pow, a = _sum_case(rng, 3000)
+    # y = 0 with tiny times, as at the dilated witness times, and a tiny
+    # linear phase: every |lin xi + quad xi**2| < 2**-27 (40**2 < 2**11)
+    for lin, quad in ((0.0, 1e-12), (-0.0, 2.0 ** -39), (1e-12, -1e-15),
+                      (0.0, 0.0), (0.0, 5e-324)):
+        assert np.abs(lin * nodes + quad * abs_pow).max() < _TINY
+        got = numerics.oscillatory_sum(nodes, weights, abs_pow, a, lin,
+                                       quad, damp)
+        want = _exp_formula(nodes, weights, abs_pow, a, lin, quad, damp)
+        assert got == want
+        assert complex(got).real.hex() == complex(want).real.hex()
+        assert complex(got).imag.hex() == complex(want).imag.hex()
+
+
+def test_row_form_sum_mixing_small_and_large_rows_is_the_exp_formula():
+    rng = np.random.default_rng(14)
+    sizes = [700, 300, 900, 500]
+    nodes, weights, abs_pow, a = _sum_case(rng, sum(sizes))
+    # rows 0 and 2 are all below 2**-27, rows 1 and 3 are not
+    lin = np.repeat([0.0, 3.0, 1e-13, 0.0], sizes)
+    quad = np.repeat([1e-13, 0.5, 0.0, 1e-6], sizes)
+    damp = np.repeat([0.0, 0.1, 2e-4, 0.0], sizes)
+    got = numerics.oscillatory_sum(nodes, weights, abs_pow, a, lin, quad,
+                                   damp, np.array(sizes))
+    want = _exp_formula(nodes, weights, abs_pow, a, lin, quad, damp, sizes)
+    assert got.tobytes() == want.tobytes()
+    # and each row, alone in a call, takes its own path to the same bits
+    ends = np.cumsum(sizes)
+    for p, (n, e) in enumerate(zip(sizes, ends)):
+        one = slice(e - n, e)
+        alone = numerics.oscillatory_sum(nodes[one], weights[one],
+                                         abs_pow[one], a[one], lin[e - 1],
+                                         quad[e - 1], damp[e - 1])
+        assert complex(alone).real.hex() == got[p].real.hex()
+        assert complex(alone).imag.hex() == got[p].imag.hex()
+
+
+class _CountingNumpy:
+    """numpy, with its complex exponentials counted."""
+    def __init__(self):
+        self.complex_exps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.complex_exps += np.iscomplexobj(x)
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("phase,exps", [
+    (np.nextafter(_TINY, 0.0), 0), (-np.nextafter(_TINY, 0.0), 0),
+    (_TINY, 1), (-_TINY, 1), (np.nextafter(_TINY, 1.0), 1), (1e-3, 1),
+    (np.nan, 1),
+])
+def test_phases_from_two_to_the_minus_27_go_through_np_exp(phase, exps,
+                                                           monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(numerics, "np", counting)
+    nodes = np.array([0.25, 0.5, 1.0])
+    weights = np.array([0.5, 0.25, 0.25])
+    a = np.array([1.0 + 2.0j, -0.5j, 3.0])
+    # the phase of the last node is exactly ``phase``; the others are half
+    # and a quarter of it
+    got = numerics.oscillatory_sum(nodes, weights, nodes ** 2, a, 0.0,
+                                   phase, 0.0)
+    assert counting.complex_exps == exps
+    want = _exp_formula(nodes, weights, nodes ** 2, a, 0.0, phase, 0.0)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # interpolation: the shared order and the blocks
 # ---------------------------------------------------------------------------
 
