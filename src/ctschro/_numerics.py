@@ -428,17 +428,15 @@ def node_set(edges: np.ndarray, counts: np.ndarray, orders: np.ndarray,
 
 
 def _unit_phase(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) of a real array, as ``np.exp(1j * phase)`` gives it.
-
-    When every |phase| is below ``_SMALL_PHASE`` = 2**-27, the value is
-    built as (1, phase + 0.0) with no transcendental: phase**2 / 2 <
-    2**-55, so cos(phase) rounds to 1, and |phase|**3 / 6 is below half an
-    ulp of phase, so sin(phase) rounds to phase.  These are the correctly
-    rounded values, which glibc's complex exponential returns; the + 0.0
-    turns -0 into +0, as 1j * -0.0 does.  Any larger or NaN phase sends the
-    whole array through ``np.exp``.
-    """
-    if not (np.abs(phase) < _SMALL_PHASE).all():
+    """exp(i phase) of a real array, bit for bit as ``np.exp(1j * phase)``
+    gives it: built as (1, phase + 0.0) when every |phase| is below
+    ``_SMALL_PHASE`` (see ``oscillatory_sum``; the + 0.0 turns -0 into +0,
+    as 1j * -0.0 does), and by ``np.exp`` when any phase is larger or
+    NaN."""
+    # the first phase settles most large-phase calls without a pass over
+    # the array
+    if not (phase.size and abs(phase.flat[0]) < _SMALL_PHASE
+            and (np.abs(phase) < _SMALL_PHASE).all()):
         return np.exp(1j * phase)
     out = np.empty(phase.shape, dtype=complex)
     out.real = 1.0
@@ -458,10 +456,15 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     each, and the result is an array of one sum per row: each row is summed
     by its own ``np.sum``, so it equals the sum of a one-row call.
 
-    A call whose phases all lie below 2**-27 in modulus (the oracle at the
-    tiny witness times with y = 0) takes exp(i phase) = (1, phase), the
-    correctly rounded value and that of ``np.exp`` bit for bit (see
-    ``_unit_phase``); every other call evaluates ``np.exp``.
+    A call whose phases phi = lin xi + quad |xi|^m all lie below 2**-27 in
+    modulus (the oracle at the tiny witness times, where y = 0) takes
+    exp(i phi) = (1, phi) with no transcendental.  That is the correctly
+    rounded value: phi**2 / 2 < 2**-55, so cos(phi) rounds to 1, and
+    |phi|**3 / 6 < |phi| 2**-54 / 6 is below half an ulp of phi, so sin(phi)
+    rounds to phi (subnormal phi included).  glibc's complex exponential
+    returns the same bits, so the sum equals the ``np.exp`` one bit for bit.
+    Every other call evaluates ``np.exp``.  The damping factor is computed
+    as before in both cases.
     """
     # a named amplitude keeps numpy from writing the product into it in place,
     # which would change the operand order and the rounding

@@ -18,7 +18,12 @@ Two independent routes are provided:
   transform computes any run of that grid's nodes alone, so a caller that
   reads one y-span asks for that span and pays three FFTs (``numpy.fft``)
   of about (spectral samples + span nodes) points instead of one FFT of a
-  whole period.
+  whole period.  The grid is decided by arithmetic alone (``slice_grid``),
+  and everything that depends on the grid only (the refined spectrum, its
+  |xi|**m, weights and phase ramp, the chirps, the FFT of the lag chirp and
+  the demodulation) is built apart from the time: a run of times with one
+  grid, such as ``maximal_field`` asks for, builds it once and pays per
+  time only the time phase, the damping, two FFTs and the products.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
@@ -206,10 +211,13 @@ def _chirp(j: np.ndarray, n: int) -> np.ndarray:
 _ELIDED_LEN = 2 ** 14
 
 
-def _times_chirp(x: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+def _times_chirp(x: np.ndarray, chirp: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """x * chirp, with the operands in the order numpy gives x * (a fresh
     array equal to chirp)."""
-    return chirp * x if chirp.size >= _ELIDED_LEN else x * chirp
+    if chirp.size >= _ELIDED_LEN:
+        return np.multiply(chirp, x, out=out)
+    return np.multiply(x, chirp, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +252,13 @@ def _chirp_z(a: np.ndarray, cz: _ChirpZ) -> np.ndarray:
     a linear convolution of a[k] w(k) with conj(w) over j - k, w(j) =
     exp(i pi j**2 / n); three ``numpy.fft`` transforms of length cz.size do
     it (Rabiner, Schafer & Rader, "The chirp z-transform algorithm", 1969),
-    one of them cached in ``cz``.  The inverse transform runs in place.
+    one of them cached in ``cz``.  The chirped input is written into the
+    zero-padded buffer, and both transforms run in place in it.
     """
     k_len = a.size
-    spec = np.fft.fft(_times_chirp(a, cz.chirp_in), cz.size)
+    spec = np.zeros(cz.size, dtype=complex)
+    _times_chirp(a, cz.chirp_in, out=spec[:k_len])
+    np.fft.fft(spec, out=spec)
     spec *= cz.lag_fft
     conv = np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + cz.n1 - cz.n0]
     return _times_chirp(conv, cz.chirp_out)
@@ -363,7 +374,10 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
     xi_last = xi_first + g.du * (n_fine - 1)
     carrier = 0.5 * (xi_first + xi_last)
 
-    fine_xi = xi_first + g.du * np.arange(n_fine)
+    # the factors are built one after another, the largest temporaries
+    # (those of the lag chirp) first, so they never stack on the others
+    chirp_z = _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1)
+    abs_pow = np.abs(xi_first + g.du * np.arange(n_fine)) ** m
     if g.q == 1:
         fine = np.array(f.samples[g.j0:g.j1 + 1])
     else:
@@ -377,8 +391,7 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
     weights[-1] *= 0.5
     ramp = np.exp(1j * g.z_lo * g.du * np.arange(n_fine))
     z = g.z_lo + g.dz * np.arange(g.n0, g.n1)
-    return _Synthesis(fine, np.abs(fine_xi) ** m, weights, ramp,
-                      _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1),
+    return _Synthesis(fine, abs_pow, weights, ramp, chirp_z,
                       np.exp(1j * z * (xi_first - carrier)), carrier)
 
 

@@ -180,12 +180,17 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     amplitude modulus along the curve.
 
     Per shared time the whole x-batch is read off one transform slice,
-    synthesized on the query window [y_lo, y_hi] of ``make_plan`` alone; the
-    per-x extra times go through one batched direct-quadrature call, which
-    interpolates the spectrum once for every run of points sharing a node
-    set (at the witness times of the counterexample families that is one
-    set for the whole call).  Values below 1e-14 of the a-priori amplitude
-    bound are treated as zero.
+    synthesized on the query window [y_lo, y_hi] of ``make_plan`` alone.
+    Consecutive times whose slices have the same grid (``slice_grid``; the
+    small times, before the dispersive range leaves the window, all do)
+    share that grid's synthesis: the call holds the last grid's factors and
+    hands them to ``propagate_slice``, one call per time, so a run of equal
+    grids builds them once.  Nothing is held past the call, and each slice
+    equals a fresh one bit for bit.  The per-x extra times go through one
+    batched direct-quadrature call, which interpolates the spectrum once
+    for every run of points sharing a node set (at the witness times of the
+    counterexample families that is one set for the whole call).  Values
+    below 1e-14 of the a-priori amplitude bound are treated as zero.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     plan = make_plan(f, params, curve)
