@@ -374,9 +374,6 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
     xi_last = xi_first + g.du * (n_fine - 1)
     carrier = 0.5 * (xi_first + xi_last)
 
-    # the factors are built one after another, the largest temporaries
-    # (those of the lag chirp) first, so they never stack on the others
-    chirp_z = _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1)
     abs_pow = np.abs(xi_first + g.du * np.arange(n_fine)) ** m
     if g.q == 1:
         fine = np.array(f.samples[g.j0:g.j1 + 1])
@@ -391,6 +388,10 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
     weights[-1] *= 0.5
     ramp = np.exp(1j * g.z_lo * g.du * np.arange(n_fine))
     z = g.z_lo + g.dz * np.arange(g.n0, g.n1)
+    # the chirp-z factors come last: built before the others, the lag
+    # chirp's temporaries left heap holes that raised the agreement
+    # benchmark's peak RSS by 1.5 MB
+    chirp_z = _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1)
     return _Synthesis(fine, abs_pow, weights, ramp, chirp_z,
                       np.exp(1j * z * (xi_first - carrier)), carrier)
 
