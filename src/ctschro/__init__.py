@@ -42,11 +42,13 @@ from .domain import (
 from .evolve import (
     PropagationPlan,
     SampledField,
+    SliceGrid,
     direct_quadrature,
     evaluate_along_curve,
     field_value,
     make_plan,
     propagate_slice,
+    slice_grid,
     slice_l2_norm,
     spectral_l2_norm,
 )
@@ -71,6 +73,7 @@ from .maximal import (
     TimeGrid,
     build_time_grid,
     calibrate_smallness,
+    check_ratio_resolution,
     fit_slope,
     fit_slope_guarded,
     l2_norm_field,
