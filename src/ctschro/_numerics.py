@@ -367,6 +367,10 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
     then have shape (P, n), and row p equals a one-row call with row p's
     values: every cell is computed by the same operations.
 
+    For m >= 1 and nondecreasing edges, each cell's count and order are
+    nondecreasing in |lin|, |quad| and damp: ``evolve.direct_quadrature``
+    relies on this guarantee (the argument is in its docstring).
+
     Raises ``ResolutionError`` when these sub-cells need more than
     ``_MAX_NODES`` nodes, naming the first such row in the row form; nothing
     is allocated for them first.

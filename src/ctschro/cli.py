@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 import numpy as np
@@ -74,7 +75,7 @@ def _field(cfg: dict, name: str, default=None, kind=float, many=False):
     """Field ``name`` of the configuration (``default`` when it is absent or
     null) converted by ``kind``; with ``many``, a list of them, where a
     scalar is a list of one.  Raises ``ConfigError`` naming the field when
-    it is missing and has no default, or when a value does not convert."""
+    it is missing and has no default, or a value is no finite number."""
     value = cfg.get(name)
     if value is None:
         value = default
@@ -82,13 +83,15 @@ def _field(cfg: dict, name: str, default=None, kind=float, many=False):
         raise ConfigError(f"missing field {name!r}")
     what = "an integer" if kind is int else "a number"
     try:
-        if many:
-            return [kind(v) for v in np.atleast_1d(value).tolist()]
-        return kind(value)
+        values = ([kind(v) for v in np.atleast_1d(value).tolist()] if many
+                  else [kind(value)])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {name!r} must be {what}"
                           f"{' or a list of them' if many else ''}, "
                           f"got {value!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
+    return values if many else values[0]
 
 
 def _flag(cfg: dict, name: str, default: bool) -> bool:
@@ -354,8 +357,8 @@ def cmd_eval(cfg: dict) -> dict:
         if cfg.get("seed") is None:
             raise ConfigError("field 'seed' is required for a random band spectrum")
         lam = _field(cfg, "lam")
-        if not 0.0 < lam < np.inf:
-            raise ConfigError(f"field 'lam' must be finite and positive: {lam}")
+        if not lam > 0.0:
+            raise ConfigError(f"field 'lam' must be positive: {lam}")
         f = random_band_limited(lam, _field(cfg, "seed", kind=int))
         gamma = _field(cfg, "gamma", 1.0)
         alpha = _field(cfg, "alpha", 1.0)

@@ -31,7 +31,7 @@ Two independent routes are provided:
   sub-cells of at most pi/8 where it moves slowly or the cell touches
   xi = 0 (see ``_numerics.phase_counts`` for the remainder bound).  No
   transform, no periodization, no demodulation.  It takes arrays of (y, t)
-  and reuses one node set across consecutive points that need the same one.
+  and gives a run of points the rule and node set of its extreme points.
 
 Both routes read the spectrum between its samples with the one local
 interpolant of ``_numerics`` (order ``_INTERP_ORDER``, one weight formula),
@@ -51,14 +51,15 @@ other.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (_CHUNK, _DEAD, _STENCIL, lagrange_cells,
-                        lagrange_on_rule, lagrange_uniform, node_set,
-                        oscillatory_sum, phase_counts)
+from ._numerics import (_DEAD, _STENCIL, lagrange_cells, lagrange_on_rule,
+                        lagrange_uniform, node_set, oscillatory_sum,
+                        phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
 from .errors import GridRangeError, ResolutionError
 
@@ -520,6 +521,22 @@ def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
     return edges if edges.size >= 2 else None
 
 
+def _run_rule(edges: np.ndarray, ys: list[float], ts: list[float],
+              damps: list[float], m: float):
+    """The rule every point of a run gets (see ``direct_quadrature``), or
+    None for one point, for m < 1, when the extremes disagree, or when the
+    largest, maybe no point of the run, is over the node budget."""
+    if len(ys) < 2 or m < 1.0:
+        return None
+    try:
+        lo, hi = (phase_counts(edges, ext(np.abs(ys)), ext(np.abs(ts)),
+                               ext(np.array(damps, dtype=float)), m)
+                  for ext in (np.min, np.max))
+    except ResolutionError:
+        return None
+    return lo if all(map(np.array_equal, lo, hi)) else None
+
+
 def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     """Trusted slow evaluation of h_t(y) by refined composite quadrature on
     the source grid: per grid cell, 12-point Gauss on sub-cells of at most
@@ -528,15 +545,20 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
 
     ``y`` and ``t`` are scalars or arrays that broadcast together; a scalar
     pair gives a Python complex, arrays give a complex array of their
-    broadcast shape.  The points are taken in blocks of consecutive points.
-    In a block, the points with the same clipped band share one edge set,
-    and one row-form ``phase_counts`` gives all their sub-cell counts and
-    Gauss orders.  The points are then evaluated in order, and a point
-    whose band, counts and orders equal those of the point before reuses its
-    nodes, weights and interpolated spectrum, so a run of such points
-    interpolates the spectrum once.  Each value is bit-identical to a
-    one-point call.  Raises ``ResolutionError`` when one point needs more
-    than ``_numerics._MAX_NODES`` nodes.
+    broadcast shape.  Consecutive points with one clipped band form a run.
+    For m >= 1 a run takes its rule from two ``phase_counts`` passes, at its
+    smallest and its largest |y|, |t| and damping rate, when they agree
+    (``_run_rule``); else each point takes its own pass.  That is each
+    point's own rule: every step of ``phase_counts`` (products with the
+    nonnegative cell widths and |xi|**m differences, sums, division by a
+    positive budget, ``ceil``, ``np.maximum``, the fine flag counts > 1) is
+    correctly rounded, hence nondecreasing in those three, so a point
+    between the extremes gets counts and orders between theirs.  For m < 1
+    the cells touching 0 take (8 |t| / pi)**(1/m) from C ``pow``, which
+    need not be correctly rounded.  Consecutive points with one band and
+    rule share one node set; each value equals a one-point call's to the
+    bit.  Raises ``ResolutionError`` when a point needs over ``_MAX_NODES``
+    nodes; the extremes propagate NaN, so a NaN point raises alone.
     """
     y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
                                        np.asarray(t, dtype=float))
@@ -547,48 +569,26 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     ys, ts = y_arr.ravel().tolist(), t_arr.ravel().tolist()
     damps = [tt ** params.gamma if params.damping else 0.0 for tt in ts]
     bands = [_oracle_band(params, support, tt) for tt in ts]
-    # points per block: their (points x cells) counts hold about _CHUNK values
-    step = max(1, _CHUNK // f.n_samples)
 
-    key, nodes = None, None     # (band, counts, orders) of the nodes in hand
-    for start in range(0, len(ts), step):
-        block = range(start, min(start + step, len(ts)))
-        rules = {}
-        for band in dict.fromkeys(bands[i] for i in block if bands[i]):
-            idx = [i for i in block if bands[i] == band]
-            edges = _oracle_edges(f, params, support, ts[idx[0]])
-            if edges is None:
-                continue
-            counts, orders = phase_counts(edges, [ys[i] for i in idx],
-                                          [ts[i] for i in idx],
-                                          [damps[i] for i in idx], params.m)
-            # whether each point's counts and orders repeat those of the
-            # point before it in the band; the band's first point in the
-            # block is compared with the nodes in hand when it comes up
-            repeat = ((counts[1:] == counts[:-1]).all(axis=1)
-                      & (orders[1:] == orders[:-1]).all(axis=1))
-            same = [None] + repeat.tolist()
-            for k, i in enumerate(idx):
-                rules[i] = (band, edges, counts[k], orders[k], same[k])
-        for i in block:
-            if i not in rules:
-                continue
-            band, edges, counts, orders, same = rules[i]
-            # with the band in hand, the point evaluated last is the one
-            # before this point in the band
-            if key is None or key[0] != band:
-                same = False
-            elif same is None:
-                same = (np.array_equal(counts, key[1])
-                        and np.array_equal(orders, key[2]))
-            if not same:
+    key, nodes = (None, None), None   # (band, (counts, orders)) of the nodes
+    for band, run in itertools.groupby(range(len(ts)), bands.__getitem__):
+        run = list(run)
+        edges = _oracle_edges(f, params, support, ts[run[0]])
+        if edges is None:
+            continue
+        a, b = run[0], run[-1] + 1
+        shared = _run_rule(edges, ys[a:b], ts[a:b], damps[a:b], params.m)
+        for i in run:
+            rule = shared or phase_counts(edges, ys[i], ts[i], damps[i],
+                                          params.m)
+            # a run's shared rule is one object: no comparison per point
+            if key[0] != band or rule is not key[1] and not all(
+                    map(np.array_equal, rule, key[1])):
                 nodes = None   # release the old set before building the next
-                # copies: views would keep the block's rule arrays alive
-                key = (band, counts.copy(), orders.copy())
-                rule = (edges, *key[1:])
+                key = (band, rule)
                 # fhat at the nodes, read cell by cell along the rule
-                nodes = node_set(*rule, lambda xi: lagrange_on_rule(
-                    f.samples, xi0, dxi, *rule, xi), params.m)
+                nodes = node_set(edges, *rule, lambda xi: lagrange_on_rule(
+                    f.samples, xi0, dxi, edges, *rule, xi), params.m)
             total = oscillatory_sum(*nodes, ys[i], ts[i], damps[i])
             flat[i] = total / (2.0 * math.pi)
     return complex(out) if out.ndim == 0 else out

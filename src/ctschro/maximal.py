@@ -68,11 +68,9 @@ _TAIL_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """{0} plus geometric nodes from 2**t_min_exponent up to 1, with optional
-    per-x analytic witness times (NaN marks nodes without one)."""
+    """{0} plus geometric nodes up to 1, with optional per-x analytic witness
+    times (NaN marks nodes without one)."""
     times: np.ndarray
-    t_min_exponent: int
-    ratio: float
     extra_times: np.ndarray | None = None
 
     def __post_init__(self):
@@ -93,25 +91,19 @@ def default_time_exponent(lam: float) -> int:
 def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
                     fam: CounterexampleFamily | None = None,
                     x_nodes: np.ndarray | None = None) -> TimeGrid:
-    """Geometric grid {0} + {2**(t_min_exponent + j*log2(ratio))} capped at 1.
+    """Geometric grid {0} + {2**(t_min_exponent + j/k)} up to 1 for a ratio
+    2**(1/k), k = 1, 2, ...: exact exponents, so refined grids nest bitwise.
 
     When a family and its x-nodes are given, each node inside the witness
     interval contributes its analytic witness time as an extra per-x node.
     """
     if t_min_exponent > -2:
         raise DomainError("t_min_exponent must be <= -2")
-    if ratio <= 1.0:
-        raise DomainError("ratio must exceed 1")
-    log2r = math.log2(ratio)
-    inv = 1.0 / log2r
-    if abs(inv - round(inv)) < 1e-9 and round(inv) >= 1:
-        # ratio = 2**(1/k): exact exponents, so refined grids nest bitwise
-        k = int(round(inv))
-        exps = t_min_exponent + np.arange(-t_min_exponent * k + 1) / k
-    else:
-        n_steps = int(math.floor(-t_min_exponent / log2r + 1e-9))
-        exps = t_min_exponent + log2r * np.arange(n_steps + 1)
-        exps = np.append(exps[exps < 0.0], 0.0)
+    inv = 1.0 / math.log2(ratio) if ratio > 1.0 else 0.0
+    k = round(inv)
+    if k < 1 or abs(inv - k) >= 1e-9:
+        raise DomainError(f"ratio must be 2**(1/k), k = 1, 2, ...: {ratio}")
+    exps = t_min_exponent + np.arange(-t_min_exponent * k + 1) / k
     times = np.unique(np.concatenate([[0.0], 2.0 ** exps]))
 
     extra = None
@@ -122,7 +114,7 @@ def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
         for i, x in enumerate(x_nodes):
             if lo < x < hi:
                 extra[i] = witness_time(fam, float(x))
-    return TimeGrid(times, t_min_exponent, ratio, extra)
+    return TimeGrid(times, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +179,10 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     hands them to ``propagate_slice``, one call per time, so a run of equal
     grids builds them once.  Nothing is held past the call, and each slice
     equals a fresh one bit for bit.  The per-x extra times go through one
-    batched direct-quadrature call, which interpolates the spectrum once
-    for every run of points sharing a node set (at the witness times of the
-    counterexample families that is one set for the whole call).  Values
-    below 1e-14 of the a-priori amplitude bound are treated as zero.
+    batched direct-quadrature call: at the witness times of the
+    counterexample families that is one run of points, two rule passes and
+    one node set.  Values below 1e-14 of the a-priori amplitude bound are
+    treated as zero.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     plan = make_plan(f, params, curve)

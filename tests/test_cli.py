@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -373,6 +374,14 @@ def _run_doc(command, doc, tmp_path, capsys):
     ("lowerbound", "n_nodes", "many"), ("lowerbound", "R", "big"),
     ("eval", "x", "abc"), ("eval", "t", [0.0, "late"]),
     ("atlas", "m", "two"), ("atlas", "gamma", {"value": 1}),
+    # NaN and infinities: json.dumps writes NaN and Infinity, json.load
+    # reads them back
+    ("sweep", "tolerance", math.nan), ("sweep", "s_order", math.nan),
+    ("sweep", "scales", [16.0, 32.0, math.nan, 128.0]),
+    ("sweep", "scales", [16.0, 32.0, 64.0, math.inf]),
+    ("lowerbound", "R", math.nan), ("lowerbound", "R", -math.inf),
+    ("eval", "x", [math.nan]), ("eval", "t", [0.0, math.inf]),
+    ("kernelcheck", "schur_tolerance", math.inf),
 ])
 def test_non_numeric_field_exits_2(command, field, value, tmp_path, capsys):
     doc = {**_VALID[command], field: value}

@@ -304,11 +304,16 @@ def _batch_points(f, m, damping):
     damping cap (745 / t)**(1/m) (gamma = 1) clips the support at 80 % and
     50 % of its largest |xi|, and with damping on also at 10 % (undamped,
     that time would ask for more nodes than the budget allows).  The second
-    80 % time moves the cap inside the same grid cell."""
+    80 % time moves the cap inside the same grid cell.  Then seven points
+    of one band whose per-parameter extremes are none of them: with damping
+    on they form a run of their own, which for m >= 1 takes one rule from
+    those extremes."""
     top = max(abs(v) for v in f.support())
     t80, t50, t10 = (745.0 / (c * top) ** m for c in (0.8, 0.5, 0.1))
     pts = [(0.2, 0.0), (-0.4, 0.3), (-0.4, 0.3), (0.9, 0.7), (0.1, 0.3),
-           (0.5, t80), (0.5, t80 * (1.0 + 1e-6)), (-0.3, t50), (0.5, t80)]
+           (0.5, t80), (0.5, t80 * (1.0 + 1e-6)), (-0.3, t50), (0.5, t80),
+           (1e-3, 1e-7), (-2e-3, 3e-7), (5e-4, 2e-7), (0.0, 1e-7),
+           (0.6, 0.0), (1e-3, 0.0), (-0.7, 0.0)]
     return pts + [(0.0, t10)] if damping else pts
 
 
@@ -329,6 +334,36 @@ def test_batched_quadrature_is_bit_identical_to_scalar_calls(m, damping, kind):
     assert all(type(v) is complex for v in loop)
     assert batch.tolist() == loop
     assert all(v != 0.0 for v in loop[:9])
+
+
+def test_run_over_the_node_budget_only_at_its_extremes(monkeypatch):
+    import ctschro._numerics as numerics
+    from ctschro._numerics import phase_counts
+    from ctschro.evolve import _oracle_edges
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    edges = _oracle_edges(f, params, f.support(), 0.0)
+
+    def size(y, t):
+        counts, orders = phase_counts(edges, y, t, 0.0, 2.0)
+        return int((counts * orders).sum())
+    # each point fits the budget; the run's per-parameter maximum does not
+    pts = [(1500.0, 0.0), (0.0, 60.0)]
+    budget = max(size(y, t) for y, t in pts)
+    assert size(1500.0, 60.0) > budget
+    monkeypatch.setattr(numerics, "_MAX_NODES", budget)
+    ys, ts = zip(*pts)
+    got = direct_quadrature(f, params, ys, ts).tolist()
+    assert got == [direct_quadrature(f, params, y, t) for y, t in pts]
+
+
+def test_batched_quadrature_nan_point_raises():
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=True)
+    with pytest.raises(ResolutionError):
+        direct_quadrature(f, params, np.nan, 0.3)
+    with pytest.raises(ResolutionError):
+        direct_quadrature(f, params, [0.1, np.nan, 0.2], [0.3, 0.3, 0.3])
 
 
 def test_batched_quadrature_zero_cases():
@@ -383,7 +418,8 @@ def test_batched_quadrature_interpolates_once_per_node_set(monkeypatch):
     direct_quadrature(f, damped, [0.5, 0.5], [t80, t80 * (1.0 + 1e-6)])
     assert len(calls) == 2
     calls.clear()
-    # caps beyond the support leave one band: one node set over two blocks
+    # caps beyond the support leave one band, and the run's extremes agree:
+    # one node set
     direct_quadrature(f, damped, np.full(6, 0.5), 1e-9 * np.arange(1.0, 7.0))
     assert len(calls) == 1
 

@@ -22,6 +22,7 @@ from ctschro.maximal import (
     MaximalField,
     build_time_grid,
     calibrate_smallness,
+    check_ratio_resolution,
     default_time_exponent,
     fit_slope,
     fit_slope_guarded,
@@ -61,6 +62,8 @@ def test_time_grid_validation():
         build_time_grid(-1)
     with pytest.raises(DomainError):
         build_time_grid(-4, ratio=0.9)
+    with pytest.raises(DomainError, match=r"2\*\*\(1/k\)"):
+        build_time_grid(-4, ratio=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,46 @@ def test_maximal_ratio_small_scale_smoke():
     assert res.norm_maxfield == pytest.approx(
         np.sqrt(hi) / (2 * np.pi), rel=0.05)
     assert res.q > 0 and res.lam == fam.lam and res.R == fam.R
+
+
+def test_sweep_witness_points_take_two_rule_passes(monkeypatch):
+    # the sweep's family: its witness points form one run of one band,
+    # whose rule comes from its two extremes
+    import ctschro.evolve as evolve
+    import ctschro.maximal as maximal
+    passes, points = [], []
+    rule, oracle = evolve.phase_counts, maximal.direct_quadrature
+    monkeypatch.setattr(evolve, "phase_counts",
+                        lambda *args: passes.append(1) or rule(*args))
+    monkeypatch.setattr(maximal, "direct_quadrature",
+                        lambda f, p, ys, ts: points.append(len(ys))
+                        or oracle(f, p, ys, ts))
+    maximal_ratio(dilated_family(0.25, 0.75, 16.0))
+    assert len(points) == 1 and points[0] > 2
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("kind", ["dilated", "modulated"])
+def test_resolution_check_covers_exactly_the_run_slices(kind, monkeypatch):
+    # check_ratio_resolution must ask slice_grid for the very (window, t,
+    # span) sequence that maximal_ratio's slices synthesize on
+    import ctschro.evolve as evolve
+    import ctschro.maximal as maximal
+    fam = (dilated_family(0.25, 0.75, 16.0) if kind == "dilated"
+           else modulated_family(0.5, 3.0, 16.0, 2.0))
+    seen, orig = [], evolve.slice_grid
+
+    def spy(plan, t, span=None):
+        seen[-1].append(((plan.y_lo, plan.y_hi), t, span))
+        return orig(plan, t, span)
+    for module, run in ((maximal, lambda: check_ratio_resolution(fam, 128)),
+                        (evolve, lambda: maximal_ratio(fam, n_samples=128))):
+        seen.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "slice_grid", spy)
+            run()
+    assert len(seen[0]) > 10
+    assert seen[0] == seen[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctschro._numerics as numerics
 from ctschro.errors import ResolutionError
@@ -81,6 +83,29 @@ def test_mixed_rule_nodes():
 
 _ROWS = [(0.0, 0.0, 0.0), (1.2, 0.05, 0.0), (3.0, 0.5, 0.3), (40.0, 6.0, 2.0),
          (-7.0, -0.9, 0.0), (0.0, 3.0, 1e-3)]
+
+
+def _ascending(top, size):
+    return st.lists(st.floats(0.0, top), min_size=size,
+                    max_size=size).map(sorted)
+
+
+@given(edges=st.lists(st.floats(-4.0, 4.0), min_size=2,
+                      max_size=13).map(sorted),
+       lin=_ascending(300.0, 3), quad=_ascending(30.0, 3),
+       damp=_ascending(3.0, 3),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+       m=st.floats(1.0, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_phase_counts_are_monotone_for_m_at_least_one(edges, lin, quad, damp,
+                                                      signs, m):
+    # the oracle shares a run's rule on this: a point between the run's
+    # smallest and largest |lin|, |quad| and damp gets a rule between theirs
+    rules = [phase_counts(np.array(edges), sl * a, sq * b, c, m)
+             for a, b, c, sl, sq in zip(lin, quad, damp, signs[:3], signs[3:])]
+    for k in (0, 1):    # counts, then orders
+        assert (rules[0][k] <= rules[1][k]).all()
+        assert (rules[1][k] <= rules[2][k]).all()
 
 
 def _row_edges(p):
