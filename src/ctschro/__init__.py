@@ -48,6 +48,7 @@ from .evolve import (
     field_value,
     make_plan,
     propagate_slice,
+    slice_bound,
     slice_grid,
     slice_l2_norm,
     spectral_l2_norm,

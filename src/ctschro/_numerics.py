@@ -89,6 +89,10 @@ _DENOMINATORS = np.array([(-1) ** (_INTERP_ORDER - j) * math.factorial(j)
                           * math.factorial(_INTERP_ORDER - j)
                           for j in range(_STENCIL)], dtype=float)
 _DENOMINATORS.setflags(write=False)
+# an upper value of the stencil's Lebesgue constant max_{d in [0, 7]}
+# sum_j |w_j(d)| = 6.92974 (at d = 0.347 and 6.653): no read of the
+# interpolant exceeds it times the largest sample of its stencil
+_LEBESGUE = 6.93
 
 # values per chunk of a row-form call (2**14): the nodes of a chunk of
 # oscillatory quadratures, or the cells of a block of rows of sub-cell

@@ -230,7 +230,8 @@ def cmd_sweep(cfg: dict) -> dict:
                      "m": 2.0, "b": fam.b, "c": fam.c, "s_order": s_order,
                      "R": fam.R, "lambda": fam.lam, "Q": res.q,
                      "norm_maxfield": res.norm_maxfield,
-                     "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs})
+                     "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs,
+                     "slices": res.slices})
 
     fit = fit_slope_guarded(scales, qs)
     passed = abs(fit.slope - predicted) <= tol

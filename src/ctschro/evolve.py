@@ -24,6 +24,9 @@ Two independent routes are provided:
   the demodulation) is built apart from the time: a run of times with one
   grid, such as ``maximal_field`` asks for, builds it once and pays per
   time only the time phase, the damping, two FFTs and the products.
+  ``slice_bound`` majorizes every slice from a time t on, and every read
+  of one, from the source samples alone, in O(n_samples) per t, so
+  ``maximal_field`` can stop once no later slice can raise its maximum.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
   the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
@@ -56,16 +59,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._numerics import (_DEAD, _STENCIL, lagrange_cells, lagrange_on_rule,
-                        lagrange_uniform, node_set, oscillatory_sum,
-                        phase_counts)
+from ._numerics import (_DEAD, _LEBESGUE, _STENCIL, lagrange_cells,
+                        lagrange_on_rule, lagrange_uniform, node_set,
+                        oscillatory_sum, phase_counts)
 from .domain import CurveSpec, EvolutionParams, SpectralFunction, curve_eval
-from .errors import GridRangeError, ResolutionError
+from .errors import DomainError, GridRangeError, ResolutionError
 
 __all__ = [
     "SampledField", "PropagationPlan", "make_plan", "SliceGrid", "slice_grid",
-    "propagate_slice",
+    "propagate_slice", "slice_bound",
     "field_value", "evaluate_along_curve", "direct_quadrature",
     "slice_l2_norm", "spectral_l2_norm",
 ]
@@ -160,6 +164,16 @@ def make_plan(source: SpectralFunction, params: EvolutionParams,
     plus 1/2: [-1.5 - c3, 1.5 + c3], with c3 = 1 when no curve is given."""
     reach = (curve.c3 if curve is not None else 1.0) + 0.5
     return PropagationPlan(source, params, -1.0 - reach, 1.0 + reach)
+
+
+def _check_damped_times(params: EvolutionParams, ts) -> None:
+    """Raise ``DomainError`` when the damping is on and a time of ``ts`` is
+    negative: t**gamma is then no damping rate (complex for most gamma)."""
+    if params.damping:
+        negative = [t for t in ts if t < 0.0]
+        if negative:
+            raise DomainError(f"damped evolution needs t >= 0, got t="
+                              f"{negative[0]}")
 
 
 def _damping_cap(params: EvolutionParams, t: float) -> float:
@@ -295,10 +309,12 @@ def slice_grid(plan: PropagationPlan, t: float,
 
     Arithmetic only: no array is built, so a caller can check the
     resolution of many times before the first slice.  Raises
-    ``GridRangeError`` and ``ResolutionError`` as ``propagate_slice`` does.
+    ``GridRangeError``, ``ResolutionError`` and ``DomainError`` as
+    ``propagate_slice`` does.
     """
     f, p = plan.source, plan.params
     xi0, dxi = f.xi_min, f.delta_xi
+    _check_damped_times(p, (t,))
     if span is not None and not span[0] <= span[1]:
         raise GridRangeError(f"empty slice span {span}")
 
@@ -436,9 +452,9 @@ def propagate_slice(plan: PropagationPlan, t: float,
     every value is the same as that of a fresh call, bit for bit.
 
     Raises ``GridRangeError`` when the span is empty or misses the window,
-    and ``ResolutionError`` when one period of the full grid would have more
-    than ``_MAX_FFT`` nodes, whatever the span, before any array is
-    built.
+    ``ResolutionError`` when one period of the full grid would have more
+    than ``_MAX_FFT`` nodes, whatever the span, and ``DomainError`` for a
+    negative t with the damping on, before any array is built.
     """
     grid = slice_grid(plan, t, span)
     if grid is None:
@@ -458,6 +474,48 @@ def propagate_slice(plan: PropagationPlan, t: float,
     env *= syn.demod
     return SampledField(grid.z_lo + grid.dz * grid.n0, grid.dz, env, t,
                         syn.carrier)
+
+
+def slice_bound(plan: PropagationPlan):
+    """A function U of t >= 0 that majorizes the modulus of every value
+    ``propagate_slice(plan, t', span)`` yields for any t' >= t and span, and
+    of every ``lagrange_uniform`` read of such a slice inside its grid:
+
+        U(t) = L**2 (1 + 1e-9) dxi / 2pi (sum_j M_j exp(-t**gamma mu_j)
+                                          + max |fhat|),
+
+    with M_j the largest |fhat| over the samples j-7 .. j+8 (every stencil
+    that refines cell j, clamped ones included), mu_j the smallest |xi|**m
+    on cell j (0 on a cell that touches 0) and L the stencil's Lebesgue
+    constant (``_numerics._LEBESGUE``).  A slice is a trapezoid sum of the
+    refined spectrum times unimodular factors and the damping: the q nodes
+    of cell j weigh dxi / 2pi together and are at most L M_j, the last node
+    is a sample, and a read of the slice is at most L times its largest
+    node.  The factor 1e-9 covers the rounding of the chirp-z transform.
+    U costs O(n_samples) per t and is nonincreasing in t.  It reads the
+    source samples alone, never the oracle.  With the damping off it is
+    +inf.  Raises ``DomainError`` for a negative t with the damping on.
+    """
+    f, p = plan.source, plan.params
+    if not p.damping:
+        return lambda t: math.inf
+    mags = np.abs(f.samples)
+    padded = np.concatenate([np.zeros(_STENCIL - 1), mags,
+                             np.zeros(_STENCIL)])
+    reach = sliding_window_view(padded, 2 * _STENCIL).max(axis=1)[:-1]
+    edges = f.xi_min + f.delta_xi * np.arange(f.n_samples)
+    lo, hi = edges[:-1], edges[1:]
+    near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0,
+                    np.minimum(np.abs(lo), np.abs(hi)))
+    mu = near ** p.m
+    scale = _LEBESGUE ** 2 * (1.0 + 1e-9) * f.delta_xi / (2.0 * math.pi)
+    last = float(mags.max())
+
+    def bound(t: float) -> float:
+        _check_damped_times(p, (t,))
+        return scale * (float(np.dot(reach, np.exp(-(t ** p.gamma) * mu)))
+                        + last)
+    return bound
 
 
 def field_value(field: SampledField, y):
@@ -558,7 +616,8 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     need not be correctly rounded.  Consecutive points with one band and
     rule share one node set; each value equals a one-point call's to the
     bit.  Raises ``ResolutionError`` when a point needs over ``_MAX_NODES``
-    nodes; the extremes propagate NaN, so a NaN point raises alone.
+    nodes; the extremes propagate NaN, so a NaN point raises alone.  Raises
+    ``DomainError`` for a negative t with the damping on.
     """
     y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
                                        np.asarray(t, dtype=float))
@@ -567,6 +626,7 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     support = f.support()
     dxi, xi0 = f.delta_xi, f.xi_min
     ys, ts = y_arr.ravel().tolist(), t_arr.ravel().tolist()
+    _check_damped_times(params, ts)
     damps = [tt ** params.gamma if params.damping else 0.0 for tt in ts]
     bands = [_oracle_band(params, support, tt) for tt in ts]
 

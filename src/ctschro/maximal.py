@@ -4,7 +4,10 @@ log-log slope fitting.
 
 The time grid is geometric (all critical times in the constructions scale like
 negative powers of the frequency level), augmented per x-node with the
-analytic witness times so the certified suprema are always sampled.
+analytic witness times so the certified suprema are always sampled.  With the
+damping on, a maximal field stops walking the grid once an a-priori bound on
+all later slices (``evolve.slice_bound``) falls below every node's maximum,
+which leaves every value and ``argmax_t`` as they would be without the stop.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .evolve import (
     direct_quadrature,
     make_plan,
     propagate_slice,
+    slice_bound,
     slice_grid,
 )
 
@@ -123,10 +127,12 @@ def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
 
 @dataclass(frozen=True)
 class MaximalField:
-    """max over sampled times of the evolved amplitude modulus, per x-node."""
+    """max over sampled times of the evolved amplitude modulus, per x-node;
+    ``slices`` counts the transform slices synthesized for it."""
     x: np.ndarray
     values: np.ndarray
     argmax_t: np.ndarray
+    slices: int = 0
 
     def __post_init__(self):
         for name in ("x", "values", "argmax_t"):
@@ -171,60 +177,85 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     """Pointwise max over the grid times (plus per-x extra times) of the
     amplitude modulus along the curve.
 
-    Per shared time the whole x-batch is read off one transform slice,
-    synthesized on the query window [y_lo, y_hi] of ``make_plan`` alone.
-    Consecutive times whose slices have the same grid (``slice_grid``; the
-    small times, before the dispersive range leaves the window, all do)
-    share that grid's synthesis: the call holds the last grid's factors and
-    hands them to ``propagate_slice``, one call per time, so a run of equal
-    grids builds them once.  Nothing is held past the call, and each slice
-    equals a fresh one bit for bit.  The per-x extra times go through one
-    batched direct-quadrature call: at the witness times of the
-    counterexample families that is one run of points, two rule passes and
-    one node set.  Values below 1e-14 of the a-priori amplitude bound are
-    treated as zero.
+    The per-x extra times go first, through one batched direct-quadrature
+    call: at the witness times of the counterexample families that is one
+    run of points, two rule passes and one node set.  Their values are kept
+    apart from the slice maxima.  Then the grid times are walked in
+    increasing order.  Per time the whole x-batch is read off one transform
+    slice, synthesized on the query window [y_lo, y_hi] of ``make_plan``
+    alone.  Consecutive times whose slices have the same grid
+    (``slice_grid``; the small times, before the dispersive range leaves
+    the window, all do) share that grid's synthesis: the call holds the
+    last grid's factors and hands them to ``propagate_slice``, one call per
+    time, so a run of equal grids builds them once.  Nothing is held past
+    the call, and each slice equals a fresh one bit for bit.
+
+    Before the slice at t the loop stops when ``slice_bound(plan)(t)``, an
+    a-priori bound on every slice from t on that does not increase with t
+    (+inf with the damping off), lies below every node's max(slice
+    maximum, extra-time value): no later slice could then change the
+    field.  Last, an
+    extra-time value replaces a node's slice maximum only where it is
+    larger, so values and ``argmax_t`` are those of a loop over every grid
+    time, bit for bit; ``slices`` counts the slices synthesized.  The bound
+    reads the source alone, never the oracle.  Slices after the stop are
+    never synthesized, so a ``ResolutionError`` that one of them would
+    raise is not raised (``check_ratio_resolution`` checks every grid
+    time).  Values below 1e-14 of the a-priori amplitude bound are treated
+    as zero.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     plan = make_plan(f, params, curve)
     if tgrid.extra_times is not None and tgrid.extra_times.size != x_nodes.size:
         raise DomainError("extra_times must align with x_nodes")
 
+    # the oracle values at the per-x extra times come first, kept apart from
+    # the slice maxima: with them in hand the time loop can stop early
+    oracle = np.zeros(x_nodes.size)
+    idx, ts = np.zeros(0, dtype=int), []
+    if tgrid.extra_times is not None:
+        idx = np.nonzero(np.isfinite(tgrid.extra_times))[0]
+        ts = tgrid.extra_times[idx].tolist()
+        ys = [float(curve_eval(curve, float(x_nodes[i]), t_x))
+              for i, t_x in zip(idx, ts)]
+        oracle[idx] = [abs(v) for v in
+                       direct_quadrature(f, params, ys, ts).tolist()]
+
     best = np.zeros(x_nodes.size)
     arg = np.zeros(x_nodes.size)
     floor = _TAIL_FLOOR * amplitude_bound(f)
+    bound = slice_bound(plan)
 
     held = _GridInHand()   # the grid of the slice before, for this call only
-    for t in tgrid.times:
-        sl = propagate_slice(plan, float(t), (plan.y_lo, plan.y_hi),
-                             _held=held)
+    slices = 0
+    for t in tgrid.times.tolist():
+        # no slice from t on can raise a maximum that every node already has
+        if x_nodes.size and bound(t) < np.maximum(best, oracle).min():
+            break
+        sl = propagate_slice(plan, t, (plan.y_lo, plan.y_hi), _held=held)
+        slices += 1
         win = _live_window(sl, plan, floor)
         if win is None:
             continue
-        y = curve_eval(curve, x_nodes, float(t))
+        y = curve_eval(curve, x_nodes, t)
         mask = (y >= win[0]) & (y <= win[1])
         if not mask.any():
             continue
         # modulus of the envelope: the carrier is a unimodular factor
         env = lagrange_uniform(sl.values, sl.y_min, sl.delta_y, y[mask])
         vals = np.abs(env)
-        idx = np.nonzero(mask)[0]
-        upd = vals > best[idx]
-        best[idx[upd]] = vals[upd]
-        arg[idx[upd]] = t
+        sel = np.nonzero(mask)[0]
+        upd = vals > best[sel]
+        best[sel[upd]] = vals[upd]
+        arg[sel[upd]] = t
 
-    if tgrid.extra_times is not None:
-        idx = np.nonzero(np.isfinite(tgrid.extra_times))[0]
-        ts = tgrid.extra_times[idx].tolist()
-        ys = [float(curve_eval(curve, float(x_nodes[i]), t_x))
-              for i, t_x in zip(idx, ts)]
-        vals = direct_quadrature(f, params, ys, ts).tolist()
-        for i, t_x, v in zip(idx, ts, vals):
-            val = abs(v)
-            if val > best[i]:
-                best[i] = val
-                arg[i] = t_x
+    # an oracle value replaces the slice maximum only where it is larger
+    for i, t_x in zip(idx.tolist(), ts):
+        if oracle[i] > best[i]:
+            best[i] = oracle[i]
+            arg[i] = t_x
 
-    return MaximalField(x_nodes, best, arg)
+    return MaximalField(x_nodes, best, arg, slices)
 
 
 def l2_norm_field(field: MaximalField, interval: tuple[float, float]) -> float:
@@ -252,6 +283,7 @@ class RatioResult:
     lam: float
     s_order: float
     interval: tuple[float, float]
+    slices: int = 0     # transform slices of the maximal field
 
 
 def _family_setup(fam: CounterexampleFamily, n_samples: int):
@@ -307,23 +339,25 @@ def maximal_ratio(fam: CounterexampleFamily, s: float = 0.0,
     if norm_hs == 0.0:
         raise ZeroNormError("Sobolev normalization norm vanished")
     return RatioResult(norm_max / norm_hs, norm_max, norm_l2, norm_hs,
-                       fam.R, fam.lam, s, bounds)
+                       fam.R, fam.lam, s, bounds, field.slices)
 
 
 def check_ratio_resolution(fam: CounterexampleFamily,
                            n_samples: int = 2048) -> None:
     """Raise ``ResolutionError``, naming the time t, when a slice of
-    ``maximal_ratio(fam, n_samples=n_samples)`` would need more than
+    ``maximal_ratio(fam, n_samples=n_samples)`` could need more than
     ``evolve._MAX_FFT`` nodes in one period.
 
     Arithmetic only: it builds the source and the time grid and runs
     ``evolve.slice_grid`` at every grid time on the window ``maximal_field``
     asks for, in the same order, but synthesizes no slice; so a sweep checks
     every scale in well under a second before the first slice of the first.
-    The oracle's node budget (``_numerics._MAX_NODES``) at the per-x witness
-    times is not covered: it is decided per witness point by the oracle's
-    own phase counts over every source cell, not by the slice grid, and a
-    point past it still raises from ``maximal_ratio`` at its scale.
+    It is conservative: ``maximal_field`` may stop its time loop early (see
+    there), and then asks for a prefix of these grids only.  The oracle's
+    node budget (``_numerics._MAX_NODES``) at the per-x witness times is not
+    covered: it is decided per witness point by the oracle's own phase
+    counts over every source cell, not by the slice grid, and a point past
+    it still raises from ``maximal_ratio`` at its scale.
     """
     f, params, curve = _family_setup(fam, n_samples)
     plan = make_plan(f, params, curve)

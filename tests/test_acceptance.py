@@ -320,11 +320,14 @@ def test_a8_property_suite():
     wx = witness_x_grid(fam, 64)
     grid = build_time_grid(default_time_exponent(fam.lam), fam=fam, x_nodes=wx)
     field = maximal_field(fc, pc, holder_curve(fam.alpha), wx, grid)
-    _, _, wvals, _ = witness_minimum(fam, n_nodes=64)
+    _, wxs, wvals, _ = witness_minimum(fam, n_nodes=64)
     lo, hi = witness_interval(fam)
     inside = (field.x > lo) & (field.x < hi)
+    at_scan = np.isin(field.x, wxs)     # the scan's 64 nodes, in order
     checks["witness majorized"] = bool(
-        np.all(field.values[inside] >= LOWER_BOUND_LEVEL))
+        np.all(field.values[inside] >= LOWER_BOUND_LEVEL)
+        and at_scan.sum() == wxs.size
+        and np.all(field.values[at_scan] >= wvals))
 
     # kernel conjugate symmetry
     cutoff = make_cutoff()

@@ -89,6 +89,9 @@ def test_sweep_verdict_failure_exits_1(capsys):
     assert not rec["passed"]
     assert len(rec["results"]["rows"]) == 4
     assert all(r["verdict"] == "fail" for r in rec["results"]["rows"])
+    # each row counts the transform slices its maximal field synthesized
+    assert all(isinstance(r["slices"], int) and r["slices"] > 0
+               for r in rec["results"]["rows"])
 
 
 def test_sweep_small_run_csv_schema(capsys):

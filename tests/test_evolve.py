@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
-from ctschro._numerics import _DENOMINATORS, _STENCIL
+from ctschro._numerics import (_DENOMINATORS, _LEBESGUE, _STENCIL,
+                               lagrange_uniform)
 from ctschro.domain import (
     EvolutionParams,
     SpectralFunction,
@@ -17,7 +18,7 @@ from ctschro.domain import (
     random_band_limited,
     shear_curve,
 )
-from ctschro.errors import GridRangeError, ResolutionError
+from ctschro.errors import DomainError, GridRangeError, ResolutionError
 from ctschro.evolve import (
     PropagationPlan,
     direct_quadrature,
@@ -25,6 +26,8 @@ from ctschro.evolve import (
     field_value,
     make_plan,
     propagate_slice,
+    slice_bound,
+    slice_grid,
     slice_l2_norm,
     spectral_l2_norm,
 )
@@ -701,3 +704,78 @@ def test_gaussian_closed_form_random_gamma_and_time(gamma, t):
     got_q = direct_quadrature(_GAUSSIAN, params, xs, t)
     assert np.max(np.abs(got_t - want) / np.abs(want)) <= 1e-7
     assert np.max(np.abs(got_q - want) / np.abs(want)) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# negative times under damping, and the a-priori slice bound
+# ---------------------------------------------------------------------------
+
+def test_damped_negative_time_is_a_domain_error_for_the_oracle():
+    f = random_band_limited(8.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.5, damping=True)
+    with pytest.raises(DomainError, match="t >= 0"):
+        direct_quadrature(f, params, 0.3, -0.3)
+    with pytest.raises(DomainError, match="t >= 0"):
+        direct_quadrature(f, params, [0.3, 0.1], [0.2, -0.3])
+    with pytest.raises(DomainError, match="t >= 0"):
+        evaluate_along_curve(make_plan(f, params), identity_curve(), 0.3,
+                             -0.3, path="quadrature")
+    # without damping the evolution runs backwards in time as well
+    undamped = EvolutionParams(m=2.0, gamma=1.5, damping=False)
+    assert np.isfinite(direct_quadrature(f, undamped, 0.3, -0.3))
+
+
+def test_damped_negative_time_is_a_domain_error_for_the_slice():
+    f = random_band_limited(8.0, seed=5)
+    plan = make_plan(f, EvolutionParams(m=2.0, gamma=1.5, damping=True))
+    for call in (lambda: slice_grid(plan, -0.3),
+                 lambda: propagate_slice(plan, -0.3),
+                 lambda: propagate_slice(plan, -0.3, (0.1, 0.2)),
+                 lambda: slice_bound(plan)(-0.3)):
+        with pytest.raises(DomainError, match="t >= 0"):
+            call()
+    undamped = make_plan(f, EvolutionParams(m=2.0, gamma=1.5, damping=False))
+    assert np.all(np.isfinite(propagate_slice(undamped, -0.3).values))
+    assert slice_bound(undamped)(0.0) == np.inf
+
+
+# stencil positions of the reads: the whole stencil at 1/8 steps and the
+# maxima of its Lebesgue function
+_STENCIL_READS = np.concatenate([np.linspace(0.0, 7.0, 57),
+                                 [0.347018, 6.652982]])
+
+
+@given(seed=st.integers(0, 2 ** 16), lam=st.sampled_from([4.0, 8.0, 16.0]),
+       m=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       gamma=st.floats(0.25, 3.0), two_sided=st.booleans(),
+       coherent=st.booleans(), t=st.floats(0.0, 1.0), dt=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_slice_bound_majorizes_every_later_slice_and_read(
+        seed, lam, m, gamma, two_sided, coherent, t, dt):
+    """U(t) bounds every node of full and windowed slices at t and at a
+    later time, and every read of them, in the clamped stencils at both
+    ends and in the middle; U does not increase with t.  U is not slack by
+    much more than the interpolant's share L**2 (L = ``_LEBESGUE``): a
+    coherent source (|fhat|) peaks above U(0) / (2 L**2) at t = 0."""
+    f = random_band_limited(lam, seed=seed, two_sided=two_sided)
+    if coherent:
+        f = SpectralFunction(f.xi_min, f.xi_max,
+                             np.abs(f.samples).astype(complex))
+    plan = make_plan(f, EvolutionParams(m=m, gamma=gamma, damping=True))
+    bound = slice_bound(plan)
+    later = t + dt * (1.0 - t)
+    u = bound(t)
+    assert bound(later) <= u
+    if coherent:
+        peak = np.abs(propagate_slice(plan, 0.0).values).max()
+        assert peak >= bound(0.0) / (2.0 * _LEBESGUE ** 2)
+    for when in (t, later):
+        for span in (None, (plan.y_lo, plan.y_hi), (-0.2, 0.3)):
+            sl = propagate_slice(plan, when, span)
+            assert np.abs(sl.values).max() <= u
+            last = sl.n_samples - 1
+            pos = np.concatenate([_STENCIL_READS, last - _STENCIL_READS,
+                                  last // 2 - 3.5 + _STENCIL_READS])
+            reads = lagrange_uniform(sl.values, sl.y_min, sl.delta_y,
+                                     sl.y_min + sl.delta_y * pos)
+            assert np.abs(reads).max() <= u

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -20,6 +21,7 @@ from ctschro.evolve import direct_quadrature
 from ctschro.maximal import (
     LOWER_BOUND_LEVEL,
     MaximalField,
+    TimeGrid,
     build_time_grid,
     calibrate_smallness,
     check_ratio_resolution,
@@ -174,21 +176,70 @@ def test_maximal_field_equals_fresh_slices(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["dilated", "modulated"])
 def test_maximal_field_builds_one_grid_per_run_of_equal_grids(kind,
                                                                monkeypatch):
+    # runs are counted over the slices the call synthesizes: the time loop
+    # may stop before the last grid time
     import ctschro.evolve as evolve
+    import ctschro.maximal as maximal
     f, params, curve, xs, tgrid = _family_field_case(kind)
-    _, runs = _grid_runs(f, params, curve, tgrid)
-    built = []
-    real = evolve._synthesis
+    built, times = [], []
+    real, slice_ = evolve._synthesis, maximal.propagate_slice
 
     def spy(*args):
         synthesis = real(*args)
         built.append(weakref.ref(synthesis))
         return synthesis
     monkeypatch.setattr(evolve, "_synthesis", spy)
-    maximal_field(f, params, curve, xs, tgrid)
+    monkeypatch.setattr(maximal, "propagate_slice",
+                        lambda plan, t, span, _held: times.append(t)
+                        or slice_(plan, t, span, _held=_held))
+    field = maximal_field(f, params, curve, xs, tgrid)
+    assert times == tgrid.times[:field.slices].tolist()
+    _, runs = _grid_runs(f, params, curve, TimeGrid(np.array(times)))
     assert len(built) == runs
     # nothing is held past the call
     assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("kind", ["dilated", "modulated"])
+def test_early_exit_keeps_the_field_bit_identical(kind, monkeypatch):
+    import ctschro.maximal as maximal
+    f, params, curve, xs, tgrid = _family_field_case(kind)
+    early = maximal_field(f, params, curve, xs, tgrid)
+    monkeypatch.setattr(maximal, "slice_bound", lambda plan: lambda t: math.inf)
+    every = maximal_field(f, params, curve, xs, tgrid)
+    assert every.slices == tgrid.times.size
+    assert 0 < early.slices <= every.slices
+    assert early.values.tobytes() == every.values.tobytes()
+    assert early.argmax_t.tobytes() == every.argmax_t.tobytes()
+    if kind == "dilated":
+        assert early.slices < every.slices
+
+
+def test_early_exit_merges_the_oracle_as_before(monkeypatch):
+    # with witness times the loop stops on max(slice, oracle), and every
+    # oracle value still replaces a slice maximum only when it is larger
+    import ctschro.maximal as maximal
+    fam = dilated_family(0.25, 0.75, 32.0)
+    f, params, curve = maximal._family_setup(fam, 2048)
+    xs = witness_x_grid(fam, 64)
+    tgrid = build_time_grid(default_time_exponent(fam.lam), fam=fam,
+                            x_nodes=xs)
+    early = maximal_field(f, params, curve, xs, tgrid)
+    monkeypatch.setattr(maximal, "slice_bound", lambda plan: lambda t: math.inf)
+    every = maximal_field(f, params, curve, xs, tgrid)
+    assert early.slices < every.slices == tgrid.times.size
+    assert early.values.tobytes() == every.values.tobytes()
+    assert early.argmax_t.tobytes() == every.argmax_t.tobytes()
+    assert np.isin(early.argmax_t, tgrid.extra_times).any()
+
+
+def test_undamped_field_synthesizes_every_slice():
+    f = random_band_limited(8.0, seed=13)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    grid = build_time_grid(-6)
+    field = maximal_field(f, params, identity_curve(),
+                          np.linspace(-1, 1, 33), grid)
+    assert field.slices == grid.times.size
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +354,9 @@ def test_sweep_witness_points_take_two_rule_passes(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["dilated", "modulated"])
 def test_resolution_check_covers_exactly_the_run_slices(kind, monkeypatch):
-    # check_ratio_resolution must ask slice_grid for the very (window, t,
-    # span) sequence that maximal_ratio's slices synthesize on
+    # check_ratio_resolution must ask slice_grid for every (window, t, span)
+    # that maximal_ratio's slices synthesize on: the run's sequence is a
+    # nonempty prefix of the check's, as the run may stop its time loop early
     import ctschro.evolve as evolve
     import ctschro.maximal as maximal
     fam = (dilated_family(0.25, 0.75, 16.0) if kind == "dilated"
@@ -321,7 +373,15 @@ def test_resolution_check_covers_exactly_the_run_slices(kind, monkeypatch):
             patch.setattr(module, "slice_grid", spy)
             run()
     assert len(seen[0]) > 10
-    assert seen[0] == seen[1]
+    assert 0 < len(seen[1]) <= len(seen[0])
+    assert seen[1] == seen[0][:len(seen[1])]
+
+
+def test_ratio_counts_its_slices():
+    fam = dilated_family(0.25, 0.75, 16.0)
+    res = maximal_ratio(fam, n_samples=128)
+    times = build_time_grid(default_time_exponent(fam.lam)).times
+    assert 0 < res.slices <= times.size
 
 
 # ---------------------------------------------------------------------------

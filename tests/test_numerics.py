@@ -11,6 +11,15 @@ from ctschro._numerics import (lagrange_cells, lagrange_on_rule,
                                lagrange_uniform, phase_counts, refined_cells)
 
 
+def test_lebesgue_constant_is_an_upper_value():
+    # on each grid cell the Lebesgue function sum_j |w_j(d)| is one degree-7
+    # polynomial, so a 1e-5 sampling of [0, 7] reads its maximum 6.92974 to
+    # far better than the margin of _LEBESGUE
+    d = np.linspace(0.0, 7.0, 700_001)
+    lebesgue = np.abs(numerics._lagrange_weights(d)).sum(1).max()
+    assert 6.929 < lebesgue <= numerics._LEBESGUE - 1e-4
+
+
 # ---------------------------------------------------------------------------
 # the mixed Gauss rule
 # ---------------------------------------------------------------------------
