@@ -194,13 +194,12 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     a-priori bound on every slice from t on that does not increase with t
     (+inf with the damping off), lies below every node's max(slice
     maximum, extra-time value): no later slice could then change the
-    field.  Last, an
-    extra-time value replaces a node's slice maximum only where it is
-    larger, so values and ``argmax_t`` are those of a loop over every grid
-    time, bit for bit; ``slices`` counts the slices synthesized.  The bound
-    reads the source alone, never the oracle.  Slices after the stop are
-    never synthesized, so a ``ResolutionError`` that one of them would
-    raise is not raised (``check_ratio_resolution`` checks every grid
+    field.  Last, an extra-time value replaces a node's slice maximum only
+    where it is larger, so values and ``argmax_t`` are those of a loop over
+    every grid time, bit for bit; ``slices`` counts the slices synthesized.
+    The bound reads the source alone, never the oracle.  Slices after the
+    stop are never synthesized, so a ``ResolutionError`` that one of them
+    would raise is not raised (``check_ratio_resolution`` checks every grid
     time).  Values below 1e-14 of the a-priori amplitude bound are treated
     as zero.
     """
@@ -212,9 +211,9 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     # the oracle values at the per-x extra times come first, kept apart from
     # the slice maxima: with them in hand the time loop can stop early
     oracle = np.zeros(x_nodes.size)
-    idx, ts = np.zeros(0, dtype=int), []
+    idx, ts = [], []
     if tgrid.extra_times is not None:
-        idx = np.nonzero(np.isfinite(tgrid.extra_times))[0]
+        idx = np.nonzero(np.isfinite(tgrid.extra_times))[0].tolist()
         ts = tgrid.extra_times[idx].tolist()
         ys = [float(curve_eval(curve, float(x_nodes[i]), t_x))
               for i, t_x in zip(idx, ts)]
@@ -250,7 +249,7 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
         arg[sel[upd]] = t
 
     # an oracle value replaces the slice maximum only where it is larger
-    for i, t_x in zip(idx.tolist(), ts):
+    for i, t_x in zip(idx, ts):
         if oracle[i] > best[i]:
             best[i] = oracle[i]
             arg[i] = t_x

@@ -377,13 +377,6 @@ def test_resolution_check_covers_exactly_the_run_slices(kind, monkeypatch):
     assert seen[1] == seen[0][:len(seen[1])]
 
 
-def test_ratio_counts_its_slices():
-    fam = dilated_family(0.25, 0.75, 16.0)
-    res = maximal_ratio(fam, n_samples=128)
-    times = build_time_grid(default_time_exponent(fam.lam)).times
-    assert 0 < res.slices <= times.size
-
-
 # ---------------------------------------------------------------------------
 # witness scans and calibration
 # ---------------------------------------------------------------------------
