@@ -20,7 +20,10 @@ operations, and each row is summed by its own ``np.sum``; so every row's
 value is bit-identical to a one-row call.  Rows are integrated in chunks of
 consecutive rows with at most ``_CHUNK`` = 2**14 nodes in all (a larger row
 stands alone), so a call's temporaries stay at a few MB however many rows
-it has.
+it has.  A mirrored call (``mirrored=True``, nonnegative edges, an even
+amplitude) integrates each row over its edges and their mirror image as
+one cosine row on the positive side, with the positive side's rule: half
+the nodes of the two one-sided rows.
 
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
 no thread pool, and matrix products of at most about ``_BLOCK`` values each,
@@ -454,7 +457,8 @@ def _unit_phase(phase: np.ndarray) -> np.ndarray:
 
 def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
                     abs_pow: np.ndarray, a: np.ndarray, lin, quad, damp,
-                    sizes: np.ndarray | None = None):
+                    sizes: np.ndarray | None = None, *,
+                    mirrored: bool = False):
     """sum over a ``node_set`` of
 
         weight * amp * exp(i (lin xi + quad |xi|^m)) * exp(-damp |xi|^m)
@@ -463,6 +467,13 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     node.  With ``sizes``, the node set holds rows of ``sizes[p]`` nodes
     each, and the result is an array of one sum per row: each row is summed
     by its own ``np.sum``, so it equals the sum of a one-row call.
+
+    With ``mirrored``, each node xi >= 0 also stands for -xi, for an even
+    amplitude: the two terms add up to
+
+        weight * 2 amp cos(lin xi) * exp(i quad |xi|^m) * exp(-damp |xi|^m)
+
+    which is what is summed.  A negative node raises ``ValueError``.
 
     A call whose phases phi = lin xi + quad |xi|^m all lie below 2**-27 in
     modulus (the oracle at the tiny witness times, where y = 0) takes
@@ -474,9 +485,15 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     Every other call evaluates ``np.exp``.  The damping factor is computed
     as before in both cases.
     """
-    # a named amplitude keeps numpy from writing the product into it in place,
-    # which would change the operand order and the rounding
-    integrand = a * _unit_phase(lin * nodes + quad * abs_pow)
+    if mirrored:
+        if (nodes < 0.0).any():
+            raise ValueError("a mirrored rule needs nonnegative nodes")
+        integrand = (2.0 * a * np.cos(lin * nodes)) * _unit_phase(
+            quad * abs_pow)
+    else:
+        # a named amplitude keeps numpy from writing the product into it in
+        # place, which would change the operand order and the rounding
+        integrand = a * _unit_phase(lin * nodes + quad * abs_pow)
     if np.ndim(damp) or damp:
         # nodes of undamped rows keep their value, as in a one-row call
         np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,
@@ -505,7 +522,8 @@ def _chunks(sizes: list[int]):
 
 def oscillatory_quadrature(edges: np.ndarray,
                            amp: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                           lin, quad, damp, m: float) -> np.ndarray:
+                           lin, quad, damp, m: float, *,
+                           mirrored: bool = False) -> np.ndarray:
     """P integrals: row p is the integral over [edges[p, 0], edges[p, -1]] of
 
         amp(xi, p) exp(i (lin[p] xi + quad[p] |xi|^m)) exp(-damp[p] |xi|^m) dxi
@@ -515,6 +533,15 @@ def oscillatory_quadrature(edges: np.ndarray,
     shape (P,).  ``amp(nodes, row)`` gives the amplitude at nodes of the
     rows ``row``.
 
+    With ``mirrored``, row p integrates over its edges and their mirror
+    image [-edges[p, -1], -edges[p, 0]], for an amplitude even in xi: as
+    ``oscillatory_sum`` sums it, one cosine row on the positive side, with
+    half the nodes of the two one-sided rows.  The rule stays the positive
+    side's: the cell change |lin| w + |quad| (change of |xi|^m) that
+    ``phase_counts`` budgets bounds the change of both exp(i (+-lin xi +
+    quad |xi|^m)), so its remainder bound holds for each of the two terms.
+    A negative edge raises ``ValueError``.
+
     Each row takes the mixed rule of ``phase_counts``: 4-point Gauss on
     sub-cells of at most pi/8 phase and damping-exponent change where a grid
     cell changes that little or touches xi = 0, 12-point Gauss on sub-cells
@@ -523,6 +550,8 @@ def oscillatory_quadrature(edges: np.ndarray,
     consecutive rows are integrated ``_CHUNK`` nodes at a time, each row's
     nodes laid out and summed as in a one-row call.
     """
+    if mirrored and (np.asarray(edges) < 0.0).any():
+        raise ValueError("a mirrored rule needs nonnegative edges")
     lin, quad, damp = (np.asarray(v, dtype=float) for v in (lin, quad, damp))
     counts, orders = phase_counts(edges, lin, quad, damp, m)
     sizes = (counts * orders).sum(axis=1)
@@ -532,5 +561,5 @@ def oscillatory_quadrature(edges: np.ndarray,
         rule = node_set(edges[a:b], counts[a:b], orders[a:b],
                         lambda xi: amp(xi, row), m)
         out[a:b] = oscillatory_sum(*rule, lin[row], quad[row], damp[row],
-                                   sizes[a:b])
+                                   sizes[a:b], mirrored=mirrored)
     return out

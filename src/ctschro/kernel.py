@@ -11,13 +11,16 @@ with Psi a smooth positive even cutoff supported on 1/2 <= |xi| <= 2.
 
 ``kernel_values`` evaluates arrays of samples, and ``kernel_eval`` is its
 one-sample case.  Each sample's dy, dt, damping and damping cap are Python
-floats; the two band sides of each live sample are two rows of the shared
-row-form quadrature (``_numerics.oscillatory_quadrature``), ``_SAMPLES``
-samples per call, and the shared rule lays out and sums each row as a
-one-row call, in chunks of at most 2**14 nodes.  So every value is the same
-to the bit however the samples are batched.  ``schur_integral`` evaluates a
-row integral in one call, and ``verify_kernel_bound`` all its draws in one
-call, after drawing them in one fixed sequence.
+floats.  Psi and |xi|^2 are even, so the two band sides of a live sample
+add up to 2 times the integral over lam/2 <= xi <= 2*lam of Psi cos(dy xi)
+exp(i dt xi^2) times the damping: each live sample is one mirrored row of
+the shared row-form quadrature (``_numerics.oscillatory_quadrature`` with
+``mirrored=True``), ``_SAMPLES`` samples per call, and the shared rule lays
+out and sums each row as a one-row call, in chunks of at most 2**14 nodes.
+So every value is the same to the bit however the samples are batched.
+``schur_integral`` evaluates a row integral in one call, and
+``verify_kernel_bound`` all its draws in one call, after drawing them in
+one fixed sequence.
 """
 
 from __future__ import annotations
@@ -85,9 +88,9 @@ def make_cutoff(spec: CutoffSpec = CutoffSpec()) -> CutoffProfile:
 
 # grid cells per band side
 _CELLS = 96
-# samples per block of kernel_values: the block's band edges, two rows of
-# _CELLS + 1 per sample, are about one chunk of the shared rule
-_SAMPLES = max(1, _CHUNK // (2 * (_CELLS + 1)))
+# samples per block of kernel_values: the block's band edges, one mirrored
+# row of _CELLS + 1 per sample, are about one chunk of the shared rule
+_SAMPLES = _CHUNK // (_CELLS + 1)
 
 
 def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
@@ -98,15 +101,18 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
     (damping-dead parts of the band are clipped).
 
     Each sample's dy, dt, damping and damping cap are Python floats; a
-    sample whose cap lies at or below the inner band edge is exactly 0.  The
-    two band sides of each live sample are two rows of one row-form
-    ``oscillatory_quadrature`` per block of ``_SAMPLES`` samples, so every
-    value equals a one-sample call to the bit.
+    sample whose cap lies at or below the inner band edge is exactly 0.  Each
+    live sample is one mirrored row (its positive band side, standing for
+    both) of one row-form ``oscillatory_quadrature`` per block of
+    ``_SAMPLES`` samples, so every value equals a one-sample call to the
+    bit.  Non-finite positions or levels raise ``DomainError``.
     """
     if params.m != 2.0:
         raise RegimeError("the kernel is defined for quadratic dispersion m = 2")
     x, y, t1, t2, lam = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (x, y, t1, t2, lam)))
+    if not all(np.isfinite(v).all() for v in (x, y, lam)):
+        raise DomainError("positions and frequency levels must be finite")
     if np.any(lam < 4.0):
         raise DomainError("frequency level lam must be at least 4")
     for t in (t1, t2):
@@ -132,8 +138,8 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
             if hi <= inner:
                 continue
             live.append(k)
-            ends += [(inner, hi), (-hi, -inner)]
-            rows += [(dy, dt, damp, level)] * 2
+            ends.append((inner, hi))
+            rows.append((dy, dt, damp, level))
         if not live:
             continue
         a, b = np.array(ends).T
@@ -141,10 +147,9 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
         # _CELLS cells per band side resolve the cutoff profile; the shared
         # rule subdivides them where the phase or the damping varies fast
         edges = np.ascontiguousarray(np.linspace(a, b, _CELLS + 1, axis=-1))
-        sides = oscillatory_quadrature(
+        flat[live] = oscillatory_quadrature(
             edges, lambda xi, row: cutoff(xi / levels[row]),
-            dys, dts, damps, 2.0)
-        flat[live] = sides[0::2] + sides[1::2]
+            dys, dts, damps, 2.0, mirrored=True)
     return out
 
 
@@ -209,8 +214,11 @@ def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
              lam^(1/2 - 2 b2 + g b2) / |x-y|^(1/2 + g b2) }.
 
     The kernel is bounded by a (beta-dependent) constant times this for all
-    times; x = y is a coincidence error (negative powers of |x - y|).
+    times; x = y is a coincidence error (negative powers of |x - y|), and so
+    is a non-finite position.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError("majorant needs finite positions")
     d = abs(x - y)
     if d == 0.0:
         raise DomainError("majorant undefined at x = y")

@@ -97,6 +97,32 @@ def test_kernel_oscillating_matches_scipy_oracle(x, y, t1, t2):
     assert got.imag == pytest.approx(want.imag, abs=1e-10 * abs(want))
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_kernel_at_a_high_level_matches_scipy_oracle():
+    # lam = 256, with dy = 1.26 and dt = 2**-9: about 76 turns each of
+    # dt xi**2 and dy xi across the band, and a stationary point at
+    # xi = -dy / (2 dt) = -322 on the negative side, which the mirrored row
+    # reaches only through cos(dy xi)
+    lam, x, y, t1, t2 = 256.0, 0.7, -0.6, 2.0 ** -9, 0.0
+    dy = float(curve_eval(CRV, x, t1)) - float(curve_eval(CRV, y, t2))
+    dt, damp = t1 - t2, t1 ** 2 + t2 ** 2
+    cuts = np.linspace(lam / 2, 2 * lam, 65)
+    pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    pieces += [(-b, -a) for a, b in pieces]
+
+    def part(fn):
+        def integrand(xi):
+            return fn(np.exp(1j * (dy * xi + dt * xi * xi) - damp * xi * xi)) \
+                * CUT(xi / lam)
+        return sum(quad(integrand, a, b, limit=200, epsabs=0.0,
+                        epsrel=1e-12)[0] for a, b in pieces)
+
+    want = complex(part(np.real), part(np.imag))
+    got = kernel_eval(x, y, t1, t2, lam, P2, CRV, CUT)
+    assert abs(want) > 0.05 * lam * CUT.integral
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
 def test_kernel_conjugate_symmetry():
     lam = 16.0
     rng = np.random.default_rng(5)
@@ -147,9 +173,10 @@ def test_nonstationary_decay_at_zero_times():
 def test_kernel_values_equal_one_row_calls():
     # mixed rows: dead samples (at t1 = t2 = 1 the damping cap 19.3 lies
     # below the inner band edge from lam = 64 on, so the value is exactly 0),
-    # samples with dt = 0 and no damping, and three levels; 251 live samples
-    # of 768-46704 nodes (1.5 M in all) span four blocks and about 90 chunks
-    # of the shared rule, some of them a single row past the chunk budget
+    # samples with dt = 0 and no damping, and three levels; 251 live samples,
+    # one mirrored row each of 384-23352 nodes (744 k in all), span two
+    # blocks and 53 chunks of the shared rule, 7 of them a single row past
+    # the chunk budget
     rng = np.random.default_rng(21)
     rows = []
     for lam in (16.0, 64.0, 256.0):
@@ -188,6 +215,23 @@ def test_kernel_values_check_every_sample():
     assert kernel_values([], [], [], [], 16.0, P2, CRV, CUT).shape == (0,)
 
 
+@pytest.mark.parametrize("sample", [
+    (np.nan, 0.0, 16.0), (0.0, np.nan, 16.0), (np.inf, 0.0, 16.0),
+    (0.0, -np.inf, 16.0), (0.0, 0.5, np.nan), (0.0, 0.5, np.inf),
+])
+def test_kernel_rejects_non_finite_positions_and_levels(sample, monkeypatch):
+    import ctschro.kernel as kernel
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+    monkeypatch.setattr(kernel, "oscillatory_quadrature", no_quadrature)
+    x, y, lam = sample
+    with pytest.raises(DomainError, match="finite"):
+        kernel_eval(x, y, 0.0, 0.0, lam, P2, CRV, CUT)
+    with pytest.raises(DomainError, match="finite"):
+        kernel_values([0.1, x], [0.2, y], 0.0, 0.0, [16.0, lam], P2, CRV, CUT)
+
+
 # ---------------------------------------------------------------------------
 # majorant and table
 # ---------------------------------------------------------------------------
@@ -212,6 +256,13 @@ def test_majorant_lambda_scaling_of_second_branch():
     v1 = kernel_majorant(d, 0.0, 64.0, beta, 0.5, gamma)
     v2 = kernel_majorant(d, 0.0, 128.0, beta, 0.5, gamma)
     assert v2 / v1 == pytest.approx(2 ** (0.5 - 2 * 0.25 + gamma * 0.25), rel=1e-12)
+
+
+@pytest.mark.parametrize("x,y", [(np.nan, 0.0), (0.0, np.nan),
+                                 (np.inf, 0.0), (0.0, -np.inf)])
+def test_majorant_rejects_non_finite_positions(x, y):
+    with pytest.raises(DomainError, match="finite"):
+        kernel_majorant(x, y, 16.0, beta_table(0.5, 2.0), 0.5, 2.0)
 
 
 def test_majorant_coincidence_error():
@@ -359,16 +410,26 @@ def test_verify_kernel_bound_smoke_and_determinism():
 # the reports of the one-sample-per-call evaluation, to the bit: the draws,
 # their kernel values and the majorants of the worst sample per level
 _PINNED_REPORTS = {
-    3: ((1.48204438973551, 1.8937522500534028),
+    3: ((1.48204438973551, 1.8937522500534032),
         ((0.5306206175353949, -0.009600182801924317, 0.0, 0.015625, 16.0,
-          6.689202783947387 + 4.506454429458035j, 5.442198024379068),
+          6.689202783947386 + 4.506454429458036j, 5.442198024379068),
          (0.5786623593238112, -0.8496344593856902, 0.015625, 0.0, 32.0,
-          0.8518586833061303 - 8.923163554692136j, 4.733318783950712))),
-    99: ((1.3875236541306868, 1.6488404057020445),
+          0.8518586833061287 - 8.923163554692138j, 4.733318783950712))),
+    99: ((1.3875236541306866, 1.6488404057020445),
          ((0.6222061857975283, -0.3245639528168929, 0.03125, 0.0078125, 16.0,
-           1.4938560229135611 - 5.504888695799995j, 4.110907601221897),
+           1.493856022913561 - 5.504888695799994j, 4.110907601221897),
           (0.580356881117629, -0.35547058678760646, 0.001953125, 0.015625,
-           32.0, 8.696588641004782 - 4.163246915228622j, 5.8475924277880384))),
+           32.0, 8.696588641004784 - 4.163246915228619j, 5.8475924277880384))),
+}
+# the same reports when each band side was a row of its own: the mirrored
+# row moves the values in the last bits only
+_TWO_SIDED_REPORTS = {
+    3: ((1.48204438973551, 1.8937522500534028),
+        (6.689202783947387 + 4.506454429458035j,
+         0.8518586833061303 - 8.923163554692136j)),
+    99: ((1.3875236541306868, 1.6488404057020445),
+         (1.4938560229135611 - 5.504888695799995j,
+          8.696588641004782 - 4.163246915228622j)),
 }
 
 
@@ -379,6 +440,11 @@ def test_verify_kernel_bound_reports_are_pinned(seed):
     assert rep.max_ratios == ratios
     assert tuple((s.x, s.y, s.t1, s.t2, s.lam, s.value, s.bound)
                  for s in rep.worst) == worst
+    anchor_ratios, anchor_values = _TWO_SIDED_REPORTS[seed]
+    for got, anchor in zip(rep.max_ratios, anchor_ratios):
+        assert abs(got - anchor) <= 1e-13 * abs(anchor)
+    for s, anchor in zip(rep.worst, anchor_values):
+        assert abs(s.value - anchor) <= 1e-13 * abs(anchor)
 
 
 def test_verify_kernel_bound_respects_coincidence_cutoff():

@@ -200,6 +200,78 @@ def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the mirrored rule
+# ---------------------------------------------------------------------------
+
+def _band_rows(m, damped):
+    """Rows on bands lam/2 <= xi <= hi of levels 4 to 256, as the kernel
+    builds them: hi is 2 lam or the damping cap, 96 cells per band; the
+    last row of each level oscillates fast enough to pass the chunk budget
+    on its own."""
+    rng = np.random.default_rng(31)
+    rows = []
+    for lam in (4.0, 16.0, 64.0, 256.0):
+        for k in range(6):
+            lin = rng.uniform(-3.0, 3.0)
+            quad = rng.uniform(-2.0, 2.0) * lam ** (1.0 - m)
+            if k == 5:
+                lin = 1.2e4 / lam * rng.choice([-1.0, 1.0])
+            damp = rng.uniform(0.0, 3.0) * lam ** -m if damped else 0.0
+            cap = math.inf if damp == 0.0 else (745.0 / damp) ** (1.0 / m)
+            rows.append((lam, min(2.0 * lam, cap), lin, quad, damp))
+    lam, hi, lin, quad, damp = (np.array(v) for v in zip(*rows))
+    edges = np.linspace(lam / 2.0, hi, 97, axis=-1)
+    return lam, edges, lin, quad, damp
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_mirrored_row_is_its_two_sides_with_half_the_nodes(m, damped,
+                                                           monkeypatch):
+    lam, edges, lin, quad, damp = _band_rows(m, damped)
+    nodes = []
+    rule = numerics.phase_counts
+
+    def spy(*args):
+        counts, orders = rule(*args)
+        nodes.append((counts * orders).sum(axis=-1))
+        return counts, orders
+    monkeypatch.setattr(numerics, "phase_counts", spy)
+
+    def amp(xi, row):                  # even, positive, not a polynomial
+        return np.exp(-(np.abs(xi) / lam[row] - 1.1) ** 2)
+
+    def rows(edges, **kw):
+        return numerics.oscillatory_quadrature(edges, amp, lin, quad, damp,
+                                               m, **kw)
+    got = rows(edges, mirrored=True)
+    want = rows(edges) + rows(-edges[:, ::-1])
+    mirrored, *sides = nodes
+    # integral of |amp| over both sides, on the slow rule
+    mass = 2.0 * numerics.oscillatory_quadrature(
+        edges, amp, 0.0 * lin, 0.0 * lin, 0.0 * lin, m).real
+    assert (np.abs(got - want) <= 1e-14 * mass).all()
+    assert (2 * mirrored == sum(sides)).all()
+    assert (mirrored[5::6] > numerics._CHUNK).all()
+    assert (np.abs(want) > 1e-3 * mass).any()
+
+
+def test_mirrored_rule_rejects_negative_edges_and_nodes(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes built before the edge check")
+    monkeypatch.setattr(numerics, "refined_cells", no_nodes)
+    edges = np.array([[-1e-3, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    zero = np.zeros(2)
+    with pytest.raises(ValueError, match="nonnegative edges"):
+        numerics.oscillatory_quadrature(edges, lambda xi, row: 1.0 + 0 * xi,
+                                        zero, zero, zero, 2.0, mirrored=True)
+    nodes = np.array([-0.25, 0.5])
+    with pytest.raises(ValueError, match="nonnegative nodes"):
+        numerics.oscillatory_sum(nodes, np.ones(2), nodes ** 2, np.ones(2),
+                                 1.0, 0.0, 0.0, mirrored=True)
+
+
+# ---------------------------------------------------------------------------
 # the small-phase factor
 # ---------------------------------------------------------------------------
 
