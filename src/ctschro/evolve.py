@@ -16,14 +16,16 @@ Two independent routes are provided:
   twice the query + dispersive window (plus a margin of 8 on each side),
   which keeps wrap-around images out of the evaluated range.  A chirp-z
   transform computes any run of that grid's nodes alone, so a caller that
-  reads one y-span asks for that span and pays three FFTs (``numpy.fft``)
-  of about (spectral samples + span nodes) points instead of one FFT of a
+  reads one y-span asks for that span and pays two FFTs (``numpy.fft``) of
+  about (spectral samples + span nodes) points instead of one FFT of a
   whole period.  The grid is decided by arithmetic alone (``slice_grid``),
-  and everything that depends on the grid only (the refined spectrum, its
-  |xi|**m, weights and phase ramp, the chirps, the FFT of the lag chirp and
+  and everything that depends on the grid only (the refined spectrum times
+  its weights and the input chirp, its |xi|**m, the phase ramp from the
+  span's first node, the FFT of the lag chirp, and the output chirp times
   the demodulation) is built apart from the time: a run of times with one
   grid, such as ``maximal_field`` asks for, builds it once and pays per
-  time only the time phase, the damping, two FFTs and the products.
+  time only one exponential (time phase, ramp and damping), two FFTs and
+  two products.
   ``slice_bound`` majorizes every slice from a time t on, and every read
   of one, from the source samples alone, in O(n_samples) per t, so
   ``maximal_field`` can stop once no later slice can raise its maximum.
@@ -218,68 +220,48 @@ def _chirp(j: np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * (math.pi / n) * ((j * j) % (2 * n)))
 
 
-# numpy computes x * tmp, for a temporary tmp of at least 256 KiB (its
-# NPY_MIN_ELIDE_BYTES: 2**14 complex values), as tmp * x written into tmp;
-# the complex product of swapped operands can round differently in the last
-# bit.  A cached chirp is no temporary, so ``_times_chirp`` orders the
-# operands as the product with a fresh chirp ran.
-_ELIDED_LEN = 2 ** 14
+def _chirp_z_factors(k_len: int, n: int,
+                     n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of a chirp-z transform (see ``_chirp_z``) of k_len inputs
+    to the outputs 0 .. n_out-1 of a period of n nodes: the input chirp
+    w(0 .. k_len-1), the FFT of the conjugate lag chirp conj(w(-(k_len-1) ..
+    n_out-1)) at the smallest 11-smooth length >= k_len + n_out - 1, and the
+    output chirp w(0 .. n_out-1).  One ``_chirp`` pass over 0 ..
+    max(k_len, n_out)-1 gives all three: the chirps are its prefixes, and
+    the lags below 0 read it reflected, since j**2 is even in j."""
+    size = _next_fast_len(k_len + n_out - 1)
+    w = _chirp(np.arange(max(k_len, n_out), dtype=np.int64), n)
+    lag = np.empty(size, dtype=complex)
+    np.conjugate(w[k_len - 1:0:-1], out=lag[:k_len - 1])
+    np.conjugate(w[:n_out], out=lag[k_len - 1:k_len - 1 + n_out])
+    lag[k_len - 1 + n_out:] = 0.0
+    return w[:k_len], np.fft.fft(lag, out=lag), w[:n_out]
 
 
-def _times_chirp(x: np.ndarray, chirp: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """x * chirp, with the operands in the order numpy gives x * (a fresh
-    array equal to chirp)."""
-    if chirp.size >= _ELIDED_LEN:
-        return np.multiply(chirp, x, out=out)
-    return np.multiply(x, chirp, out=out)
-
-
-@dataclass(frozen=True, eq=False)
-class _ChirpZ:
-    """The factors of a chirp-z transform (see ``_chirp_z``) of ``k_len``
-    inputs to the outputs j = n0 .. n1-1 of a period of n nodes: the input
-    chirp, the FFT of the conjugate lag chirp and the output chirp."""
-    n: int
-    n0: int
-    n1: int
-    size: int
-    chirp_in: np.ndarray
-    lag_fft: np.ndarray
-    chirp_out: np.ndarray
-
-
-def _chirp_z_factors(k_len: int, n: int, n0: int, n1: int) -> _ChirpZ:
-    """``_ChirpZ`` of k_len inputs, n0 .. n1-1 outputs and period n, at the
-    smallest 11-smooth length >= k_len + n1 - n0 - 1."""
-    size = _next_fast_len(k_len + n1 - n0 - 1)
-    lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
-    return _ChirpZ(n, n0, n1, size,
-                   _chirp(np.arange(k_len, dtype=np.int64), n),
-                   np.fft.fft(np.conj(_chirp(lag, n)), size),
-                   _chirp(np.arange(n0, n1, dtype=np.int64), n))
-
-
-def _chirp_z(a: np.ndarray, cz: _ChirpZ) -> np.ndarray:
-    """sum_k a[k] exp(2 pi i k j / cz.n) for the outputs j = cz.n0 .. cz.n1-1.
+def _chirp_z(a: np.ndarray, chirp_in: np.ndarray, lag_fft: np.ndarray,
+             n_out: int) -> np.ndarray:
+    """conj(w(j)) sum_k a[k] exp(2 pi i k j / n) for the outputs j = 0 ..
+    n_out-1, from the factors of ``_chirp_z_factors(a.size, n, n_out)``; the
+    caller applies the output chirp w(j).
 
     Bluestein's identity 2 k j = k**2 + j**2 - (j - k)**2 turns the sum into
     a linear convolution of a[k] w(k) with conj(w) over j - k, w(j) =
-    exp(i pi j**2 / n); three ``numpy.fft`` transforms of length cz.size do
-    it (Rabiner, Schafer & Rader, "The chirp z-transform algorithm", 1969),
-    one of them cached in ``cz``.  The chirped input is written into the
-    zero-padded buffer, and both transforms run in place in it.
+    exp(i pi j**2 / n); two ``numpy.fft`` transforms of length lag_fft.size
+    do it with the cached FFT of the lag chirp (Rabiner, Schafer & Rader,
+    "The chirp z-transform algorithm", 1969).  ``chirp_in`` may carry other
+    factors of the input.  The chirped input is written into the
+    zero-padded buffer, and both transforms run in place in it; the result
+    is a view of that buffer.
     """
     k_len = a.size
     # np.empty and an explicit zero tail, not np.zeros: the calloc'ed
     # buffers kept 0.9 MB more of the heap resident on the agreement benchmark
-    spec = np.empty(cz.size, dtype=complex)
+    spec = np.empty(lag_fft.size, dtype=complex)
     spec[k_len:] = 0.0
-    _times_chirp(a, cz.chirp_in, out=spec[:k_len])
+    np.multiply(a, chirp_in, out=spec[:k_len])
     np.fft.fft(spec, out=spec)
-    spec *= cz.lag_fft
-    conv = np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + cz.n1 - cz.n0]
-    return _times_chirp(conv, cz.chirp_out)
+    spec *= lag_fft
+    return np.fft.ifft(spec, out=spec)[k_len - 1:k_len - 1 + n_out]
 
 
 @dataclass(frozen=True)
@@ -300,6 +282,11 @@ class SliceGrid:
     dz: float
     n0: int
     n1: int
+
+    @property
+    def y_first(self) -> float:
+        """The first node the slice yields, z_lo + n0 dz."""
+        return self.z_lo + self.dz * self.n0
 
 
 def slice_grid(plan: PropagationPlan, t: float,
@@ -375,14 +362,16 @@ def slice_grid(plan: PropagationPlan, t: float,
 @dataclass(frozen=True, eq=False)
 class _Synthesis:
     """Everything of a slice's synthesis that depends on its grid alone:
-    the refined spectrum ``fine``, |fine xi|**m, the trapezoid weights, the
-    z_lo phase ramp, the chirp-z factors and the output demodulation."""
-    fine: np.ndarray
+    ``coef``, the refined spectrum times the trapezoid weights and the
+    input chirp; |xi|**m of the refined nodes; the phase ramp y_first du k
+    from the first node the slice yields (``SliceGrid.y_first``); the FFT
+    of the lag chirp; and ``out``, the output chirp times the
+    demodulation."""
+    coef: np.ndarray
     abs_pow: np.ndarray
-    weights: np.ndarray
     ramp: np.ndarray
-    chirp_z: _ChirpZ
-    demod: np.ndarray
+    lag_fft: np.ndarray
+    out: np.ndarray
     carrier: float
 
 
@@ -396,24 +385,27 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
 
     abs_pow = np.abs(xi_first + g.du * np.arange(n_fine)) ** m
     if g.q == 1:
-        fine = np.array(f.samples[g.j0:g.j1 + 1])
+        coef = f.samples[g.j0:g.j1 + 1].astype(complex)
     else:
         # the refined nodes sit at the offsets k/q of each source cell
-        fine = np.empty(n_fine, dtype=f.samples.dtype)
-        fine[:-1] = lagrange_cells(f.samples, g.j0, g.j1 - g.j0,
+        coef = np.empty(n_fine, dtype=complex)
+        coef[:-1] = lagrange_cells(f.samples, g.j0, g.j1 - g.j0,
                                    np.arange(g.q) / g.q).ravel()
-        fine[-1] = f.samples[g.j1]
-    weights = np.full(n_fine, g.du / (2.0 * math.pi))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    ramp = np.exp(1j * g.z_lo * g.du * np.arange(n_fine))
-    z = g.z_lo + g.dz * np.arange(g.n0, g.n1)
+        coef[-1] = f.samples[g.j1]
+    coef *= g.du / (2.0 * math.pi)
+    coef[0] *= 0.5
+    coef[-1] *= 0.5
+    ramp = (g.y_first * g.du) * np.arange(n_fine)
+    z = g.y_first + g.dz * np.arange(g.n1 - g.n0)
     # the chirp-z factors come last: built first, the lag chirp's
     # temporaries left heap holes that kept 1.6 MB more resident on the
     # agreement benchmark
-    chirp_z = _chirp_z_factors(n_fine, g.n_fft, g.n0, g.n1)
-    return _Synthesis(fine, abs_pow, weights, ramp, chirp_z,
-                      np.exp(1j * z * (xi_first - carrier)), carrier)
+    chirp_in, lag_fft, chirp_out = _chirp_z_factors(n_fine, g.n_fft,
+                                                    g.n1 - g.n0)
+    coef *= chirp_in
+    return _Synthesis(coef, abs_pow, ramp, lag_fft,
+                      chirp_out * np.exp(1j * z * (xi_first - carrier)),
+                      carrier)
 
 
 class _GridInHand:
@@ -444,12 +436,14 @@ def propagate_slice(plan: PropagationPlan, t: float,
 
     The synthesis runs in two steps.  ``slice_grid`` decides the grid by
     arithmetic; ``_synthesis`` builds what depends on the grid alone (the
-    refined spectrum, |xi|**m, the weights, the phase ramp, the chirps, the
-    FFT of the lag chirp and the demodulation).  Per time only the time
-    phase, the damping, two FFTs and the products remain.  ``_held``
-    (private to ``maximal_field``) keeps the last grid's synthesis across
-    the calls of one run of times, so a run of equal grids builds it once;
-    every value is the same as that of a fresh call, bit for bit.
+    refined spectrum times the weights and the input chirp, |xi|**m, the
+    phase ramp from the first node computed, the FFT of the lag chirp, and
+    the output chirp times the demodulation).  Per time only one
+    exponential of the time phase, the ramp and the damping, two FFTs and
+    two products remain.  ``_held`` (private to ``maximal_field``) keeps
+    the last grid's synthesis across the calls of one run of times, so a
+    run of equal grids builds it once; every value is the same as that of
+    a fresh call, bit for bit.
 
     Raises ``GridRangeError`` when the span is empty or misses the window,
     ``ResolutionError`` when one period of the full grid would have more
@@ -466,14 +460,15 @@ def propagate_slice(plan: PropagationPlan, t: float,
         held.plan, held.grid = plan, grid
     syn, p = held.synthesis, plan.params
 
-    coef = syn.fine * np.exp(1j * t * syn.abs_pow) * syn.weights
-    if p.damping:
-        coef *= np.exp(-(t ** p.gamma) * syn.abs_pow)
-    coef *= syn.ramp
-    env = _chirp_z(coef, syn.chirp_z)
-    env *= syn.demod
-    return SampledField(grid.z_lo + grid.dz * grid.n0, grid.dz, env, t,
-                        syn.carrier)
+    # one exponential per node: the damping exponent and the time phase plus
+    # the ramp
+    arg = np.empty(syn.abs_pow.size, dtype=complex)
+    np.multiply(syn.abs_pow, -(t ** p.gamma) if p.damping else 0.0,
+                out=arg.real)
+    np.multiply(syn.abs_pow, t, out=arg.imag)
+    arg.imag += syn.ramp
+    env = _chirp_z(np.exp(arg, out=arg), syn.coef, syn.lag_fft, syn.out.size)
+    return SampledField(grid.y_first, grid.dz, env * syn.out, t, syn.carrier)
 
 
 def slice_bound(plan: PropagationPlan):

@@ -215,10 +215,13 @@ def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
 
     The kernel is bounded by a (beta-dependent) constant times this for all
     times; x = y is a coincidence error (negative powers of |x - y|), and so
-    is a non-finite position.
+    is a non-finite position.  lam must be finite and positive: a NaN is
+    lost in ``max``, and a negative lam makes the powers complex.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("majorant needs finite positions")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"majorant needs a finite lam > 0, got {lam}")
     d = abs(x - y)
     if d == 0.0:
         raise DomainError("majorant undefined at x = y")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -488,11 +490,13 @@ _FULL_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("damping", [True, False])
 def test_windowed_slice_matches_full_slice(m, damping):
     """The nodes of a slice synthesized on a span are the full slice's nodes
-    there, and the grid covers the span plus the interpolation stencil."""
+    there, and the grid covers the span plus the interpolation stencil.
+    The spans at both ends of the window (widest at t = 1) carry the
+    largest phase ramp |y_first| du k of the span's first node."""
     f = random_band_limited(8.0, seed=5)
     params = EvolutionParams(m=m, gamma=1.5, damping=damping)
     plan = make_plan(f, params)
@@ -505,7 +509,10 @@ def test_windowed_slice_matches_full_slice(m, damping):
             assert (full.y_min, dy, full.n_samples) == _FULL_GRIDS[m, damping, t]
         spans = [(0.3, 0.3),                          # one point
                  (plan.y_lo, plan.y_hi),              # the plan's window
-                 (full.y_min - 1.0, plan.y_lo + 0.5)]  # clipped at the left
+                 (full.y_min - 1.0, plan.y_lo + 0.5),  # clipped at the left
+                 (full.y_min + dy, full.y_min + 0.5),  # the left end
+                 (full.y_max - 0.5, full.y_max - dy),  # the right end
+                 (full.y_max - 0.5, full.y_max + 1.0)]  # clipped at the right
         for lo, hi in spans:
             win = propagate_slice(plan, t, (lo, hi))
             assert win.delta_y == dy and win.carrier == full.carrier
@@ -517,7 +524,7 @@ def test_windowed_slice_matches_full_slice(m, damping):
             assert win.y_max <= full.y_max + 1e-9 * dy
             same = full.values[n0:n0 + win.n_samples]
             assert np.max(np.abs(win.values - same)) <= 1e-13 * bound, (t, lo)
-            ys = np.linspace(max(lo, full.y_min), hi, 7)
+            ys = np.linspace(max(lo, full.y_min), min(hi, full.y_max), 7)
             gap = field_value(win, ys) - field_value(full, ys)
             assert np.max(np.abs(gap)) <= 1e-13 * bound, (t, lo)
 
@@ -533,8 +540,10 @@ def test_windowed_slice_rejects_bad_spans():
 
 
 def test_chirp_z_matches_inverse_fft():
-    """Outputs near the end of a 1.5 M-point period, where a phase pi j**2 / n
-    computed in floating point would be off by about 5e-10."""
+    """Outputs across a 1.5 M-point period, near its end among them, where a
+    phase pi j**2 / n computed in floating point would be off by about
+    5e-10; the transform yields outputs 0 .. n_out-1, and an offset n0 enters
+    as the input phases exp(2 pi i k n0 / n), reduced mod n in integers."""
     from ctschro.evolve import _chirp_z, _chirp_z_factors
     rng = np.random.default_rng(3)
     n = 3 * 2 ** 19
@@ -542,9 +551,31 @@ def test_chirp_z_matches_inverse_fft():
     spec = np.zeros(n, dtype=complex)
     spec[:a.size] = a
     want = n * np.fft.ifft(spec)
-    for n0, n1 in ((0, 40), (n - 300, n), (n // 2 - 7, n // 2 + 9)):
-        got = _chirp_z(a, _chirp_z_factors(a.size, n, n0, n1))
+    k = np.arange(a.size, dtype=np.int64)
+    for n0, n1 in ((0, 40), (n - 300, n), (n // 2 - 7, n // 2 + 9),
+                   (n - 7000, n)):
+        shifted = a * np.exp((2j * math.pi / n) * ((k * n0) % n))
+        chirp_in, lag_fft, chirp_out = _chirp_z_factors(a.size, n, n1 - n0)
+        got = _chirp_z(shifted, chirp_in, lag_fft, n1 - n0) * chirp_out
         assert np.max(np.abs(got - want[n0:n1])) <= 1e-12 * np.abs(a).sum()
+
+
+@pytest.mark.parametrize("k_len,n_out", [(1, 1), (1, 9), (9, 1), (300, 40),
+                                         (40, 300), (64, 64), (5000, 7000)])
+def test_chirp_z_factors_are_fresh_chirps_bit_for_bit(k_len, n_out):
+    """The one ``_chirp`` pass read as prefixes and, reflected, as the lag
+    chirp gives the chirps computed index by index: the FFT of the lag
+    chirp equals that of conj(_chirp) over -(k_len-1) .. n_out-1."""
+    from ctschro.evolve import _chirp, _chirp_z_factors, _next_fast_len
+    n = 3 * 2 ** 19
+    chirp_in, lag_fft, chirp_out = _chirp_z_factors(k_len, n, n_out)
+    assert chirp_in.tobytes() == \
+        _chirp(np.arange(k_len, dtype=np.int64), n).tobytes()
+    assert chirp_out.tobytes() == \
+        _chirp(np.arange(n_out, dtype=np.int64), n).tobytes()
+    lag = np.conj(_chirp(np.arange(1 - k_len, n_out, dtype=np.int64), n))
+    size = _next_fast_len(k_len + n_out - 1)
+    assert lag_fft.tobytes() == np.fft.fft(lag, size).tobytes()
 
 
 def test_next_fast_len_is_scipys():
@@ -561,24 +592,31 @@ def test_next_fast_len_is_scipys():
 def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
     sfft = pytest.importorskip("scipy.fft")
     import ctschro.evolve as evolve
-    from ctschro.evolve import _chirp, _chirp_z
+    from ctschro.evolve import _chirp, _chirp_z, _chirp_z_factors
 
-    def scipy_chirp_z(a, n, n0, n1):
-        k_len, m_len = a.size, n1 - n0
-        size = sfft.next_fast_len(k_len + m_len - 1)
-        spec = sfft.fft(a * _chirp(np.arange(k_len, dtype=np.int64), n), size)
-        lag = np.arange(n0 - k_len + 1, n1, dtype=np.int64)
+    def scipy_chirp_z(a, chirp_in, n, n_out):
+        k_len = a.size
+        size = sfft.next_fast_len(k_len + n_out - 1)
+        spec = sfft.fft(a * chirp_in, size)
+        lag = np.arange(1 - k_len, n_out, dtype=np.int64)
         spec *= sfft.fft(np.conj(_chirp(lag, n)), size)
-        conv = sfft.ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + m_len]
-        return conv * _chirp(np.arange(n0, n1, dtype=np.int64), n)
+        return sfft.ifft(spec, overwrite_x=True)[k_len - 1:k_len - 1 + n_out]
 
-    # the transform with its cached factors, as the slices computed it
-    calls = []
+    # the transform with its cached factors, as the slices computed it; the
+    # period of each lag FFT is read off the factor builds
+    periods, calls = {}, []
 
-    def spy(a, cz):
-        out = _chirp_z(a, cz)
-        calls.append((a.copy(), cz, out.copy()))   # the slice scales out
+    def spy_factors(k_len, n, n_out):
+        factors = _chirp_z_factors(k_len, n, n_out)
+        periods[id(factors[1])] = (n, factors[1])
+        return factors
+
+    def spy(a, chirp_in, lag_fft, n_out):
+        out = _chirp_z(a, chirp_in, lag_fft, n_out)
+        calls.append((a.copy(), chirp_in.copy(), periods[id(lag_fft)][0],
+                      out.copy()))
         return out
+    monkeypatch.setattr(evolve, "_chirp_z_factors", spy_factors)
     monkeypatch.setattr(evolve, "_chirp_z", spy)
     # A4's shape: lam = 64 band spectrum, undamped m = 2, Hoelder 1/2 curve
     f = random_band_limited(64.0, seed=52)
@@ -588,13 +626,32 @@ def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
         evaluate_along_curve(plan, holder_curve(0.5), x, t, path="transform")
     propagate_slice(plan, 0.2)
     assert len(calls) == 3
-    # input and output chirps below and at or above 2**14 values: both
-    # operand orders of _times_chirp are checked
-    sizes = [(a.size, cz.n1 - cz.n0) for a, cz, _ in calls]
-    for side in (0, 1):
-        assert min(s[side] for s in sizes) < 2 ** 14 <= max(s[side] for s in sizes)
-    for a, cz, got in calls:
-        assert got.tobytes() == scipy_chirp_z(a, cz.n, cz.n0, cz.n1).tobytes()
+    for a, chirp_in, n, got in calls:
+        assert got.tobytes() == \
+            scipy_chirp_z(a, chirp_in, n, got.size).tobytes()
+
+
+def test_a_fresh_slice_makes_one_chirp_pass(monkeypatch):
+    """The input, lag and output chirps of a slice come from one ``_chirp``
+    pass, and a slice on a held grid makes none."""
+    import ctschro.evolve as evolve
+    from ctschro.evolve import _GridInHand
+    passes = []
+    real = evolve._chirp
+    monkeypatch.setattr(evolve, "_chirp",
+                        lambda j, n: passes.append(j.size) or real(j, n))
+    f = random_band_limited(64.0, seed=52)
+    plan = make_plan(f, EvolutionParams(m=2.0, gamma=1.0, damping=False),
+                     holder_curve(0.5))
+    for span in (None, (0.1, 0.2)):
+        passes.clear()
+        propagate_slice(plan, 0.3, span)
+        assert len(passes) == 1
+    held = _GridInHand()
+    propagate_slice(plan, 0.3, (0.1, 0.2), _held=held)
+    passes.clear()
+    propagate_slice(plan, 0.3, (0.1, 0.2), _held=held)
+    assert passes == []
 
 
 def _held_case():

@@ -265,6 +265,12 @@ def test_majorant_rejects_non_finite_positions(x, y):
         kernel_majorant(x, y, 16.0, beta_table(0.5, 2.0), 0.5, 2.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, 0.0])
+def test_majorant_rejects_a_non_finite_or_non_positive_lam(lam):
+    with pytest.raises(DomainError, match="lam > 0"):
+        kernel_majorant(0.3, 0.0, lam, beta_table(0.5, 2.0), 0.5, 2.0)
+
+
 def test_majorant_coincidence_error():
     with pytest.raises(DomainError):
         kernel_majorant(0.3, 0.3, 16.0, BetaChoice(0, 0, 0.5, False), 0.5, 2.0)
