@@ -613,7 +613,7 @@ def test_chirp_z_is_the_scipy_fft_version_bit_for_bit(monkeypatch):
 
     def spy(a, chirp_in, lag_fft, n_out):
         out = _chirp_z(a, chirp_in, lag_fft, n_out)
-        calls.append((a.copy(), chirp_in.copy(), periods[id(lag_fft)][0],
+        calls.append((a.copy(), chirp_in, periods[id(lag_fft)][0],
                       out.copy()))
         return out
     monkeypatch.setattr(evolve, "_chirp_z_factors", spy_factors)
