@@ -540,10 +540,12 @@ def test_windowed_slice_rejects_bad_spans():
 
 
 def test_chirp_z_matches_inverse_fft():
-    """Outputs across a 1.5 M-point period, near its end among them, where a
-    phase pi j**2 / n computed in floating point would be off by about
-    5e-10; the transform yields outputs 0 .. n_out-1, and an offset n0 enters
-    as the input phases exp(2 pi i k n0 / n), reduced mod n in integers."""
+    """Outputs across a 1.5 M-point period.  The transform yields outputs
+    0 .. n_out-1, and an offset n0 enters as the input phases
+    exp(2 pi i k n0 / n), reduced mod n in integers.  The whole period
+    (0, n) takes chirp indices up to n, where a phase pi j**2 / n computed
+    in floating point would be off by about 5e-10, so it needs the chirp's
+    integer reduction of j**2 mod 2n."""
     from ctschro.evolve import _chirp_z, _chirp_z_factors
     rng = np.random.default_rng(3)
     n = 3 * 2 ** 19
@@ -553,7 +555,7 @@ def test_chirp_z_matches_inverse_fft():
     want = n * np.fft.ifft(spec)
     k = np.arange(a.size, dtype=np.int64)
     for n0, n1 in ((0, 40), (n - 300, n), (n // 2 - 7, n // 2 + 9),
-                   (n - 7000, n)):
+                   (n - 7000, n), (0, n)):
         shifted = a * np.exp((2j * math.pi / n) * ((k * n0) % n))
         chirp_in, lag_fft, chirp_out = _chirp_z_factors(a.size, n, n1 - n0)
         got = _chirp_z(shifted, chirp_in, lag_fft, n1 - n0) * chirp_out
