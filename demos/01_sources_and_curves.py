@@ -28,7 +28,7 @@ print(f"square mass   : {g.integral(power=2):.6f}")
 
 print("\n== counterexample spectra ==")
 for fam in (dilated_family(0.25, 0.75, 64.0),
-            modulated_family(0.5, 3.0, 64.0, b=2.0)):
+            modulated_family(0.5, 3.0, 64.0)):
     f = build_counterexample(fam)
     lo, hi = witness_interval(fam)
     print(f"{fam.kind:9s} R={fam.R:5.0f}  support [{f.xi_min:9.1f}, {f.xi_max:9.1f}]"

@@ -11,8 +11,8 @@ from ctschro.maximal import calibrate_smallness, witness_minimum
 families = [
     dilated_family(0.25, 0.75, 64.0),
     dilated_family(0.25, 2.0, 64.0),
-    modulated_family(1 / 3, 1.6, 64.0, b=1.6),
-    modulated_family(0.5, 3.0, 64.0, b=2.0),
+    modulated_family(1 / 3, 1.6, 64.0),
+    modulated_family(0.5, 3.0, 64.0),
 ]
 
 print(f"target level 1/(4 pi) = {LOWER_BOUND_LEVEL:.6f}\n")

@@ -14,7 +14,7 @@ from ctschro.maximal import fit_slope_guarded, maximal_ratio
 SCALES = [16.0, 32.0, 64.0, 128.0]
 
 for make in (lambda R: dilated_family(0.25, 0.75, R),
-             lambda R: modulated_family(1 / 3, 1.6, R, b=1.6)):
+             lambda R: modulated_family(1 / 3, 1.6, R)):
     t0 = time.perf_counter()
     qs = []
     for R in SCALES:

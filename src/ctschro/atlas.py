@@ -235,12 +235,12 @@ def continuity_check(alpha, m) -> list[ContinuityGap]:
 
 def predicted_ratio_slope(fam: CounterexampleFamily) -> float:
     """Predicted growth exponent in R of the maximal-to-L2 norm ratio of the
-    counterexample family: s(alpha, gamma, 2), times b for the modulated
+    counterexample family: s(alpha, gamma, m), times b for the modulated
     family (frequency scale R**b).  Raises ``RegimeError`` where the family's
     own law max(0, (1 + e)/2), for a scaling interval ~ R**e, differs: the
     family is not sharp there, so a sweep would test the construction and
     not the theorem."""
-    s = float(exponent(alpha=fam.alpha, gamma=fam.gamma, m=2.0).s)
+    s = float(exponent(alpha=fam.alpha, gamma=fam.gamma, m=fam.m).s)
     predicted = s if fam.kind == "dilated" else fam.b * s
     _, e = scaling_law(fam)
     law = max(0.0, 0.5 * (1.0 + e))

@@ -127,17 +127,20 @@ def _family(cfg: dict) -> CounterexampleFamily:
     if kind not in ("dilated", "modulated"):
         raise ConfigError(f"field 'family' must be dilated|modulated, got {kind!r}")
     try:
-        return CounterexampleFamily(
+        fam = CounterexampleFamily(
             kind, _field(cfg, "alpha"), _field(cfg, "gamma"), _field(cfg, "R"),
-            None if cfg.get("b") is None else _field(cfg, "b"),
             _field(cfg, "c", 0.01))
     except LabError as exc:
         raise ConfigError(str(exc)) from exc
+    # b is derived; records echo it, so an equal one still replays
+    if cfg.get("b") is not None and _field(cfg, "b") != fam.b:
+        raise ConfigError(f"field 'b' must be the derived b = {fam.b}")
+    return fam
 
 
 # every sweep scale integrates the whole band at its witness times, so a
 # spectrum of more samples can never pass the oracle's node budget; the same
-# bound caps kernelcheck's draws and Schur row
+# bound caps kernelcheck's draws and Schur row and lowerbound's nodes
 _MAX_SAMPLES = _MAX_NODES // 4
 
 
@@ -150,12 +153,11 @@ def _n_samples(cfg: dict) -> int:
 
 
 def _scales(cfg: dict) -> list[float]:
-    scales = cfg.get("scales")
-    if not scales:
-        raise ConfigError("field 'scales' must be a nonempty increasing list")
     scales = _field(cfg, "scales", many=True)
-    if any(s < 4 for s in scales) or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ConfigError("field 'scales' must increase strictly with entries >= 4")
+    if not scales or any(s < 4 for s in scales) \
+            or any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ConfigError("field 'scales' must be a nonempty list increasing "
+                          "strictly with entries >= 4")
     return scales
 
 
@@ -211,12 +213,11 @@ def cmd_sweep(cfg: dict) -> dict:
     tol = _field(cfg, "tolerance", 0.1)
     interval = _interval(cfg)
     n_samples = _n_samples(cfg)
+    fams = [_family({**cfg, "R": R}) for R in scales]
     try:
-        predicted = predicted_ratio_slope(_family({**cfg, "R": scales[0]}))
+        predicted = predicted_ratio_slope(fams[0])
     except RegimeError as exc:
         raise ConfigError(str(exc)) from exc
-
-    fams = [_family({**cfg, "R": R}) for R in scales]
     # the slices of every scale are resolvable, checked by arithmetic before
     # the first slice of the first scale
     for fam in fams:
@@ -227,7 +228,7 @@ def cmd_sweep(cfg: dict) -> dict:
                         interval=interval, n_samples=n_samples)
         qs.append(res.q)
         rows.append({"family": fam.kind, "alpha": fam.alpha, "gamma": fam.gamma,
-                     "m": 2.0, "b": fam.b, "c": fam.c, "s_order": s_order,
+                     "m": fam.m, "b": fam.b, "c": fam.c, "s_order": s_order,
                      "R": fam.R, "lambda": fam.lam, "Q": res.q,
                      "norm_maxfield": res.norm_maxfield,
                      "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs,
@@ -254,32 +255,29 @@ def cmd_sweep(cfg: dict) -> dict:
 def cmd_lowerbound(cfg: dict) -> dict:
     fam = _family(cfg)
     n_nodes = _field(cfg, "n_nodes", 256, int)
-    if n_nodes < 256:
-        raise ConfigError("lowerbound scans need at least 256 nodes")
+    if not 256 <= n_nodes <= _MAX_SAMPLES:
+        raise ConfigError(f"field 'n_nodes' must lie in [256, {_MAX_SAMPLES}]")
     t_zero = _flag(cfg, "t_zero", False)
-    level = LOWER_BOUND_LEVEL
     history = []
     if _flag(cfg, "auto_calibrate", False) and not t_zero:
         fam, history = calibrate_smallness(fam, n_nodes=n_nodes)
         min_val = history[-1][1]
     else:
         min_val, *_ = witness_minimum(fam, n_nodes=n_nodes, t_zero=t_zero)
-    passed = min_val >= level
+    passed = min_val >= LOWER_BOUND_LEVEL
     row = {"family": fam.kind, "alpha": fam.alpha, "gamma": fam.gamma,
-           "m": 2.0, "b": fam.b, "c": fam.c, "R": fam.R, "n_nodes": n_nodes,
-           "min_value": min_val, "threshold": level,
+           "m": fam.m, "b": fam.b, "c": fam.c, "R": fam.R, "n_nodes": n_nodes,
+           "min_value": min_val, "threshold": LOWER_BOUND_LEVEL,
            "verdict": "pass" if passed else "fail"}
     return {
         "results": {"rows": [row], "calibration_history": history,
                     "t_zero": t_zero},
         "verdicts": [{"name": "witness_minimum", "passed": passed,
-                      "measured": min_val, "threshold": level}],
+                      "measured": min_val, "threshold": LOWER_BOUND_LEVEL}],
     }
 
 
 def cmd_kernelcheck(cfg: dict) -> dict:
-    if cfg.get("seed") is None:
-        raise ConfigError("field 'seed' is required for kernelcheck")
     alpha = _field(cfg, "alpha")
     gamma = _field(cfg, "gamma")
     lams = _field(cfg, "lams", [16.0, 64.0, 256.0], many=True)
@@ -352,11 +350,8 @@ def cmd_eval(cfg: dict) -> dict:
     if spectrum == "family":
         fam = _family(cfg)
         f = build_counterexample(fam, _n_samples(cfg))
-        gamma = fam.gamma
-        alpha = fam.alpha
+        gamma, alpha = fam.gamma, fam.alpha
     elif spectrum == "band":
-        if cfg.get("seed") is None:
-            raise ConfigError("field 'seed' is required for a random band spectrum")
         lam = _field(cfg, "lam")
         if not lam > 0.0:
             raise ConfigError(f"field 'lam' must be positive: {lam}")
@@ -407,7 +402,7 @@ def run_config(cfg: dict) -> dict:
         raise ConfigError(f"field 'command' must be one of {sorted(_COMMANDS)}")
     t0 = time.perf_counter()
     payload = _COMMANDS[command](cfg)
-    record = {
+    return {
         "command": command,
         "config": cfg,
         "version": __version__,
@@ -416,7 +411,6 @@ def run_config(cfg: dict) -> dict:
         "passed": all(v["passed"] for v in payload["verdicts"]),
         "wall_time_s": time.perf_counter() - t0,
     }
-    return record
 
 
 def record_to_csv(record: dict) -> str:
@@ -458,8 +452,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration document")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tolerance", type=float)
+
+    def family(p):   # the fields of _family but R
+        p.add_argument("--family", choices=("dilated", "modulated"))
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--c", type=float)
 
     p = sub.add_parser("atlas", help="sharp-exponent table")
     common(p)
@@ -471,22 +469,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scale sweep with slope fit")
     common(p)
-    p.add_argument("--family", choices=("dilated", "modulated"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
+    family(p)
     p.add_argument("--s-order", type=float, dest="s_order")
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--scales", help="comma-separated scale list")
     p.add_argument("--interval", choices=("scaling", "witness", "full"))
 
     p = sub.add_parser("lowerbound", help="witness-interval amplitude scan")
     common(p)
-    p.add_argument("--family", choices=("dilated", "modulated"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
+    family(p)
     p.add_argument("--R", type=float)
     p.add_argument("--n-nodes", type=int, dest="n_nodes")
     p.add_argument("--auto-calibrate", action="store_true", default=None,
@@ -500,17 +491,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lams", help="comma-separated frequency levels")
     p.add_argument("--count", type=int)
     p.add_argument("--schur-lams", dest="schur_lams")
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("eval", help="single-point evaluation dump")
     common(p)
+    family(p)
     p.add_argument("--spectrum", choices=("family", "band"))
-    p.add_argument("--family", choices=("dilated", "modulated"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
     p.add_argument("--R", type=float)
     p.add_argument("--lam", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--m", type=float)
     p.add_argument("--x", help="comma-separated positions")
     p.add_argument("--t", help="comma-separated times")

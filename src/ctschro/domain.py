@@ -429,7 +429,8 @@ class CounterexampleFamily:
 
     * dilated:    fhat_R(eta) = (1/R) g(eta / R), support [0, R/2]
     * modulated:  fhat_R(eta) = (1/R) g((eta + R**b) / R), support
-                  [-R**b, -R**b + R/2], with modulation exponent b >= 1
+                  [-R**b, -R**b + R/2], where balancing dispersion against
+                  damping (``scaling_law``) gives b = min(gamma, 2)
 
     ``c`` is the smallness constant entering the witness interval and witness
     times; it can be re-calibrated (see maximal.calibrate_smallness).
@@ -438,7 +439,6 @@ class CounterexampleFamily:
     alpha: float
     gamma: float
     R: float
-    b: float | None = None
     c: float = 0.01
 
     def __post_init__(self):
@@ -452,9 +452,17 @@ class CounterexampleFamily:
             raise DomainError("scale parameter R must be >= 2")
         if not (0.0 < self.c < 1.0):
             raise DomainError("smallness constant c must lie in (0, 1)")
-        if self.kind == "modulated" and (self.b is None or self.b < 1):
-            raise DomainError("modulated family needs b >= 1")
         scaling_law(self)   # RegimeError outside the supported regimes
+
+    @property
+    def m(self) -> float:
+        """Dispersion exponent of the evolution the family is built for."""
+        return 2.0
+
+    @property
+    def b(self) -> float | None:
+        """Modulation exponent, derived; None for the dilated family."""
+        return None if self.kind == "dilated" else min(self.gamma, _B_MAX)
 
     @property
     def lam(self) -> float:
@@ -465,11 +473,11 @@ class CounterexampleFamily:
 
 
 def dilated_family(alpha, gamma, R, c=0.01) -> CounterexampleFamily:
-    return CounterexampleFamily("dilated", alpha, gamma, R, None, c)
+    return CounterexampleFamily("dilated", alpha, gamma, R, c)
 
 
-def modulated_family(alpha, gamma, R, b, c=0.01) -> CounterexampleFamily:
-    return CounterexampleFamily("modulated", alpha, gamma, R, b, c)
+def modulated_family(alpha, gamma, R, c=0.01) -> CounterexampleFamily:
+    return CounterexampleFamily("modulated", alpha, gamma, R, c)
 
 
 def build_counterexample(fam: CounterexampleFamily,
@@ -498,26 +506,34 @@ def build_counterexample(fam: CounterexampleFamily,
     return SpectralFunction(lo, hi, vals, band=band)
 
 
+_B_MAX = 2.0   # the largest b, which b = gamma reaches at gamma = m/(m - 1)
+
+
 def scaling_law(fam: CounterexampleFamily) -> tuple[float, float]:
     """Coefficient and R-exponent (coef, e) of the scaling interval's length
     coef * R**e; the only place that holds the families' regimes.
 
     * dilated:   (c, -2 alpha / min(gamma, 1));
-    * modulated: (2c, 0) for b = 2 with gamma >= 2 and alpha > 1/4, and
-                 (2c, gamma - 2) for b = gamma in [max(1/(2 alpha), 1), 2);
-                 ``RegimeError`` for every other b.
+    * modulated: (2c, gamma - 2) for gamma in [max(1/(2 alpha), 1), 2), and
+                 (2c, 0) for gamma >= 2 with alpha > 1/4; else ``RegimeError``.
+
+    b = min(gamma, 2) is the largest b for which the amplitude at N = R**b
+    stays large up to t ~ R**-2, where the witness positions 2 N t span
+    ~ R**(b - 2): at m = 2 the dispersion t N**(m-2) R**2 is O(1) there, the
+    damping t**gamma N**m is iff b <= gamma, and the span is O(1) iff b <= 2.
+    This balance is heuristic; the sweeps measure the laws it predicts.
     """
     a, g, c = fam.alpha, fam.gamma, fam.c
     if fam.kind == "dilated":
         return c, -2 * a / min(g, 1.0)
-    if fam.b == 2.0 and g >= 2.0 and a > 0.25:
+    if g >= _B_MAX and a > 0.25:
         return 2 * c, 0.0
-    if fam.b == g and max(1.0 / (2 * a), 1.0) <= g < 2.0:
+    if max(1.0 / (2 * a), 1.0) <= g < _B_MAX:
         return 2 * c, g - 2
     raise RegimeError(
-        f"modulated family with b={fam.b}, gamma={g}, alpha={a} is outside "
-        "the supported regimes (b = gamma in [max(1/(2 alpha), 1), 2), or "
-        "b = 2 with gamma >= 2 and alpha > 1/4)")
+        f"modulated family with gamma={g}, alpha={a} (b={fam.b}) is outside "
+        "the supported regimes (gamma in [max(1/(2 alpha), 1), 2), or "
+        "gamma >= 2 with alpha > 1/4)")
 
 
 def scaling_interval(fam: CounterexampleFamily) -> tuple[float, float]:

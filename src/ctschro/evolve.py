@@ -558,13 +558,9 @@ def _oracle_band(params: EvolutionParams, support: tuple[float, float],
     return lo, hi
 
 
-def _oracle_edges(f: SpectralFunction, params: EvolutionParams,
-                  support: tuple[float, float], t: float) -> np.ndarray | None:
-    """Source-grid cell edges of the live band at time t, clipped to the
-    support and the damping cap; None when nothing is left to integrate."""
-    band = _oracle_band(params, support, t)
-    if band is None:
-        return None
+def _oracle_edges(f: SpectralFunction,
+                  band: tuple[float, float]) -> np.ndarray | None:
+    """Source-grid cell edges clipped to a live ``band``; None if under 2."""
     lo, hi = band
     dxi, xi0 = f.delta_xi, f.xi_min
     j0 = max(0, int(math.floor((lo - xi0) / dxi)))
@@ -628,7 +624,7 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     key, nodes = (None, None), None   # (band, (counts, orders)) of the nodes
     for band, run in itertools.groupby(range(len(ts)), bands.__getitem__):
         run = list(run)
-        edges = _oracle_edges(f, params, support, ts[run[0]])
+        edges = None if band is None else _oracle_edges(f, band)
         if edges is None:
             continue
         a, b = run[0], run[-1] + 1

@@ -105,10 +105,11 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
     live sample is one mirrored row (its positive band side, standing for
     both) of one row-form ``oscillatory_quadrature`` per block of
     ``_SAMPLES`` samples, so every value equals a one-sample call to the
-    bit.  Non-finite positions or levels raise ``DomainError``.
+    bit.  Non-finite positions or levels raise ``DomainError``; undamped
+    or m != 2 ``params`` raise ``RegimeError``.
     """
-    if params.m != 2.0:
-        raise RegimeError("the kernel is defined for quadratic dispersion m = 2")
+    if params.m != 2.0 or not params.damping:
+        raise RegimeError("the kernel is defined for damped evolution, m = 2")
     x, y, t1, t2, lam = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (x, y, t1, t2, lam)))
     if not all(np.isfinite(v).all() for v in (x, y, lam)):

@@ -13,7 +13,7 @@ which leaves every value and ``argmax_t`` as they would be without the stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -286,12 +286,12 @@ class RatioResult:
 
 
 def _family_setup(fam: CounterexampleFamily, n_samples: int):
-    """(source on ``n_samples`` samples, params, curve) of a family: m = 2,
-    damping with the family's gamma, along the Hölder curve of its alpha."""
+    """(source on ``n_samples`` samples, params, curve) of a family: its m,
+    damping with its gamma, along the Hölder curve of its alpha."""
     f = build_counterexample(fam, n_samples)
     if not np.any(f.samples):
         raise ZeroNormError("source spectrum is identically zero")
-    return (f, EvolutionParams(m=2.0, gamma=fam.gamma, damping=True),
+    return (f, EvolutionParams(m=fam.m, gamma=fam.gamma, damping=True),
             holder_curve(fam.alpha))
 
 
@@ -299,7 +299,7 @@ def maximal_ratio(fam: CounterexampleFamily, s: float = 0.0,
                   interval: str | tuple[float, float] = "scaling",
                   n_samples: int = 2048) -> RatioResult:
     """Ratio of the maximal-field L2 norm to the source Sobolev norm, for
-    the family's source evolved with m = 2 and the family's gamma along the
+    the family's source evolved with the family's m and gamma along the
     Hölder curve of its alpha, on the default time grid with witness times.
 
     ``interval`` selects where the maximal field is integrated:
@@ -429,7 +429,7 @@ def witness_minimum(fam: CounterexampleFamily, n_nodes: int = 256,
                     t_zero: bool = False):
     """Minimum over interior witness-interval nodes of the amplitude modulus
     at the witness times, for the family's source on 2048 samples evolved
-    with m = 2 and the family's gamma along the Hölder curve of its alpha.
+    with the family's m and gamma along the Hölder curve of its alpha.
 
     With ``t_zero`` the scan instead evaluates at t = 0 on (0, c/R), the
     regime where no time motion is needed at all.  All nodes go through one
@@ -463,8 +463,6 @@ def calibrate_smallness(fam: CounterexampleFamily, n_nodes: int = 256,
     Returns (calibrated family, history of (c, min value)).  Raises
     ``CalibrationError`` when c underflows below ``c_floor``.
     """
-    from dataclasses import replace
-
     history = []
     current = fam
     while True:

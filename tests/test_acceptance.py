@@ -60,8 +60,8 @@ from ctschro.maximal import (
 SWEEP_POINTS = [
     ("dilated",   dict(alpha=0.25, gamma=0.75),          F(1, 6)),
     ("dilated",   dict(alpha=0.25, gamma=2.0),           F(1, 4)),
-    ("modulated", dict(alpha=1 / 3, gamma=1.6, b=1.6),   F(3, 10)),
-    ("modulated", dict(alpha=0.5, gamma=3.0, b=2.0),     F(1, 2)),
+    ("modulated", dict(alpha=1 / 3, gamma=1.6),          F(3, 10)),
+    ("modulated", dict(alpha=0.5, gamma=3.0),            F(1, 2)),
 ]
 
 

@@ -170,9 +170,9 @@ def test_predicted_slopes_for_acceptance_points():
         == pytest.approx(1 / 6)
     assert predicted_ratio_slope(dilated_family(0.25, 2.0, 16.0)) \
         == pytest.approx(0.25)
-    assert predicted_ratio_slope(modulated_family(1 / 3, 1.6, 16.0, b=1.6)) \
+    assert predicted_ratio_slope(modulated_family(1 / 3, 1.6, 16.0)) \
         == pytest.approx(0.3)
-    assert predicted_ratio_slope(modulated_family(0.5, 3.0, 16.0, b=2.0)) \
+    assert predicted_ratio_slope(modulated_family(0.5, 3.0, 16.0)) \
         == pytest.approx(0.5)
 
 
@@ -181,9 +181,9 @@ def test_predicted_slopes_pinned_bitwise():
     assert predicted_ratio_slope(dilated_family(0.25, 0.75, 16.0)) \
         == 0.16666666666666669
     assert predicted_ratio_slope(dilated_family(0.25, 2.0, 16.0)) == 0.25
-    assert predicted_ratio_slope(modulated_family(1 / 3, 1.6, 16.0, b=1.6)) \
+    assert predicted_ratio_slope(modulated_family(1 / 3, 1.6, 16.0)) \
         == 0.30000000000000004
-    assert predicted_ratio_slope(modulated_family(0.5, 3.0, 16.0, b=2.0)) \
+    assert predicted_ratio_slope(modulated_family(0.5, 3.0, 16.0)) \
         == 0.5
 
 
@@ -201,8 +201,10 @@ def test_modulated_prediction_is_b_times_atlas_exponent():
     points = list(_supported_modulated_grid())
     assert len(points) > 1000
     for a, g, b in points:
+        fam = modulated_family(a, g, 16.0)
+        assert (fam.b, fam.m) == (b, 2.0), (a, g)
         s = exponent(alpha=a, gamma=g, m=2.0).s
-        predicted = predicted_ratio_slope(modulated_family(a, g, 16.0, b=b))
+        predicted = predicted_ratio_slope(fam)
         assert abs(predicted - b * s) <= 1e-12, (a, g, b)
 
 
@@ -211,5 +213,6 @@ def test_predicted_slope_clamps_void_thresholds():
 
 
 def test_predicted_slope_regime_error():
-    with pytest.raises(RegimeError):
-        predicted_ratio_slope(modulated_family(0.5, 1.5, 16.0, b=3.0))
+    # dilated (1/2, 3/2): the family's law gives slope 0, the atlas s = 1/6
+    with pytest.raises(RegimeError, match="not sharp"):
+        predicted_ratio_slope(dilated_family(0.5, 1.5, 16.0))

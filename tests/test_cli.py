@@ -131,19 +131,64 @@ def test_lowerbound_time_zero_regime(capsys):
     assert rec["results"]["t_zero"] and rec["passed"]
 
 
-def test_lowerbound_requires_node_budget():
+def test_lowerbound_requires_node_budget(monkeypatch):
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan started past the node bounds")
+    monkeypatch.setattr(cli, "witness_minimum", no_work)
+    doc = {"command": "lowerbound", "family": "dilated", "alpha": 0.25,
+           "gamma": 0.75, "R": 16.0}
     with pytest.raises(ConfigError):
-        run_config({"command": "lowerbound", "family": "dilated",
-                    "alpha": 0.25, "gamma": 0.75, "R": 16.0, "n_nodes": 10})
+        run_config({**doc, "n_nodes": 10})
+    # the scan holds every node and its witness time in memory
+    with pytest.raises(ConfigError, match=f"256, {cli._MAX_SAMPLES}"):
+        run_config({**doc, "n_nodes": cli._MAX_SAMPLES + 1})
 
 
 def test_unsupported_regime_is_config_error(capsys):
-    # b inconsistent with gamma: caught at configuration time
+    # b = gamma needs gamma >= 1/(2 alpha): caught at configuration time
     code, _, err = run_cli(
-        ["sweep", "--family", "modulated", "--alpha", "0.5", "--gamma", "1.5",
-         "--b", "3", "--scales", "16,32,64,128"], capsys)
+        ["sweep", "--family", "modulated", "--alpha", "0.3", "--gamma", "1.2",
+         "--scales", "16,32,64,128"], capsys)
     assert code == 2
     assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize("family,gamma,b,code", [
+    ("modulated", 3.0, 2.0, 0), ("modulated", 1.6, 1.6, 0),
+    ("modulated", 3.0, 3.0, 2), ("modulated", 1.6, 2.0, 2),
+    ("dilated", 0.75, 1.0, 2),
+])
+def test_config_b_must_be_the_derived_b(family, gamma, b, code, tmp_path,
+                                        capsys):
+    # b is derived from the family; records that echo it still replay
+    doc = {"spectrum": "family", "family": family, "alpha": 0.5,
+           "gamma": gamma, "b": b, "R": 16.0, "x": [0.0], "t": [0.0]}
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["passed"]
+    else:
+        rec = json.loads(err.splitlines()[-1])
+        derived = None if family == "dilated" else min(gamma, 2.0)
+        assert rec["error"] == "config" and f"b = {derived}" in rec["reason"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("atlas", "--seed"), ("atlas", "--tolerance"),
+    ("sweep", "--seed"), ("sweep", "--b"),
+    ("lowerbound", "--seed"), ("lowerbound", "--tolerance"),
+    ("lowerbound", "--b"), ("kernelcheck", "--tolerance"),
+    ("eval", "--tolerance"), ("eval", "--b"),
+])
+def test_flag_the_command_does_not_read_exits_2(command, flag, capsys):
+    # refused by the parser, before any configuration field is read
+    code, out, err = run_cli([command, flag, "2"], capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 2" in err
 
 
 def test_sweep_where_the_family_is_not_sharp_exits_2(capsys, monkeypatch):
@@ -498,7 +543,7 @@ def test_sweep_checks_every_scale_before_the_first_slice(capsys,
     monkeypatch.setattr(maximal, "maximal_field", forbidden)
     code, out, err = run_cli(
         ["sweep", "--family", "modulated", "--alpha", "0.5", "--gamma", "3",
-         "--b", "2", "--scales", "512,1024,2048,4096"], capsys)
+         "--scales", "512,1024,2048,4096"], capsys)
     assert code == 3 and out == ""
     rec = json.loads(err.splitlines()[-1])
     assert rec["error"] == "ResolutionError"

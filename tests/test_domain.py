@@ -243,7 +243,7 @@ def test_dilated_support():
 
 
 def test_modulated_support():
-    f = build_counterexample(modulated_family(0.5, 2.0, 16.0, b=2.0))
+    f = build_counterexample(modulated_family(0.5, 2.0, 16.0))
     assert (f.xi_min, f.xi_max) == (-256.0, -248.0)
     assert f.band == 256.0
 
@@ -269,7 +269,7 @@ def test_counterexample_needs_resolution():
 def test_witness_interval_examples():
     fam = dilated_family(0.25, 0.5, 16.0, c=0.01)
     assert witness_interval(fam) == (0.0, pytest.approx(6.25e-4, rel=1e-12))
-    fam2 = modulated_family(0.5, 2.0, 123.0, b=2.0, c=0.01)
+    fam2 = modulated_family(0.5, 2.0, 123.0, c=0.01)
     assert witness_interval(fam2)[1] >= 0.02
     # power-law scaling of the gamma >= 1 endpoint
     hi1 = witness_interval(dilated_family(0.3, 2.0, 16.0))[1]
@@ -279,40 +279,38 @@ def test_witness_interval_examples():
 
 def test_witness_interval_regime_errors():
     with pytest.raises(RegimeError):
-        witness_interval(modulated_family(0.5, 1.5, 16.0, b=3.0))
-    with pytest.raises(RegimeError):
-        # b = gamma requires gamma < 2
-        witness_interval(modulated_family(0.5, 2.5, 16.0, b=2.5))
-    with pytest.raises(RegimeError):
-        # b = gamma also requires gamma >= 1/(2 alpha)
-        witness_interval(modulated_family(0.3, 1.2, 16.0, b=1.2))
+        # b = gamma requires gamma >= 1/(2 alpha)
+        witness_interval(modulated_family(0.3, 1.2, 16.0))
 
 
 def test_scaling_law_of_each_regime():
     assert scaling_law(dilated_family(0.25, 0.75, 16.0)) \
         == (0.01, -2 * 0.25 / 0.75)
     assert scaling_law(dilated_family(0.25, 2.0, 16.0)) == (0.01, -0.5)
-    assert scaling_law(modulated_family(0.5, 3.0, 16.0, b=2.0)) == (0.02, 0.0)
-    assert scaling_law(modulated_family(1 / 3, 1.6, 16.0, b=1.6)) \
+    assert scaling_law(modulated_family(0.5, 3.0, 16.0)) == (0.02, 0.0)
+    assert scaling_law(modulated_family(1 / 3, 1.6, 16.0)) \
         == (0.02, 1.6 - 2)
-    fam = modulated_family(1 / 3, 1.6, 64.0, b=1.6)
+    fam = modulated_family(1 / 3, 1.6, 64.0)
     coef, e = scaling_law(fam)
     assert scaling_interval(fam) == (0.0, coef * 64.0 ** e)
+    # valid with b = 2: past gamma = 2 the derived b stops following gamma
+    fam = modulated_family(0.5, 2.5, 16.0)
+    assert fam.b == 2.0 and scaling_law(fam) == (0.02, 0.0)
+    assert dilated_family(0.25, 0.75, 16.0).b is None
 
 
 @pytest.mark.parametrize("alpha,gamma,b", [
-    (0.5, 1.5, 3.0),    # b is neither 2 nor gamma
-    (0.5, 2.5, 2.5),    # b = gamma requires gamma < 2
-    (0.3, 1.2, 1.2),    # b = gamma also requires gamma >= 1/(2 alpha)
+    (0.3, 1.2, 1.2),    # b = gamma requires gamma >= 1/(2 alpha)
     (0.25, 3.0, 2.0),   # b = 2 requires alpha > 1/4
 ])
 def test_unsupported_modulated_family_raises_at_construction(alpha, gamma, b):
-    with pytest.raises(RegimeError):
-        modulated_family(alpha, gamma, 16.0, b=b)
+    # the reason names the b the family would derive
+    with pytest.raises(RegimeError, match=f"b={b}"):
+        modulated_family(alpha, gamma, 16.0)
 
 
 def test_scaling_interval_is_inside_witness_interval():
-    fam = modulated_family(1 / 3, 1.6, 32.0, b=1.6)
+    fam = modulated_family(1 / 3, 1.6, 32.0)
     (_, hi_w), (_, hi_s) = witness_interval(fam), scaling_interval(fam)
     assert hi_s == pytest.approx(2 * fam.c * fam.R ** (fam.gamma - 2), rel=1e-12)
     assert hi_s < hi_w
@@ -326,13 +324,13 @@ def test_witness_time_dilated():
 def test_witness_time_modulated_exact_root():
     # alpha = 1: x = t + 2 R^2 t has the exact root t = x / (1 + 2 R^2)
     t_bar = 1e-4
-    fam = modulated_family(1.0, 2.0, 10.0, b=2.0, c=0.02)
+    fam = modulated_family(1.0, 2.0, 10.0, c=0.02)
     x = t_bar + 2 * 10.0 ** 2 * t_bar
     assert witness_time(fam, x) == pytest.approx(t_bar, abs=1e-12)
 
 
 def test_witness_time_modulated_residual():
-    fam = modulated_family(1 / 3, 1.6, 32.0, b=1.6)
+    fam = modulated_family(1 / 3, 1.6, 32.0)
     lo, hi = witness_interval(fam)
     x = 0.5 * (lo + hi)
     t = witness_time(fam, x)
@@ -341,7 +339,7 @@ def test_witness_time_modulated_residual():
 
 
 def test_witness_time_residual_over_interval():
-    fam = modulated_family(0.5, 3.0, 64.0, b=2.0)
+    fam = modulated_family(0.5, 3.0, 64.0)
     lo, hi = witness_interval(fam)
     for x in np.linspace(lo, hi, 40)[1:-1]:
         t = witness_time(fam, float(x))

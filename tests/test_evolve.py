@@ -344,10 +344,10 @@ def test_batched_quadrature_is_bit_identical_to_scalar_calls(m, damping, kind):
 def test_run_over_the_node_budget_only_at_its_extremes(monkeypatch):
     import ctschro._numerics as numerics
     from ctschro._numerics import phase_counts
-    from ctschro.evolve import _oracle_edges
+    from ctschro.evolve import _oracle_band, _oracle_edges
     f = random_band_limited(8.0, seed=5)
     params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
-    edges = _oracle_edges(f, params, f.support(), 0.0)
+    edges = _oracle_edges(f, _oracle_band(params, f.support(), 0.0))
 
     def size(y, t):
         counts, orders = phase_counts(edges, y, t, 0.0, 2.0)
@@ -663,7 +663,7 @@ def _held_case():
     3, and the last 17 slices are dead."""
     from ctschro.domain import modulated_family
     from ctschro.maximal import build_time_grid, default_time_exponent
-    fam = modulated_family(0.5, 3.0, 16.0, 2.0)
+    fam = modulated_family(0.5, 3.0, 16.0)
     f = build_counterexample(fam, 128)
     plan = make_plan(f, EvolutionParams(m=2.0, gamma=3.0, damping=True),
                      holder_curve(0.5))

@@ -154,6 +154,16 @@ def test_kernel_requires_quadratic_dispersion():
         kernel_eval(0.0, 0.5, 0.0, 0.0, 2.0, P2, CRV, CUT)
 
 
+def test_kernel_requires_the_damping():
+    # the kernel, its majorant and beta_table are those of the damped
+    # evolution; undamped params are refused, not evaluated as damped
+    undamped = EvolutionParams(m=2.0, gamma=2.0, damping=False)
+    with pytest.raises(RegimeError, match="damped"):
+        kernel_eval(0.1, -0.2, 0.5, 0.25, 16.0, undamped, CRV, CUT)
+    with pytest.raises(RegimeError, match="damped"):
+        kernel_values([0.1, 0.2], -0.2, 0.5, 0.25, 16.0, undamped, CRV, CUT)
+
+
 def test_nonstationary_decay_at_zero_times():
     # at t1 = t2 = 0 the kernel is a smooth-cutoff transform: beyond the
     # calibration window the decay beats the inverse-square envelope measured

@@ -134,7 +134,7 @@ def _family_field_case(kind):
     if kind == "dilated":
         fam, n_samples = dilated_family(0.25, 0.75, 16.0), 2048
     else:
-        fam, n_samples = modulated_family(0.5, 3.0, 16.0, 2.0), 128
+        fam, n_samples = modulated_family(0.5, 3.0, 16.0), 128
     f = build_counterexample(fam, n_samples)
     params = EvolutionParams(m=2.0, gamma=fam.gamma, damping=True)
     xs = np.linspace(-1.0, 1.0, 129)
@@ -360,7 +360,7 @@ def test_resolution_check_covers_exactly_the_run_slices(kind, monkeypatch):
     import ctschro.evolve as evolve
     import ctschro.maximal as maximal
     fam = (dilated_family(0.25, 0.75, 16.0) if kind == "dilated"
-           else modulated_family(0.5, 3.0, 16.0, 2.0))
+           else modulated_family(0.5, 3.0, 16.0))
     seen, orig = [], evolve.slice_grid
 
     def spy(plan, t, span=None):
@@ -405,7 +405,7 @@ def test_calibration_keeps_default_when_it_passes():
 
 def test_calibration_shrinks_until_level_reached():
     # the witness deviation shrinks with c, so a demanding level forces halving
-    fam = modulated_family(1.0, 1.0, 16.0, b=1.0, c=0.9)
+    fam = modulated_family(1.0, 1.0, 16.0, c=0.9)
     level = 0.14
     calibrated, history = calibrate_smallness(fam, n_nodes=32, level=level)
     assert calibrated.c < 0.9

@@ -455,7 +455,7 @@ def _a4_rule_pairs():
     oracle on the A4 spectra and points."""
     from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
                                 random_band_limited)
-    from ctschro.evolve import _oracle_edges
+    from ctschro.evolve import _oracle_band, _oracle_edges
     curve = holder_curve(0.5)
     params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
     rng = np.random.default_rng(7)
@@ -466,8 +466,9 @@ def _a4_rule_pairs():
         xs, ts = rng.uniform(-1.0, 1.0, 100), rng.uniform(0.0, 1.0, 100)
         for x, t in zip(xs.tolist(), ts.tolist()):
             y = float(curve_eval(curve, x, t))
-            counts, orders = phase_counts(_oracle_edges(f, params, support, t),
-                                          y, t, 0.0, 2.0)
+            band = _oracle_band(params, support, t)
+            counts, orders = phase_counts(_oracle_edges(f, band), y, t, 0.0,
+                                          2.0)
             pairs.update(zip(counts.tolist(), orders.tolist()))
     return sorted(pairs)
 
