@@ -10,6 +10,15 @@ cells: the weights depend only on the offset and the stencil's shift, so it
 builds one (offsets x stencil) table and applies it to every cell by a real
 matrix product, without casting the weights to complex.
 
+The oscillatory integral's rule is chosen per grid cell from the cell's
+phase plus damping-exponent change (``phase_counts``): 4-point Gauss on
+sub-cells of at most pi/8 where the change is small or the cell touches
+xi = 0, and elsewhere the fewest Gauss points (12, 16, 24 or 32) whose
+remainder bound is that of 12 points on 2 pi, with 32-point sub-cells past
+the 32-point budget.  With few nodes per radian, each of large weight, the
+rounding of a large phase shows in the sum, so the sum compensates it
+(``oscillatory_sum``).
+
 The oscillatory integral has a row form: one call of ``phase_counts``,
 ``refined_cells``/``node_set``, ``oscillatory_sum`` or
 ``oscillatory_quadrature`` covers P integrals, with ``edges`` of shape
@@ -53,9 +62,16 @@ _DEAD = 745.0
 # the coarse rule: 4-point Gauss on sub-cells of at most pi/8 change
 _PHASE_BUDGET = math.pi / 8.0
 _COARSE_ORDER = 4
-# the fine rule: 12-point Gauss on sub-cells of at most 2 pi change
-_FINE_BUDGET = 2.0 * math.pi
-_FINE_ORDER = 12
+# the fine rule: the fewest Gauss points whose remainder bound on one cell of
+# change c is at most the 12-point bound at 2 pi (see phase_counts).  Order n
+# covers a change up to c_n, the root of
+#     c**(2n) (n!)**4 / ((2n+1) ((2n)!)**3) = 1.2636e-19,
+# the left side at n = 12, c = 2 pi: c_12 = 2 pi, c_16 = 12.955,
+# c_24 = 30.001, c_32 = 49.659 (50-digit values rounded to the nearest
+# double).  Past c_32 a cell takes ceil(c / c_32) sub-cells of 32 points.
+_FINE_ORDERS = (12, 16, 24, 32)
+_FINE_BUDGETS = (2.0 * math.pi, 12.955150203693378, 30.00127683207549,
+                 49.65938354127237)
 # below this phase modulus exp(i phase) rounds to (1, phase) (_unit_phase)
 _SMALL_PHASE = 2.0 ** -27
 # largest node count of one oscillatory quadrature: 32 MB per float array of
@@ -128,15 +144,17 @@ def _rule(nodes: list[float], weights: list[float]):
     return pair
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] of the two rules in use, to the
-# last bit as scipy.special.roots_legendre computes them
+# Gauss-Legendre nodes and weights on [-1, 1] of the rules in use.  The 4-
+# and 12-point tables are scipy.special.roots_legendre's to the last bit; the
+# 16-, 24- and 32-point tables are the exact values correctly rounded from
+# 50 digits (Newton's iteration on the Legendre polynomial)
 _GAUSS_RULES = {
     _COARSE_ORDER: _rule(
         [-0.8611363115940526, -0.3399810435848563,
          0.3399810435848563, 0.8611363115940526],
         [0.3478548451374538, 0.6521451548625462,
          0.6521451548625462, 0.3478548451374538]),
-    _FINE_ORDER: _rule(
+    12: _rule(
         [-0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
          -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
          0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
@@ -145,12 +163,65 @@ _GAUSS_RULES = {
          0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
          0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
          0.16007832854334608, 0.10693932599531782, 0.04717533638651319]),
+    16: _rule(
+        [-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+         -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+         -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+         0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+         0.9894009349916499],
+        [0.027152459411754096, 0.062253523938647894, 0.09515851168249279,
+         0.12462897125553388, 0.14959598881657674, 0.16915651939500254,
+         0.18260341504492358, 0.1894506104550685, 0.1894506104550685,
+         0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
+         0.12462897125553388, 0.09515851168249279, 0.062253523938647894,
+         0.027152459411754096]),
+    24: _rule(
+        [-0.9951872199970213, -0.9747285559713095, -0.9382745520027328,
+         -0.8864155270044011, -0.820001985973903, -0.7401241915785544,
+         -0.6480936519369755, -0.5454214713888396, -0.4337935076260451,
+         -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+         0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+         0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+         0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+         0.9382745520027328, 0.9747285559713095, 0.9951872199970213],
+        [0.0123412297999872, 0.028531388628933663, 0.04427743881741981,
+         0.05929858491543678, 0.0733464814110803, 0.08619016153195327,
+         0.09761865210411388, 0.10744427011596563, 0.1155056680537256,
+         0.12167047292780339, 0.1258374563468283, 0.12793819534675216,
+         0.12793819534675216, 0.1258374563468283, 0.12167047292780339,
+         0.1155056680537256, 0.10744427011596563, 0.09761865210411388,
+         0.08619016153195327, 0.0733464814110803, 0.05929858491543678,
+         0.04427743881741981, 0.028531388628933663, 0.0123412297999872]),
+    32: _rule(
+        [-0.9972638618494816, -0.9856115115452684, -0.9647622555875064,
+         -0.9349060759377397, -0.8963211557660521, -0.84936761373257,
+         -0.7944837959679424, -0.7321821187402897, -0.6630442669302152,
+         -0.5877157572407623, -0.5068999089322294, -0.42135127613063533,
+         -0.33186860228212767, -0.23928736225213706, -0.1444719615827965,
+         -0.04830766568773832, 0.04830766568773832, 0.1444719615827965,
+         0.23928736225213706, 0.33186860228212767, 0.42135127613063533,
+         0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+         0.7321821187402897, 0.7944837959679424, 0.84936761373257,
+         0.8963211557660521, 0.9349060759377397, 0.9647622555875064,
+         0.9856115115452684, 0.9972638618494816],
+        [0.007018610009470096, 0.01627439473090567, 0.02539206530926206,
+         0.03427386291302143, 0.04283589802222668, 0.050998059262376175,
+         0.058684093478535544, 0.06582222277636185, 0.0723457941088485,
+         0.07819389578707031, 0.08331192422694675, 0.08765209300440381,
+         0.09117387869576389, 0.09384439908080457, 0.09563872007927486,
+         0.0965400885147278, 0.0965400885147278, 0.09563872007927486,
+         0.09384439908080457, 0.09117387869576389, 0.08765209300440381,
+         0.08331192422694675, 0.07819389578707031, 0.0723457941088485,
+         0.06582222277636185, 0.058684093478535544, 0.050998059262376175,
+         0.04283589802222668, 0.03427386291302143, 0.02539206530926206,
+         0.01627439473090567, 0.007018610009470096]),
 }
 
 
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1] (read-only) for n = 4 or 12,
-    the orders of the coarse and the fine rule."""
+    """Gauss-Legendre nodes/weights on [-1, 1] (read-only) for n = 4, the
+    coarse rule's order, or n = 12, 16, 24 or 32, the fine rule's."""
     return _GAUSS_RULES[n]
 
 
@@ -358,16 +429,21 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
     """(sub-cell counts, Gauss orders) of the grid cells [edges[j], edges[j+1]]
     for the integrand of ``oscillatory_quadrature``.
 
-    A cell whose phase and damping-exponent change is at most pi/8, or that
-    touches xi = 0 (where |xi|**m is not smooth unless m is even), keeps the
-    coarse rule: 4-point Gauss on sub-cells of at most pi/8 change, and at
-    least one sub-cell.  Every other cell takes the fine rule: 12-point Gauss
-    on ceil(change / 2 pi) equal sub-cells.  The Gauss-Legendre remainder
+    A cell whose phase and damping-exponent change c is at most pi/8, or
+    that touches xi = 0 (where |xi|**m is not smooth unless m is even),
+    keeps the coarse rule: 4-point Gauss on sub-cells of at most pi/8
+    change, and at least one sub-cell.  Every other cell takes the fine
+    rule: one sub-cell of the smallest order n in (12, 16, 24, 32) whose
+    budget c_n (``_FINE_BUDGETS``) is at least c, or ceil(c / c_32) equal
+    sub-cells of 32 points past c_32.  The Gauss-Legendre remainder
     (b-a)**(2n+1) (n!)**4 / ((2n+1) ((2n)!)**3) |f**(2n)| (Davis & Rabinowitz,
     Methods of Numerical Integration, 1984) bounds the error of exp(i theta s)
     on one sub-cell of change c by c**(2n) (n!)**4 / ((2n+1) ((2n)!)**3) of
-    the sub-cell width: 3e-13 for the coarse rule, 1.3e-19 for the fine one,
-    which needs 6 nodes per pi of change instead of 32.
+    the sub-cell width: 3e-13 for the coarse rule, and for the fine rule at
+    most 1.3e-19, its value at 12 points on c_12 = 2 pi, since each c_n is
+    the change at which the n-point bound reaches that value.  So a fine
+    cell gets at least 12 nodes, and from 6 nodes per pi of change (12 on
+    2 pi) down to 2 (32 on c_32 = 49.66) where the coarse rule needs 32.
 
     Row form: ``lin``, ``quad`` and ``damp`` of shape (P,), with ``edges``
     of shape (P, n+1), or (n+1,) shared by every row.  Counts and orders
@@ -375,8 +451,9 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
     values: every cell is computed by the same operations.
 
     For m >= 1 and nondecreasing edges, each cell's count and order are
-    nondecreasing in |lin|, |quad| and damp: ``evolve.direct_quadrature``
-    relies on this guarantee (the argument is in its docstring).
+    nondecreasing in |lin|, |quad| and damp, since both are nondecreasing
+    in the change: ``evolve.direct_quadrature`` relies on this guarantee
+    (the argument is in its docstring).
 
     Raises ``ResolutionError`` when these sub-cells need more than
     ``_MAX_NODES`` nodes, naming the first such row in the row form; nothing
@@ -412,9 +489,12 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
     fine = counts > 1.0
     fine &= ~touch
     np.maximum(counts, 1.0, out=counts)
-    np.divide(change, _FINE_BUDGET, out=change)
+    # the smallest fine order whose budget covers the change, on
+    # ceil(change / c_32) sub-cells: one up to c_32
+    level = np.searchsorted(_FINE_BUDGETS[:-1], change)
+    orders = np.where(fine, np.take(_FINE_ORDERS, level), _COARSE_ORDER)
+    np.divide(change, _FINE_BUDGETS[-1], out=change)
     np.copyto(counts, np.ceil(change, out=change), where=fine)
-    orders = np.where(fine, _FINE_ORDER, _COARSE_ORDER)
     n_nodes = (counts * orders).sum(axis=-1)
     over = np.flatnonzero(~(n_nodes <= _MAX_NODES))
     if over.size:
@@ -438,17 +518,33 @@ def node_set(edges: np.ndarray, counts: np.ndarray, orders: np.ndarray,
     return nodes, weights, np.abs(nodes) ** m, amp(nodes)
 
 
-def _unit_phase(phase: np.ndarray) -> np.ndarray:
+def _unit_phase(phase: np.ndarray, parts=None) -> np.ndarray:
     """exp(i phase) of a real array, bit for bit as ``np.exp(1j * phase)``
     gives it: built as (1, phase + 0.0) when every |phase| is below
     ``_SMALL_PHASE`` (see ``oscillatory_sum``; the + 0.0 turns -0 into +0,
     as 1j * -0.0 does), and by ``np.exp`` when any phase is larger or
-    NaN."""
+    NaN.
+
+    With ``parts`` = (a, b), ``phase`` is the rounded sum a + b, and the
+    ``np.exp`` branch returns exp(i phase) (1 + i err), with err the
+    rounding error of that sum (TwoSum): exp(i (a + b)) to first order in
+    err, which is at most half an ulp of the phase."""
     # the first phase settles most large-phase calls without a pass over
     # the array
     if not (phase.size and abs(phase.flat[0]) < _SMALL_PHASE
             and (np.abs(phase) < _SMALL_PHASE).all()):
-        return np.exp(1j * phase)
+        out = np.exp(1j * phase)
+        if parts is not None:
+            a, b = parts
+            tail = phase - a             # TwoSum: a + b = phase + err
+            err = phase - tail
+            np.subtract(a, err, out=err)
+            np.subtract(b, tail, out=tail)
+            err += tail
+            shift = err * out.imag
+            out.imag += err * out.real
+            out.real -= shift
+        return out
     out = np.empty(phase.shape, dtype=complex)
     out.real = 1.0
     np.add(phase, 0.0, out=out.imag)
@@ -484,6 +580,17 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     returns the same bits, so the sum equals the ``np.exp`` one bit for bit.
     Every other call evaluates ``np.exp``.  The damping factor is computed
     as before in both cases.
+
+    Without ``mirrored``, the ``np.exp`` branch compensates the phase sum:
+    it multiplies exp(i phi) by (1 + i err), with err the exact rounding
+    error of phi = lin xi + quad |xi|^m (``_unit_phase``).  On a fast cell
+    the fine rule spends few nodes per radian, each of large weight, so the
+    half-ulp rounding of a large phi, different at xi and -xi, shows in the
+    sum: without it a one-sided pair of rows is off the mirrored row, which
+    rounds only the products, by up to 1.4e-14 of the amplitude's mass on
+    the fast rows of the mirrored test, and within 2.4e-15 with it.  At the
+    small phases the factor leaves each value as it was, bit for bit,
+    whichever branch a row takes.
     """
     if mirrored:
         if (nodes < 0.0).any():
@@ -493,7 +600,8 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     else:
         # a named amplitude keeps numpy from writing the product into it in
         # place, which would change the operand order and the rounding
-        integrand = a * _unit_phase(lin * nodes + quad * abs_pow)
+        parts = (lin * nodes, quad * abs_pow)
+        integrand = a * _unit_phase(parts[0] + parts[1], parts)
     if np.ndim(damp) or damp:
         # nodes of undamped rows keep their value, as in a one-row call
         np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,
@@ -544,11 +652,12 @@ def oscillatory_quadrature(edges: np.ndarray,
 
     Each row takes the mixed rule of ``phase_counts``: 4-point Gauss on
     sub-cells of at most pi/8 phase and damping-exponent change where a grid
-    cell changes that little or touches xi = 0, 12-point Gauss on sub-cells
-    of at most 2 pi change elsewhere.  The counts of every row come first,
-    so a row past ``_MAX_NODES`` raises before any node is built.  Then
-    consecutive rows are integrated ``_CHUNK`` nodes at a time, each row's
-    nodes laid out and summed as in a one-row call.
+    cell changes that little or touches xi = 0, and elsewhere one sub-cell
+    of the fewest points (12, 16, 24 or 32) whose remainder bound covers the
+    cell's change, or 32-point sub-cells past c_32.  The counts of every row
+    come first, so a row past ``_MAX_NODES`` raises before any node is
+    built.  Then consecutive rows are integrated ``_CHUNK`` nodes at a time,
+    each row's nodes laid out and summed as in a one-row call.
     """
     if mirrored and (np.asarray(edges) < 0.0).any():
         raise ValueError("a mirrored rule needs nonnegative edges")

@@ -258,8 +258,12 @@ def cmd_lowerbound(cfg: dict) -> dict:
     if not 256 <= n_nodes <= _MAX_SAMPLES:
         raise ConfigError(f"field 'n_nodes' must lie in [256, {_MAX_SAMPLES}]")
     t_zero = _flag(cfg, "t_zero", False)
+    auto_calibrate = _flag(cfg, "auto_calibrate", False)
+    if t_zero and auto_calibrate:
+        raise ConfigError("fields 't_zero' and 'auto_calibrate' exclude each "
+                          "other: the t = 0 scan does not depend on c")
     history = []
-    if _flag(cfg, "auto_calibrate", False) and not t_zero:
+    if auto_calibrate:
         fam, history = calibrate_smallness(fam, n_nodes=n_nodes)
         min_val = history[-1][1]
     else:
@@ -345,21 +349,32 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     }
 
 
+# the fields that one spectrum kind of ``eval`` reads and the other does
+# not; records echo their configuration, so the other kind refuses them
+_SPECTRUM_FIELDS = {"family": ("family", "R", "c", "b", "n_samples"),
+                    "band": ("lam", "seed")}
+
+
 def cmd_eval(cfg: dict) -> dict:
     spectrum = cfg.get("spectrum", "family")
+    if spectrum not in ("family", "band"):
+        raise ConfigError(f"field 'spectrum' must be family|band, got {spectrum!r}")
+    other = "band" if spectrum == "family" else "family"
+    for name in _SPECTRUM_FIELDS[other]:
+        if cfg.get(name) is not None:
+            raise ConfigError(f"field {name!r} is read under spectrum "
+                              f"{other!r} only, not {spectrum!r}")
     if spectrum == "family":
         fam = _family(cfg)
         f = build_counterexample(fam, _n_samples(cfg))
         gamma, alpha = fam.gamma, fam.alpha
-    elif spectrum == "band":
+    else:
         lam = _field(cfg, "lam")
         if not lam > 0.0:
             raise ConfigError(f"field 'lam' must be positive: {lam}")
         f = random_band_limited(lam, _field(cfg, "seed", kind=int))
         gamma = _field(cfg, "gamma", 1.0)
         alpha = _field(cfg, "alpha", 1.0)
-    else:
-        raise ConfigError(f"field 'spectrum' must be family|band, got {spectrum!r}")
     try:
         params = EvolutionParams(m=_field(cfg, "m", 2.0), gamma=gamma,
                                  damping=_flag(cfg, "damping", True))

@@ -31,12 +31,14 @@ Two independent routes are provided:
   ``maximal_field`` can stop once no later slice can raise its maximum.
 
 * ``direct_quadrature`` - slow trusted oracle: composite Gauss quadrature on
-  the source grid with a per-cell rule: 12-point Gauss on sub-cells of at
-  most 2 pi phase change where the phase moves fast, 4-point Gauss on
-  sub-cells of at most pi/8 where it moves slowly or the cell touches
-  xi = 0 (see ``_numerics.phase_counts`` for the remainder bound).  No
-  transform, no periodization, no demodulation.  It takes arrays of (y, t)
-  and gives a run of points the rule and node set of its extreme points.
+  the source grid with a per-cell rule: where the phase moves fast, 12-,
+  16-, 24- or 32-point Gauss, the fewest points whose remainder bound on
+  the cell's change matches 12 points on 2 pi, and sub-cells of 32 points
+  past 49.66 rad; 4-point Gauss on sub-cells of at most pi/8 where it
+  moves slowly or the cell touches xi = 0 (see ``_numerics.phase_counts``
+  for the remainder bound).  No transform, no periodization, no
+  demodulation.  It takes arrays of (y, t) and gives a run of points the
+  rule and node set of its extreme points.
 
 Both routes read the spectrum between its samples with the one local
 interpolant of ``_numerics`` (order ``_INTERP_ORDER``, one weight formula),
@@ -588,9 +590,11 @@ def _run_rule(edges: np.ndarray, ys: list[float], ts: list[float],
 
 def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     """Trusted slow evaluation of h_t(y) by refined composite quadrature on
-    the source grid: per grid cell, 12-point Gauss on sub-cells of at most
-    2 pi phase and damping-exponent change, or 4-point Gauss on sub-cells of
-    at most pi/8 where the cell changes by at most pi/8 or touches xi = 0.
+    the source grid: per grid cell of phase and damping-exponent change c,
+    the fine rule (one sub-cell of 12, 16, 24 or 32 points, the fewest whose
+    budget covers c, or ceil(c / 49.66) sub-cells of 32 points), or 4-point
+    Gauss on sub-cells of at most pi/8 where c is at most pi/8 or the cell
+    touches xi = 0 (``_numerics.phase_counts``).
 
     ``y`` and ``t`` are scalars or arrays that broadcast together; a scalar
     pair gives a Python complex, arrays give a complex array of their
@@ -601,12 +605,13 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     point's own rule: every step of ``phase_counts`` (products with the
     nonnegative cell widths and |xi|**m differences, sums, division by a
     positive budget, ``ceil``, ``np.maximum``, the fine flag counts > 1) is
-    correctly rounded, hence nondecreasing in those three, so a point
-    between the extremes gets counts and orders between theirs.  For m < 1
-    the cells touching 0 take (8 |t| / pi)**(1/m) from C ``pow``, which
-    need not be correctly rounded.  Consecutive points with one band and
-    rule share one node set; each value equals a one-point call's to the
-    bit.  Raises ``ResolutionError`` when a point needs over ``_MAX_NODES``
+    correctly rounded, hence nondecreasing in those three, and so is the
+    fine order, the first of the increasing budgets that is at least the
+    change; so a point between the extremes gets counts and orders between
+    theirs.  For m < 1 the cells touching 0 take (8 |t| / pi)**(1/m) from
+    C ``pow``, which need not be correctly rounded.  Consecutive points
+    with one band and rule share one node set; each value equals a
+    one-point call's to the bit.  Raises ``ResolutionError`` when a point needs over ``_MAX_NODES``
     nodes; the extremes propagate NaN, so a NaN point raises alone.  Raises
     ``DomainError`` for a negative t with the damping on.
     """

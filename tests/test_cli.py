@@ -131,6 +131,23 @@ def test_lowerbound_time_zero_regime(capsys):
     assert rec["results"]["t_zero"] and rec["passed"]
 
 
+def test_lowerbound_refuses_t_zero_with_auto_calibrate(capsys, monkeypatch):
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan started with both flags set")
+    monkeypatch.setattr(cli, "witness_minimum", no_work)
+    monkeypatch.setattr(cli, "calibrate_smallness", no_work)
+    code, out, err = run_cli(
+        ["lowerbound", "--family", "dilated", "--alpha", "0.25",
+         "--gamma", "0.75", "--R", "64", "--t-zero", "--auto-calibrate"],
+        capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config"
+    assert "'t_zero'" in rec["reason"] and "'auto_calibrate'" in rec["reason"]
+
+
 def test_lowerbound_requires_node_budget(monkeypatch):
     import ctschro.cli as cli
 
@@ -311,6 +328,34 @@ def test_eval_over_node_budget_exits_3(capsys, tmp_path, monkeypatch):
     rec = json.loads(err.splitlines()[-1])
     assert rec["error"] == "ResolutionError"
     assert "nodes" in rec["reason"]
+
+
+@pytest.mark.parametrize("spectrum,field,value", [
+    ("family", "lam", 16.0), ("family", "seed", 3),
+    ("band", "family", "dilated"), ("band", "R", 16.0), ("band", "c", 0.01),
+    ("band", "b", 2.0), ("band", "n_samples", 2048),
+])
+def test_eval_refuses_the_other_spectrums_fields(spectrum, field, value,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+    # the record echoes every field, so one the spectrum does not read
+    # would claim a setting that had no effect
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the field checks")
+    for name in ("build_counterexample", "random_band_limited",
+                 "direct_quadrature"):
+        monkeypatch.setattr(cli, name, no_work)
+    doc = {**(_VALID["eval"] if spectrum == "family" else _BAND),
+           "spectrum": spectrum, field: value}
+    code, out, rec = _run_doc("eval", doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+    # without it the same document runs
+    monkeypatch.undo()
+    del doc[field]
+    assert run_config({"command": "eval", **doc})["passed"]
 
 
 def test_eval_band_requires_seed():

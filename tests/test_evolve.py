@@ -449,21 +449,21 @@ def test_batched_quadrature_keys_on_rule_orders(monkeypatch):
 
 
 def test_quadrature_node_budget():
-    from ctschro._numerics import _MAX_NODES, phase_counts
+    from ctschro._numerics import _FINE_BUDGETS, _MAX_NODES, phase_counts
     edges = np.linspace(0.0, 1.0, 11)
     counts, orders = phase_counts(edges, 0.0, 0.0, 0.0, 2.0)
     assert counts.tolist() == [1] * 10
     assert orders.tolist() == [4] * 10
-    # a linear phase of (k - 1/2) 2 pi per cell on ten cells away from 0
-    # puts every cell on k sub-cells of the 12-point rule: 120 k nodes
+    # a linear phase of (k - 1/2) c_32 per cell on ten cells away from 0
+    # puts every cell on k sub-cells of the 32-point rule: 320 k nodes
     fast = np.linspace(1.0, 2.0, 11)
-    k = _MAX_NODES // 120
+    k = _MAX_NODES // 320
 
     def lin(k):
-        return (k - 0.5) * 2.0 * np.pi / 0.1
+        return (k - 0.5) * _FINE_BUDGETS[-1] / 0.1
     counts, orders = phase_counts(fast, lin(k), 0.0, 0.0, 2.0)  # just under
     assert counts.tolist() == [k] * 10
-    assert orders.tolist() == [12] * 10
+    assert orders.tolist() == [32] * 10
     with pytest.raises(ResolutionError, match="nodes"):          # just over
         phase_counts(fast, lin(k + 1), 0.0, 0.0, 2.0)
 

@@ -41,22 +41,37 @@ def _coarse_counts(edges, lin, quad, damp, m):
     return np.maximum(counts, 1), change, touch
 
 
+def _fine_rule(change):
+    """The fine rule's sub-cell counts and orders, written out from its
+    definition: the smallest order whose budget covers the change, on
+    ceil(change / c_32) sub-cells."""
+    budgets = numerics._FINE_BUDGETS
+    orders = np.select([change <= c for c in budgets[:-1]], [12, 16, 24], 32)
+    return np.ceil(change / budgets[-1]), orders
+
+
 @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_slow_and_zero_touching_cells_keep_the_coarse_rule(m):
     edges = np.concatenate([np.linspace(-1.0, 0.0, 9),
                             np.linspace(0.05, 3.0, 30)])
+    fine_orders = set()
     for lin, quad, damp in ((0.0, 0.0, 0.0), (1.2, 0.05, 0.0), (3.0, 0.5, 0.3),
-                            (40.0, 6.0, 2.0)):
+                            (40.0, 6.0, 2.0), (100.0, 2.0, 0.0),
+                            (250.0, 10.0, 1.0), (600.0, 10.0, 1.0)):
         counts, orders = phase_counts(edges, lin, quad, damp, m)
         coarse, change, touch = _coarse_counts(edges, lin, quad, damp, m)
         keep = touch | (change <= math.pi / 8)
-        assert orders.tolist() == np.where(keep, 4, 12).tolist()
+        fine_counts, fine = _fine_rule(change)
+        assert orders.tolist() == np.where(keep, 4, fine).tolist()
         assert counts[keep].tolist() == coarse[keep].tolist()
-        assert counts[~keep].tolist() == \
-            np.ceil(change[~keep] / (2 * math.pi)).tolist()
-    # the slow cases stay entirely on the coarse rule, fast ones do not
+        assert counts[~keep].tolist() == fine_counts[~keep].tolist()
+        fine_orders.update(orders[~keep].tolist())
+    # the slow cases stay entirely on the coarse rule, fast ones do not, and
+    # the fast ones reach every fine order
     assert phase_counts(edges, 1.2, 0.05, 0.0, m)[1].tolist() == [4] * 38
-    assert (phase_counts(edges, 40.0, 6.0, 2.0, m)[1] == 12).sum() >= 30
+    assert (phase_counts(edges, 40.0, 6.0, 2.0, m)[1] >= 12).sum() >= 30
+    assert fine_orders == {12, 16, 24, 32}
+    assert phase_counts(edges, 600.0, 10.0, 1.0, m)[0][9:].min() >= 2
 
 
 def test_fine_rule_pinned_cells():
@@ -66,8 +81,52 @@ def test_fine_rule_pinned_cells():
         counts, orders = phase_counts(edges, 4.0, 0.0, 0.0, m)
         assert counts.tolist() == [1, 3, 3, 1, 1, 1]
         assert orders.tolist() == [12, 4, 4, 12, 12, 12]
+    # change 3.25 (x 4), 6.5, 13: past 2 pi and c_16 = 12.955
     counts, orders = phase_counts(edges, 13.0, 0.0, 0.0, 2.0)
-    assert counts.tolist() == [1, 9, 9, 1, 2, 3]
+    assert counts.tolist() == [1, 9, 9, 1, 1, 1]
+    assert orders.tolist() == [12, 4, 4, 12, 16, 24]
+    # change 15 (x 4), 30, 60: 30 is just under c_24 = 30.0013, and 60 past
+    # c_32 = 49.66 takes two 32-point sub-cells
+    counts, orders = phase_counts(edges, 60.0, 0.0, 0.0, 2.0)
+    assert counts.tolist() == [1, 39, 39, 1, 1, 2]
+    assert orders.tolist() == [24, 4, 4, 24, 24, 32]
+
+
+def test_fine_ladder_switches_at_its_budgets():
+    # one cell of unit width away from 0, under a linear phase of change c:
+    # order n up to c_n inclusive, the next order one ulp above
+    edges = np.array([1.0, 2.0])
+    orders = numerics._FINE_ORDERS
+    for c, n, above in zip(numerics._FINE_BUDGETS, orders, orders[1:]):
+        assert phase_counts(edges, c, 0.0, 0.0, 2.0)[1].tolist() == [n]
+        up = phase_counts(edges, np.nextafter(c, np.inf), 0.0, 0.0, 2.0)
+        assert up[1].tolist() == [above] and up[0].tolist() == [1]
+    c32 = numerics._FINE_BUDGETS[-1]
+    for change, count in ((c32, 1), (1.5 * c32, 2), (2.0 * c32, 2),
+                          (2.5 * c32, 3)):
+        counts, orders = phase_counts(edges, change, 0.0, 0.0, 2.0)
+        assert counts.tolist() == [count] and orders.tolist() == [32]
+
+
+def _remainder_factor(n, c):
+    """c**(2n) (n!)**4 / ((2n+1) ((2n)!)**3): the Gauss-Legendre remainder
+    bound of exp(i theta s) on a sub-cell of change c, per unit width."""
+    return math.exp(2 * n * math.log(c) + 4 * math.lgamma(n + 1)
+                    - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1))
+
+
+def test_fine_budgets_keep_the_twelve_point_bound():
+    # every fine order's budget keeps the 12-point bound at 2 pi, 1.26e-19,
+    # and a budget 1e-9 larger would not
+    bound = _remainder_factor(12, 2.0 * math.pi)
+    assert bound == pytest.approx(1.2636e-19, rel=1e-4)
+    assert numerics._FINE_ORDERS == (12, 16, 24, 32)
+    assert numerics._FINE_BUDGETS[0] == 2.0 * math.pi
+    for n, c in zip(numerics._FINE_ORDERS, numerics._FINE_BUDGETS):
+        assert _remainder_factor(n, c) <= bound * (1.0 + 1e-12)
+        assert _remainder_factor(n, c * (1.0 + 1e-9)) > bound
+    # the coarse rule's bound, for comparison
+    assert _remainder_factor(4, math.pi / 8) < 3.2e-13
 
 
 def test_mixed_rule_nodes():
@@ -109,7 +168,9 @@ def _ascending(top, size):
 def test_phase_counts_are_monotone_for_m_at_least_one(edges, lin, quad, damp,
                                                       signs, m):
     # the oracle shares a run's rule on this: a point between the run's
-    # smallest and largest |lin|, |quad| and damp gets a rule between theirs
+    # smallest and largest |lin|, |quad| and damp gets a rule between theirs.
+    # Cells up to 8 wide and |lin| up to 300 reach every fine order and
+    # counts of 32-point sub-cells past c_32
     rules = [phase_counts(np.array(edges), sl * a, sq * b, c, m)
              for a, b, c, sl, sq in zip(lin, quad, damp, signs[:3], signs[3:])]
     for k in (0, 1):    # counts, then orders
@@ -143,7 +204,8 @@ def test_row_form_nodes_follow_one_row_layouts():
     edges = np.array([_row_edges(p) for p in range(len(_ROWS))])
     lin, quad, damp = (np.array(v) for v in zip(*_ROWS))
     counts, orders = phase_counts(edges, lin, quad, damp, 2.0)
-    assert set(orders[3].tolist()) == {4, 12}      # rows of mixed orders
+    # a row of every order
+    assert set(orders[3].tolist()) == {4, 12, 16, 24, 32}
     nodes, weights = refined_cells(edges, counts, orders)
     parts = [refined_cells(edges[p], counts[p], orders[p])
              for p in range(len(_ROWS))]
@@ -187,10 +249,11 @@ def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
         raise AssertionError("nodes built before the node budget check")
     monkeypatch.setattr(numerics, "refined_cells", no_nodes)
     edges = np.tile(np.linspace(1.0, 2.0, 11), (4, 1))
-    # a linear phase of (k - 1/2) 2 pi per cell puts each of the ten cells
-    # on k sub-cells of the 12-point rule: 120 k nodes
-    k = numerics._MAX_NODES // 120
-    lin = np.array([0.0, k + 0.5, k + 1.5, 1.0]) * 2.0 * np.pi / 0.1
+    # a linear phase of (k - 1/2) c_32 per cell puts each of the ten cells
+    # on k sub-cells of the 32-point rule: 320 k nodes
+    k = numerics._MAX_NODES // 320
+    lin = np.array([0.0, k + 0.5, k + 1.5, 1.0]) \
+        * numerics._FINE_BUDGETS[-1] / 0.1
     zero = np.zeros(4)
     with pytest.raises(ResolutionError, match="row 1 needs"):
         phase_counts(edges, lin, zero, zero, 2.0)
@@ -215,7 +278,7 @@ def _band_rows(m, damped):
             lin = rng.uniform(-3.0, 3.0)
             quad = rng.uniform(-2.0, 2.0) * lam ** (1.0 - m)
             if k == 5:
-                lin = 1.2e4 / lam * rng.choice([-1.0, 1.0])
+                lin = 1.8e4 / lam * rng.choice([-1.0, 1.0])
             damp = rng.uniform(0.0, 3.0) * lam ** -m if damped else 0.0
             cap = math.inf if damp == 0.0 else (745.0 / damp) ** (1.0 / m)
             rows.append((lam, min(2.0 * lam, cap), lin, quad, damp))
@@ -597,7 +660,40 @@ def test_gauss_rule_is_scipys_bit_for_bit(n):
     assert not xg.flags.writeable and not wg.flags.writeable
 
 
-@pytest.mark.parametrize("n", [4, 12])
+def _mp_gauss_rule(mpmath, n):
+    """n-point Gauss-Legendre nodes and weights, ascending, in mpmath's
+    working precision: Newton's iteration on P_n from the asymptotic
+    roots, w = 2 / ((1 - x**2) P_n'(x)**2)."""
+    nodes, weights = [], []
+    for k in range(n, 0, -1):
+        x = mpmath.cos(mpmath.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            dp = n * (x * mpmath.legendre(n, x)
+                      - mpmath.legendre(n - 1, x)) / (x * x - 1)
+            step = mpmath.legendre(n, x) / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -(mpmath.mp.dps - 5):
+                break
+        dp = n * (x * mpmath.legendre(n, x)
+                  - mpmath.legendre(n - 1, x)) / (x * x - 1)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_gauss_rule_is_correctly_rounded(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nodes, weights = _mp_gauss_rule(mpmath, n)
+        want_x = [float(v) for v in nodes]
+        want_w = [float(v) for v in weights]
+    xg, wg = numerics.gauss_rule(n)
+    assert xg.tolist() == want_x and wg.tolist() == want_w
+    assert not xg.flags.writeable and not wg.flags.writeable
+
+
+@pytest.mark.parametrize("n", [4, 12, 16, 24, 32])
 def test_gauss_rule_integrates_polynomials_of_degree_below_2n(n):
     # the 12-point weights (scipy's, to the bit) are off the exact ones by up
     # to 2.9e-14 relative at the end nodes, so that rule integrates x**k to
