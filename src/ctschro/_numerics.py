@@ -518,24 +518,24 @@ def node_set(edges: np.ndarray, counts: np.ndarray, orders: np.ndarray,
     return nodes, weights, np.abs(nodes) ** m, amp(nodes)
 
 
-def _unit_phase(phase: np.ndarray, parts=None) -> np.ndarray:
-    """exp(i phase) of a real array, bit for bit as ``np.exp(1j * phase)``
-    gives it: built as (1, phase + 0.0) when every |phase| is below
-    ``_SMALL_PHASE`` (see ``oscillatory_sum``; the + 0.0 turns -0 into +0,
-    as 1j * -0.0 does), and by ``np.exp`` when any phase is larger or
-    NaN.
+def _unit_phase(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """exp(i phase) of the real array phase = a, bit for bit as
+    ``np.exp(1j * phase)`` gives it: built as (1, phase + 0.0) when every
+    |phase| is below ``_SMALL_PHASE`` (see ``oscillatory_sum``; the + 0.0
+    turns -0 into +0, as 1j * -0.0 does), and by ``np.exp`` when any phase
+    is larger or NaN.
 
-    With ``parts`` = (a, b), ``phase`` is the rounded sum a + b, and the
-    ``np.exp`` branch returns exp(i phase) (1 + i err), with err the
-    rounding error of that sum (TwoSum): exp(i (a + b)) to first order in
-    err, which is at most half an ulp of the phase."""
+    With ``b``, phase is the rounded sum a + b, and the ``np.exp`` branch
+    returns exp(i phase) (1 + i err), with err the rounding error of that
+    sum (TwoSum): exp(i (a + b)) to first order in err, which is at most
+    half an ulp of the phase."""
+    phase = a if b is None else a + b
     # the first phase settles most large-phase calls without a pass over
     # the array
     if not (phase.size and abs(phase.flat[0]) < _SMALL_PHASE
             and (np.abs(phase) < _SMALL_PHASE).all()):
         out = np.exp(1j * phase)
-        if parts is not None:
-            a, b = parts
+        if b is not None:
             tail = phase - a             # TwoSum: a + b = phase + err
             err = phase - tail
             np.subtract(a, err, out=err)
@@ -600,8 +600,7 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     else:
         # a named amplitude keeps numpy from writing the product into it in
         # place, which would change the operand order and the rounding
-        parts = (lin * nodes, quad * abs_pow)
-        integrand = a * _unit_phase(parts[0] + parts[1], parts)
+        integrand = a * _unit_phase(lin * nodes, quad * abs_pow)
     if np.ndim(damp) or damp:
         # nodes of undamped rows keep their value, as in a one-row call
         np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,

@@ -358,7 +358,8 @@ _SPECTRUM_FIELDS = {"family": ("family", "R", "c", "b", "n_samples"),
 def cmd_eval(cfg: dict) -> dict:
     spectrum = cfg.get("spectrum", "family")
     if spectrum not in ("family", "band"):
-        raise ConfigError(f"field 'spectrum' must be family|band, got {spectrum!r}")
+        raise ConfigError(f"field 'spectrum' must be family|band, "
+                          f"got {spectrum!r}")
     other = "band" if spectrum == "family" else "family"
     for name in _SPECTRUM_FIELDS[other]:
         if cfg.get(name) is not None:

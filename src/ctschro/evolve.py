@@ -611,9 +611,10 @@ def direct_quadrature(f: SpectralFunction, params: EvolutionParams, y, t):
     theirs.  For m < 1 the cells touching 0 take (8 |t| / pi)**(1/m) from
     C ``pow``, which need not be correctly rounded.  Consecutive points
     with one band and rule share one node set; each value equals a
-    one-point call's to the bit.  Raises ``ResolutionError`` when a point needs over ``_MAX_NODES``
-    nodes; the extremes propagate NaN, so a NaN point raises alone.  Raises
-    ``DomainError`` for a negative t with the damping on.
+    one-point call's to the bit.  Raises ``ResolutionError`` when a point
+    needs over ``_MAX_NODES`` nodes; the extremes propagate NaN, so a NaN
+    point raises alone.  Raises ``DomainError`` for a negative t with the
+    damping on.
     """
     y_arr, t_arr = np.broadcast_arrays(np.asarray(y, dtype=float),
                                        np.asarray(t, dtype=float))

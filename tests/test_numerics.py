@@ -546,16 +546,21 @@ def _dyadic(offsets):
 
 
 A4_PAIRS = _a4_rule_pairs()
-# in-cell offsets: the slice refinement's k/q, and the nodes of each A4 rule
-# on the unit cell
+# rules of several sub-cells per cell, which A4's cells do not take (each of
+# its fast cells fits one sub-cell): 2 to 5 sub-cells of 12 points, 2 of 32
+# (a cell past c_32) and 9 of 4 (a coarse cell touching 0)
+MULTI_PAIRS = [(2, 12), (3, 12), (4, 12), (5, 12), (2, 32), (9, 4)]
+# in-cell offsets: the slice refinement's k/q, and the nodes of each rule on
+# the unit cell
 OFFSETS = {**{f"q{q}": _dyadic(np.arange(q) / q) for q in (2, 3, 7, 16)},
            **{f"rule{c}x{o}": _dyadic(refined_cells(np.array([0.0, 1.0]),
                                                     [c], [o])[0])
-              for c, o in A4_PAIRS}}
+              for c, o in A4_PAIRS + MULTI_PAIRS}}
 
 
 def test_a4_rules_are_covered():
-    assert (1, 4) in A4_PAIRS and (1, 12) in A4_PAIRS and len(A4_PAIRS) >= 4
+    # every fine order, each on one sub-cell
+    assert set(A4_PAIRS) == {(1, 4), (1, 12), (1, 16), (1, 24), (1, 32)}
 
 
 @pytest.mark.parametrize("dtype", [complex, float])
