@@ -7,7 +7,8 @@ amplitude scans), ``kernelcheck`` (kernel-bound and Schur-integral sweeps),
 
 A run is configured by a single JSON document and/or command-line flags;
 flags override document fields.  Records echo the fully resolved
-configuration, so any run can be reproduced from its own output.  Exit codes:
+configuration, so any run can be reproduced from its own output, and a field
+that its command does not read is refused.  Exit codes:
 0 success, 1 verdict failure, 2 configuration error, 3 internal error.
 """
 
@@ -54,9 +55,9 @@ from .maximal import (
 
 _CSV_COLUMNS = {
     "atlas": ["alpha", "gamma", "m", "s", "theorem", "regime"],
-    "sweep": ["family", "alpha", "gamma", "m", "b", "c", "s_order", "R",
-              "lambda", "Q", "norm_maxfield", "norm_f_l2", "norm_f_hs",
-              "slope", "predicted_slope", "verdict"],
+    "sweep": ["family", "alpha", "gamma", "m", "b", "c", "R", "lambda", "Q",
+              "norm_maxfield", "norm_f_l2", "slope", "predicted_slope",
+              "verdict"],
     "lowerbound": ["family", "alpha", "gamma", "m", "b", "c", "R", "n_nodes",
                    "min_value", "threshold", "verdict"],
     "kernelcheck": ["lambda", "max_ratio", "schur_slope",
@@ -106,22 +107,6 @@ def _flag(cfg: dict, name: str, default: bool) -> bool:
     return value
 
 
-def _interval(cfg: dict) -> str | tuple[float, float]:
-    """Field ``interval`` of ``sweep``: scaling (the default), witness, full,
-    or two numbers a < b inside [-1, 1]."""
-    value = cfg.get("interval")
-    if value is None:
-        return "scaling"
-    if value in ("scaling", "witness", "full"):
-        return value
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        a, b = _field(cfg, "interval", many=True)
-        if -1.0 <= a < b <= 1.0:
-            return a, b
-    raise ConfigError("field 'interval' must be scaling|witness|full or two "
-                      f"numbers -1 <= a < b <= 1, got {value!r}")
-
-
 def _family(cfg: dict) -> CounterexampleFamily:
     kind = cfg.get("family")
     if kind not in ("dilated", "modulated"):
@@ -165,12 +150,24 @@ def _scales(cfg: dict) -> list[float]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _one_or_list(cfg: dict, name: str) -> list[float]:
+    """Field ``<name>_list`` when it is a nonempty list, else [field
+    ``name``]; a run reads one of the two, so it refuses both."""
+    many = f"{name}_list"
+    if not cfg.get(many):
+        return [_field(cfg, name)]
+    if cfg.get(name) is not None:
+        raise ConfigError(f"field {name!r} is not read with {many!r}")
+    return _field(cfg, many, many=True)
+
+
 def cmd_atlas(cfg: dict) -> dict:
     m = _field(cfg, "m", 2.0)
-    alphas = (_field(cfg, "alpha_list", many=True) if cfg.get("alpha_list")
-              else [_field(cfg, "alpha")])
-    gammas = (_field(cfg, "gamma_list", many=True) if cfg.get("gamma_list")
-              else [_field(cfg, "gamma")])
+    alphas, gammas = _one_or_list(cfg, "alpha"), _one_or_list(cfg, "gamma")
+    continuity = _flag(cfg, "continuity", False)
+    if not continuity and cfg.get("gap_tolerance") is not None:
+        raise ConfigError("field 'gap_tolerance' is read with 'continuity' "
+                          "only")
     rows, verdicts = [], []
     for a in alphas:
         for g in gammas:
@@ -182,7 +179,7 @@ def cmd_atlas(cfg: dict) -> dict:
                          "s": float(res.s), "theorem": res.theorem,
                          "regime": res.regime})
     results = {"rows": rows}
-    if _flag(cfg, "continuity", False):
+    if continuity:
         gap_tol = _field(cfg, "gap_tolerance", 1e-7)
         worst = 0.0
         report = []
@@ -209,9 +206,7 @@ def _at_scale(R: float, fn, *args, **kwargs):
 
 def cmd_sweep(cfg: dict) -> dict:
     scales = _scales(cfg)
-    s_order = _field(cfg, "s_order", 0.0)
     tol = _field(cfg, "tolerance", 0.1)
-    interval = _interval(cfg)
     n_samples = _n_samples(cfg)
     fams = [_family({**cfg, "R": R}) for R in scales]
     try:
@@ -224,15 +219,13 @@ def cmd_sweep(cfg: dict) -> dict:
         _at_scale(fam.R, check_ratio_resolution, fam, n_samples)
     rows, qs = [], []
     for fam in fams:
-        res = _at_scale(fam.R, maximal_ratio, fam, s=s_order,
-                        interval=interval, n_samples=n_samples)
+        res = _at_scale(fam.R, maximal_ratio, fam, n_samples)
         qs.append(res.q)
         rows.append({"family": fam.kind, "alpha": fam.alpha, "gamma": fam.gamma,
-                     "m": fam.m, "b": fam.b, "c": fam.c, "s_order": s_order,
-                     "R": fam.R, "lambda": fam.lam, "Q": res.q,
+                     "m": fam.m, "b": fam.b, "c": fam.c, "R": fam.R,
+                     "lambda": fam.lam, "Q": res.q,
                      "norm_maxfield": res.norm_maxfield,
-                     "norm_f_l2": res.norm_f_l2, "norm_f_hs": res.norm_f_hs,
-                     "slices": res.slices})
+                     "norm_f_l2": res.norm_f_l2, "slices": res.slices})
 
     fit = fit_slope_guarded(scales, qs)
     passed = abs(fit.slope - predicted) <= tol
@@ -349,23 +342,16 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     }
 
 
-# the fields that one spectrum kind of ``eval`` reads and the other does
-# not; records echo their configuration, so the other kind refuses them
-_SPECTRUM_FIELDS = {"family": ("family", "R", "c", "b", "n_samples"),
-                    "band": ("lam", "seed")}
-
-
-def cmd_eval(cfg: dict) -> dict:
+def _spectrum(cfg: dict) -> str:
     spectrum = cfg.get("spectrum", "family")
     if spectrum not in ("family", "band"):
         raise ConfigError(f"field 'spectrum' must be family|band, "
                           f"got {spectrum!r}")
-    other = "band" if spectrum == "family" else "family"
-    for name in _SPECTRUM_FIELDS[other]:
-        if cfg.get(name) is not None:
-            raise ConfigError(f"field {name!r} is read under spectrum "
-                              f"{other!r} only, not {spectrum!r}")
-    if spectrum == "family":
+    return spectrum
+
+
+def cmd_eval(cfg: dict) -> dict:
+    if _spectrum(cfg) == "family":
         fam = _family(cfg)
         f = build_counterexample(fam, _n_samples(cfg))
         gamma, alpha = fam.gamma, fam.alpha
@@ -406,6 +392,24 @@ _COMMANDS = {
     "eval": cmd_eval,
 }
 
+# the fields each command reads, besides "command", "fmt" and "out"; those
+# of eval depend on its spectrum kind.  Records echo their configuration, so
+# a field the run does not read would claim a setting that had no effect:
+# run_config refuses it
+_FAMILY_FIELDS = ("family", "alpha", "gamma", "c", "b")
+_EVAL_FIELDS = ("spectrum", "m", "damping", "x", "t")
+_READS = {
+    "atlas": ("alpha", "gamma", "m", "alpha_list", "gamma_list",
+              "continuity", "gap_tolerance"),
+    "sweep": (*_FAMILY_FIELDS, "scales", "tolerance", "n_samples"),
+    "lowerbound": (*_FAMILY_FIELDS, "R", "n_nodes", "auto_calibrate",
+                   "t_zero"),
+    "kernelcheck": ("alpha", "gamma", "lams", "count", "seed", "schur_lams",
+                    "schur_tolerance"),
+    "eval": {"family": (*_EVAL_FIELDS, *_FAMILY_FIELDS, "R", "n_samples"),
+             "band": (*_EVAL_FIELDS, "alpha", "gamma", "lam", "seed")},
+}
+
 
 # ---------------------------------------------------------------------------
 # record assembly and serialization
@@ -416,6 +420,13 @@ def run_config(cfg: dict) -> dict:
     command = cfg.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"field 'command' must be one of {sorted(_COMMANDS)}")
+    reads, where = _READS[command], command
+    if isinstance(reads, dict):
+        spectrum = _spectrum(cfg)
+        reads, where = reads[spectrum], f"{command} --spectrum {spectrum}"
+    for name in cfg:
+        if name not in reads and name not in ("command", "fmt", "out"):
+            raise ConfigError(f"field {name!r} is not read by {where}")
     t0 = time.perf_counter()
     payload = _COMMANDS[command](cfg)
     return {
@@ -486,10 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scale sweep with slope fit")
     common(p)
     family(p)
-    p.add_argument("--s-order", type=float, dest="s_order")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--scales", help="comma-separated scale list")
-    p.add_argument("--interval", choices=("scaling", "witness", "full"))
 
     p = sub.add_parser("lowerbound", help="witness-interval amplitude scan")
     common(p)

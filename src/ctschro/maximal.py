@@ -1,6 +1,7 @@
 """Maximal fields sup over t in [0,1] of the evolved amplitude along a curve,
-their L2 norms, scale-to-norm ratios for the counterexample families, and
-log-log slope fitting.
+their L2 norms, the counterexample families' ratio of the maximal-field L2
+norm on the scaling interval to the source L2 norm, and log-log slope
+fitting.
 
 The time grid is geometric (all critical times in the constructions scale like
 negative powers of the frequency level), augmented per x-node with the
@@ -51,7 +52,7 @@ from .evolve import (
 __all__ = [
     "TimeGrid", "build_time_grid", "default_time_exponent",
     "MaximalField", "maximal_field", "l2_norm_field",
-    "default_x_grid", "witness_x_grid",
+    "witness_x_grid",
     "RatioResult", "maximal_ratio", "check_ratio_resolution",
     "ExponentFit", "fit_slope", "fit_slope_guarded",
     "witness_minimum", "calibrate_smallness",
@@ -139,13 +140,6 @@ class MaximalField:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def default_x_grid(f: SpectralFunction) -> np.ndarray:
-    """Uniform grid on [-1, 1] of at least 513 nodes, and at least 8 per
-    1/lam wavelength."""
-    n = max(513, int(math.ceil(8.0 * f.max_abs_xi())) + 1)
-    return np.linspace(-1.0, 1.0, n)
 
 
 def witness_x_grid(fam: CounterexampleFamily, n_inside: int = 256) -> np.ndarray:
@@ -277,11 +271,8 @@ class RatioResult:
     q: float
     norm_maxfield: float
     norm_f_l2: float
-    norm_f_hs: float
     R: float
     lam: float
-    s_order: float
-    interval: tuple[float, float]
     slices: int = 0     # transform slices of the maximal field
 
 
@@ -295,50 +286,35 @@ def _family_setup(fam: CounterexampleFamily, n_samples: int):
             holder_curve(fam.alpha))
 
 
-def maximal_ratio(fam: CounterexampleFamily, s: float = 0.0,
-                  interval: str | tuple[float, float] = "scaling",
+def maximal_ratio(fam: CounterexampleFamily,
                   n_samples: int = 2048) -> RatioResult:
-    """Ratio of the maximal-field L2 norm to the source Sobolev norm, for
-    the family's source evolved with the family's m and gamma along the
-    Hölder curve of its alpha, on the default time grid with witness times.
+    """Ratio Q of the maximal-field L2 norm on the scaling interval
+    (``scaling_interval``, the pure-power subinterval of the witness
+    interval) to the source L2 norm, for the family's source evolved with
+    the family's m and gamma along the Hölder curve of its alpha, on the
+    default time grid with witness times.  Its growth in R is the quantity
+    ``atlas.predicted_ratio_slope`` predicts.
 
-    ``interval`` selects where the maximal field is integrated:
-
-    * "scaling"  - pure-power subinterval of the witness interval (default;
-                   this is the quantity whose growth exponent the sharp
-                   theorems predict),
-    * "witness"  - the full witness interval,
-    * "full"     - all of [-1, 1] (baseline-dominated at desk scales),
-    * or an explicit (a, b).
+    The x-nodes are 256 uniform nodes of the scaling interval and the
+    ``witness_x_grid`` nodes inside it: the trapezoid reads no other node,
+    and a node's value does not depend on the others, so no node outside
+    is computed.
     """
     f, params, curve = _family_setup(fam, n_samples)
-    if interval == "scaling":
-        bounds = scaling_interval(fam)
-    elif interval == "witness":
-        bounds = witness_interval(fam)
-    elif interval == "full":
-        bounds = (-1.0, 1.0)
-    else:
-        bounds = (float(interval[0]), float(interval[1]))
-
-    if interval == "full":
-        xs = np.unique(np.concatenate([default_x_grid(f),
-                                       witness_x_grid(fam)]))
-    else:
-        xs = np.unique(np.concatenate(
-            [np.linspace(bounds[0], bounds[1], 256), witness_x_grid(fam)]))
-        xs = xs[(xs >= -1.0) & (xs <= 1.0)]
+    lo, hi = scaling_interval(fam)
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, 256),
+                                   witness_x_grid(fam)]))
+    xs = xs[(xs >= lo) & (xs <= hi)]
 
     tgrid = build_time_grid(default_time_exponent(fam.lam),
                             fam=fam, x_nodes=xs)
     field = maximal_field(f, params, curve, xs, tgrid)
-    norm_max = l2_norm_field(field, bounds)
+    norm_max = l2_norm_field(field, (lo, hi))
     norm_l2 = sobolev_norm(f, 0.0)
-    norm_hs = sobolev_norm(f, s)
-    if norm_hs == 0.0:
-        raise ZeroNormError("Sobolev normalization norm vanished")
-    return RatioResult(norm_max / norm_hs, norm_max, norm_l2, norm_hs,
-                       fam.R, fam.lam, s, bounds, field.slices)
+    if norm_l2 == 0.0:
+        raise ZeroNormError("source L2 norm vanished")
+    return RatioResult(norm_max / norm_l2, norm_max, norm_l2,
+                       fam.R, fam.lam, field.slices)
 
 
 def check_ratio_resolution(fam: CounterexampleFamily,

@@ -72,7 +72,7 @@ def test_sweep_empty_scales_is_config_error(capsys):
 def test_sweep_scales_must_increase():
     with pytest.raises(ConfigError):
         run_config({"command": "sweep", "family": "dilated", "alpha": 0.25,
-                    "gamma": 2.0, "R": 16.0, "scales": [16, 8, 32]})
+                    "gamma": 2.0, "scales": [16, 8, 32]})
 
 
 def test_sweep_verdict_failure_exits_1(capsys):
@@ -104,7 +104,8 @@ def test_sweep_small_run_csv_schema(capsys):
     assert len(rows) == 5
     assert all(r[-1] == "pass" for r in rows[1:])
     # lambda column tracks the family scale
-    assert float(rows[1][8]) == 8.0
+    assert float(rows[1][rows[0].index("lambda")]) == 8.0
+    assert "s_order" not in rows[0] and "norm_f_hs" not in rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +394,11 @@ def test_eval_checks_n_samples_as_sweep_does(monkeypatch):
                          (maximal, "build_counterexample"),
                          (cli, "maximal_ratio")):
         monkeypatch.setattr(module, name, no_work)
-    cfg = {"family": "dilated", "alpha": 0.25, "gamma": 0.75, "R": 16.0,
-           "scales": [16.0, 32.0, 64.0, 128.0]}
     for n_samples in (32, _MAX_NODES // 4 + 1):
         for command in ("sweep", "eval"):
             with pytest.raises(ConfigError, match="n_samples"):
-                run_config({"command": command, "n_samples": n_samples, **cfg})
+                run_config({"command": command, "n_samples": n_samples,
+                            **_VALID[command]})
 
 
 def test_kernelcheck_bounds_its_sizes_before_any_draw(monkeypatch, capsys):
@@ -469,7 +469,8 @@ def _run_doc(command, doc, tmp_path, capsys):
     ("atlas", "m", "two"), ("atlas", "gamma", {"value": 1}),
     # NaN and infinities: json.dumps writes NaN and Infinity, json.load
     # reads them back
-    ("sweep", "tolerance", math.nan), ("sweep", "s_order", math.nan),
+    ("sweep", "tolerance", math.nan),
+    ("sweep", "s_order", math.nan),     # sweep reads no s_order: refused
     ("sweep", "scales", [16.0, 32.0, math.nan, 128.0]),
     ("sweep", "scales", [16.0, 32.0, 64.0, math.inf]),
     ("lowerbound", "R", math.nan), ("lowerbound", "R", -math.inf),
@@ -507,6 +508,7 @@ def test_out_of_range_physics_field_exits_2(command, doc, words, tmp_path,
     ("eval", "damping", "false"), ("eval", "damping", 0),
     ("lowerbound", "t_zero", "false"), ("lowerbound", "auto_calibrate", "no"),
     ("atlas", "continuity", "false"), ("atlas", "continuity", 1),
+    # sweep reads no interval: refused whatever the value
     ("sweep", "interval", "bogus"), ("sweep", "interval", [0.5]),
     ("sweep", "interval", [0.5, 0.1]), ("sweep", "interval", [0.0, 2.0]),
     ("sweep", "interval", ["a", 0.5]), ("sweep", "interval", {"a": 0.1}),
@@ -526,6 +528,73 @@ def test_malformed_flag_or_interval_exits_2(command, field, value, tmp_path,
     assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
 
 
+@pytest.mark.parametrize("command,field,value", [
+    ("sweep", "interval", "full"), ("sweep", "s_order", 0.0),
+    ("sweep", "s_order", None), ("sweep", "R", 16.0),
+    ("sweep", "lams", [16.0, 32.0]), ("lowerbound", "n_samples", 64),
+    ("lowerbound", "scales", [16.0, 32.0]), ("lowerbound", "seed", 3),
+    ("kernelcheck", "family", "dilated"), ("atlas", "scales", [16.0, 32.0]),
+    # atlas reads alpha and gamma or their lists, and the gap tolerance
+    # with the continuity audit only
+    ("atlas", "alpha_list", [0.5, 0.25]), ("atlas", "gamma_list", [1.0, 2.0]),
+    ("atlas", "gap_tolerance", 1e-7),
+])
+def test_command_refuses_a_field_it_does_not_read(command, field, value,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    # the record echoes every field, so one the command does not read would
+    # claim a setting that had no effect, whatever its value
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the field checks")
+    for name in ("maximal_ratio", "check_ratio_resolution", "witness_minimum",
+                 "calibrate_smallness", "verify_kernel_bound",
+                 "schur_integral", "exponent"):
+        monkeypatch.setattr(cli, name, no_work)
+    doc = {**_VALID[command], field: value}
+    code, out, rec = _run_doc(command, doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+    # without it the same document runs
+    monkeypatch.undo()
+    del doc[field]
+    assert run_config({"command": command, **doc})["passed"]
+
+
+def test_every_flag_and_benchmark_field_is_read(monkeypatch):
+    # each flag's field is one its command reads, and so is each field of
+    # the benchmark's CLI workloads, as perfbench/workloads.py builds them
+    import argparse
+    import importlib.util
+    import pathlib
+    import ctschro.cli as cli
+
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        reads = cli._READS[command]
+        if isinstance(reads, dict):
+            reads = {name for kind in reads.values() for name in kind}
+        dests = {a.dest for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "config")}
+        assert dests <= {*reads, "fmt", "out"}, command
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 51
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ran = []
+    for name in ("sweep", "kernelcheck"):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg: ran.append(
+            cfg["command"]) or {"results": {}, "verdicts": []})
+        for size in ("full", "tiny"):
+            run_config(workloads.WORKLOADS[name](7, size).config)
+    assert ran == ["sweep", "sweep", "kernelcheck", "kernelcheck"]
+
+
 def test_damping_flag_reads_json_booleans():
     def value(**flag):
         rec = run_config({"command": "eval", **_DILATED, "R": 16.0,
@@ -536,24 +605,6 @@ def test_damping_flag_reads_json_booleans():
     assert value(damping=False) > 10.0 * damped
 
 
-@pytest.mark.parametrize("value,passed", [
-    (None, "scaling"), ("witness", "witness"), ("full", "full"),
-    ([-0.25, 0.5], (-0.25, 0.5)), ([-1, 1], (-1.0, 1.0)),
-])
-def test_sweep_interval_reaches_maximal_ratio(value, passed, monkeypatch):
-    import ctschro.cli as cli
-    from ctschro.errors import ResolutionError
-    seen = []
-
-    def record(fam, s, interval, n_samples):
-        seen.append(interval)
-        raise ResolutionError("stop after the first scale")
-    monkeypatch.setattr(cli, "maximal_ratio", record)
-    with pytest.raises(ResolutionError):
-        run_config({"command": "sweep", **_VALID["sweep"], "interval": value})
-    assert seen == [passed]
-
-
 def test_sweep_resolution_failure_exits_3_naming_the_scale(capsys,
                                                            monkeypatch):
     # an unresolved scale is no evidence against the theorem: it is not a
@@ -562,10 +613,10 @@ def test_sweep_resolution_failure_exits_3_naming_the_scale(capsys,
     from ctschro.errors import ResolutionError
     real = cli.maximal_ratio
 
-    def second_scale_fails(fam, s, interval, n_samples):
+    def second_scale_fails(fam, n_samples):
         if fam.R == 32.0:
             raise ResolutionError("slice needs an FFT past max_fft")
-        return real(fam, s=s, interval=interval, n_samples=n_samples)
+        return real(fam, n_samples)
     monkeypatch.setattr(cli, "maximal_ratio", second_scale_fails)
     code, out, err = run_cli(
         ["sweep", "--family", "dilated", "--alpha", "0.25", "--gamma", "2",

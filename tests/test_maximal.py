@@ -14,6 +14,7 @@ from ctschro.domain import (
     identity_curve,
     modulated_family,
     random_band_limited,
+    scaling_interval,
     witness_interval,
 )
 from ctschro.errors import CalibrationError, DegenerateSeriesError, DomainError
@@ -333,6 +334,30 @@ def test_maximal_ratio_small_scale_smoke():
     assert res.norm_maxfield == pytest.approx(
         np.sqrt(hi) / (2 * np.pi), rel=0.05)
     assert res.q > 0 and res.lam == fam.lam and res.R == fam.R
+
+
+@pytest.mark.parametrize("alpha,gamma,q_hex", [
+    (0.5, 3.0, "0x1.62630b48a7602p-4"),
+    (1 / 3, 1.6, "0x1.9715686eb52a6p-5"),
+])
+def test_ratio_reads_only_scaling_interval_nodes(alpha, gamma, q_hex,
+                                                 monkeypatch):
+    # the modulated witness interval is wider than the scaling interval;
+    # the field is built on the scaling interval's nodes alone, and Q is
+    # the value it had when the nodes of the whole witness interval were
+    # built too (pinned bit for bit)
+    import ctschro.maximal as maximal
+    fam = modulated_family(alpha, gamma, 16.0)
+    seen, real = [], maximal.maximal_field
+    monkeypatch.setattr(maximal, "maximal_field",
+                        lambda f, p, c, xs, tg: seen.append(xs)
+                        or real(f, p, c, xs, tg))
+    res = maximal_ratio(fam)
+    assert res.q.hex() == q_hex
+    lo, hi = scaling_interval(fam)
+    assert len(seen) == 1 and seen[0].size > 256
+    assert np.all((seen[0] >= lo) & (seen[0] <= hi))
+    assert hi < witness_interval(fam)[1]
 
 
 def test_sweep_witness_points_take_two_rule_passes(monkeypatch):
