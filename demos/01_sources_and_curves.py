@@ -1,6 +1,6 @@
 """Spectral sources and curve families.
 
-Builds the canonical smooth bump, samples the two counterexample spectra,
+Shows the fixed smooth bump g, samples the two counterexample spectra,
 and runs the empirical regularity checks for the built-in curves.
 """
 
@@ -19,7 +19,7 @@ from ctschro import (
     witness_interval,
 )
 
-print("== smooth bump profile ==")
+print("== the smooth bump g on [0, 1/2] ==")
 g = make_bump()
 grid = np.linspace(0.0, 0.5, 2001)
 print(f"support mass  : {np.trapezoid(g(grid), grid):.12f} (target 1)")

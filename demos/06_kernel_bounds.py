@@ -7,16 +7,18 @@ of the Schur row integral under the structured time assignment.
 
 import numpy as np
 
-from ctschro import EvolutionParams, beta_table, holder_curve, make_cutoff
-from ctschro.kernel import (
+from ctschro import (
+    EvolutionParams,
+    beta_table,
     clipped_power_assignment,
+    cutoff_mass,
+    holder_curve,
     schur_integral,
     verify_kernel_bound,
 )
 from ctschro.maximal import fit_slope
 
-cutoff = make_cutoff()
-print(f"cutoff mass over both band components: {cutoff.integral:.6f}\n")
+print(f"cutoff mass over both band components: {cutoff_mass():.6f}\n")
 
 for alpha, gamma in [(0.5, 2.0), (0.2, 0.5)]:
     row = beta_table(alpha, gamma)
@@ -34,7 +36,7 @@ for alpha, gamma in [(0.5, 2.0), (0.2, 0.5)]:
     curve = holder_curve(alpha)
     assign = clipped_power_assignment(alpha)
     lams = [16.0, 32.0, 64.0, 128.0]
-    vals = [schur_integral(0.0, lam, params, curve, cutoff, assign,
+    vals = [schur_integral(0.0, lam, params, curve, assign,
                            np.linspace(-1, 1, int(8 * lam) + 1))
             for lam in lams]
     fit = fit_slope(lams, vals)

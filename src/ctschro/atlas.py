@@ -187,14 +187,12 @@ def _regime_tag(piece: _Piece) -> str:
     return f"gamma in {lo}, {hi}"
 
 
-def exponent(query: ExponentQuery | None = None, *,
-             alpha=None, gamma=None, m=None) -> ExponentResult:
+def exponent(*, alpha, gamma, m) -> ExponentResult:
     """Sharp exponent s(alpha, gamma, m) with its theorem label and regime."""
-    if query is None:
-        query = ExponentQuery(alpha, gamma, m)
-    exact = _exact(query.alpha, query.gamma, query.m)
-    g = _lift(query.gamma, exact)
-    label, pieces = _pieces(query.alpha, query.m, exact)
+    ExponentQuery(alpha, gamma, m)   # DomainError outside the domain
+    exact = _exact(alpha, gamma, m)
+    g = _lift(gamma, exact)
+    label, pieces = _pieces(alpha, m, exact)
     for piece in pieces:
         above = g > piece.lo if piece.lo == 0 else g >= piece.lo
         below = piece.hi is None or g < piece.hi
@@ -204,8 +202,7 @@ def exponent(query: ExponentQuery | None = None, *,
                 s = s * 0
             return ExponentResult(s, label, _regime_tag(piece))
     raise RegimeError(   # unreachable: regime coverage is total
-        f"no regime covers gamma={query.gamma} for (alpha={query.alpha}, "
-        f"m={query.m})")
+        f"no regime covers gamma={gamma} for (alpha={alpha}, m={m})")
 
 
 def breakpoints(alpha, m) -> list[Breakpoint]:

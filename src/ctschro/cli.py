@@ -39,7 +39,6 @@ from .evolve import direct_quadrature
 from .kernel import (
     beta_table,
     clipped_power_assignment,
-    make_cutoff,
     schur_integral,
     verify_kernel_bound,
 )
@@ -72,11 +71,23 @@ def _fmt17(v) -> str:
     return "" if v is None else str(v)
 
 
+def _convert(value, kind):
+    """``kind(value)``, refusing what the conversion would change: a boolean
+    (not 1 or 0) and, for ``int``, a number with a fraction."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is no number")
+    converted = kind(value)
+    if kind is int and isinstance(value, float) and converted != value:
+        raise ValueError("the value has a fraction")
+    return converted
+
+
 def _field(cfg: dict, name: str, default=None, kind=float, many=False):
     """Field ``name`` of the configuration (``default`` when it is absent or
     null) converted by ``kind``; with ``many``, a list of them, where a
     scalar is a list of one.  Raises ``ConfigError`` naming the field when
-    it is missing and has no default, or a value is no finite number."""
+    it is missing and has no default, or a value is no finite number (an
+    integer for ``int``)."""
     value = cfg.get(name)
     if value is None:
         value = default
@@ -84,8 +95,9 @@ def _field(cfg: dict, name: str, default=None, kind=float, many=False):
         raise ConfigError(f"missing field {name!r}")
     what = "an integer" if kind is int else "a number"
     try:
-        values = ([kind(v) for v in np.atleast_1d(value).tolist()] if many
-                  else [kind(value)])
+        values = [_convert(v, kind)
+                  for v in (value if many and isinstance(value, list)
+                            else [value])]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {name!r} must be {what}"
                           f"{' or a list of them' if many else ''}, "
@@ -150,20 +162,12 @@ def _scales(cfg: dict) -> list[float]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _one_or_list(cfg: dict, name: str) -> list[float]:
-    """Field ``<name>_list`` when it is a nonempty list, else [field
-    ``name``]; a run reads one of the two, so it refuses both."""
-    many = f"{name}_list"
-    if not cfg.get(many):
-        return [_field(cfg, name)]
-    if cfg.get(name) is not None:
-        raise ConfigError(f"field {name!r} is not read with {many!r}")
-    return _field(cfg, many, many=True)
-
-
 def cmd_atlas(cfg: dict) -> dict:
     m = _field(cfg, "m", 2.0)
-    alphas, gammas = _one_or_list(cfg, "alpha"), _one_or_list(cfg, "gamma")
+    alphas = _field(cfg, "alpha", many=True)
+    gammas = _field(cfg, "gamma", many=True)
+    if not alphas or not gammas:
+        raise ConfigError("fields 'alpha' and 'gamma' must be nonempty")
     continuity = _flag(cfg, "continuity", False)
     if not continuity and cfg.get("gap_tolerance") is not None:
         raise ConfigError("field 'gap_tolerance' is read with 'continuity' "
@@ -308,13 +312,12 @@ def cmd_kernelcheck(cfg: dict) -> dict:
 
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
     curve = holder_curve(alpha)
-    cutoff = make_cutoff()
     assign = clipped_power_assignment(alpha)
     schur_vals = []
     for lam in schur_lams:
         ny = int(8 * lam) + 1
-        schur_vals.append(schur_integral(0.0, lam, params, curve, cutoff,
-                                         assign, np.linspace(-1.0, 1.0, ny)))
+        schur_vals.append(schur_integral(0.0, lam, params, curve, assign,
+                                         np.linspace(-1.0, 1.0, ny)))
     schur_fit = fit_slope(schur_lams, schur_vals)
 
     slope_ok = schur_fit.slope <= beta.i_exponent + schur_tol
@@ -399,8 +402,7 @@ _COMMANDS = {
 _FAMILY_FIELDS = ("family", "alpha", "gamma", "c", "b")
 _EVAL_FIELDS = ("spectrum", "m", "damping", "x", "t")
 _READS = {
-    "atlas": ("alpha", "gamma", "m", "alpha_list", "gamma_list",
-              "continuity", "gap_tolerance"),
+    "atlas": ("alpha", "gamma", "m", "continuity", "gap_tolerance"),
     "sweep": (*_FAMILY_FIELDS, "scales", "tolerance", "n_samples"),
     "lowerbound": (*_FAMILY_FIELDS, "R", "n_nodes", "auto_calibrate",
                    "t_zero"),
@@ -489,9 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="sharp-exponent table")
     common(p)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", help="comma-separated gamma values")
     p.add_argument("--m", type=float)
-    p.add_argument("--gamma-list", help="comma-separated gamma values")
     p.add_argument("--continuity", action="store_true", default=None)
 
     p = sub.add_parser("sweep", help="scale sweep with slope fit")
@@ -531,7 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIST_FIELDS = {"scales", "lams", "schur_lams", "gamma_list", "x", "t"}
+# flags whose string value is a comma list; "gamma" is one for atlas only,
+# since the other commands parse --gamma as one float
+_LIST_FIELDS = {"scales", "lams", "schur_lams", "gamma", "x", "t"}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:

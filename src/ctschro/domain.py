@@ -1,4 +1,4 @@
-"""Mathematical inputs: sampled spectra, smooth bump profiles, curve families
+"""Mathematical inputs: sampled spectra, the smooth bump, curve families
 with empirical regularity checks, Sobolev norms, and the two frequency-localized
 counterexample families used in the scaling experiments.
 
@@ -15,7 +15,7 @@ function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -25,11 +25,10 @@ from .errors import (
     RegimeError,
     ResolutionError,
     RootBracketError,
-    SupportError,
 )
 
 __all__ = [
-    "BumpSpec", "BumpProfile", "make_bump",
+    "BumpProfile", "make_bump",
     "CurveSpec", "identity_curve", "shear_curve", "holder_curve",
     "tabulated_curve", "curve_eval", "RegularityReport",
     "verify_curve_regularity",
@@ -43,7 +42,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# smooth bump profiles
+# the smooth bump
 # ---------------------------------------------------------------------------
 
 def _bump_shape(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -57,37 +56,20 @@ def _bump_shape(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Parameters of a smooth nonnegative profile supported in [0, 1/2].
-
-    ``normalization`` is the target value of the integral of the profile.
-    """
-    center: float = 0.25
-    half_width: float = 0.25
-    normalization: float = 1.0
-
-
 class BumpProfile:
-    """Evaluable smooth compactly supported profile with unit-by-default mass."""
+    """The smooth nonnegative profile g of the counterexamples:
+    exp(-1/(u (1/2 - u))) on (0, 1/2), scaled to unit mass."""
 
-    def __init__(self, spec: BumpSpec):
-        lo = spec.center - spec.half_width
-        hi = spec.center + spec.half_width
-        if spec.half_width <= 0:
-            raise SupportError("half_width must be positive")
-        if lo < 0.0 or hi > 0.5:
-            raise SupportError(
-                f"support [{lo}, {hi}] leaves the admissible interval [0, 0.5]")
-        self.lo = lo
-        self.hi = hi
-        self.spec = spec
+    lo = 0.0
+    hi = 0.5
+
+    def __init__(self):
         # trapezoid on a dense grid; the shape is C-infinity with all
         # derivatives vanishing at the support ends, so this converges faster
         # than any power of the step.
-        grid = np.linspace(lo, hi, 20001)
-        raw = np.trapezoid(_bump_shape(grid, lo, hi), grid)
-        self.scale = spec.normalization / raw
+        grid = np.linspace(self.lo, self.hi, 20001)
+        raw = np.trapezoid(_bump_shape(grid, self.lo, self.hi), grid)
+        self.scale = 1.0 / raw
 
     def __call__(self, u):
         return self.scale * _bump_shape(u, self.lo, self.hi)
@@ -98,12 +80,10 @@ class BumpProfile:
         return float(np.trapezoid(self(grid) ** power, grid))
 
 
-def make_bump(spec: BumpSpec = BumpSpec()) -> BumpProfile:
-    """Build the smooth profile described by ``spec``.
-
-    Raises ``SupportError`` when the requested support leaves [0, 1/2].
-    """
-    return BumpProfile(spec)
+@cache
+def make_bump() -> BumpProfile:
+    """The profile g, built on the first call and shared after it."""
+    return BumpProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +319,6 @@ class SpectralFunction:
         xi = self.grid()
         return (float(xi[nz[0]]), float(xi[nz[-1]]))
 
-    def max_abs_xi(self) -> float:
-        lo, hi = self.support()
-        return max(abs(lo), abs(hi))
-
-    def min_abs_xi(self) -> float:
-        """Smallest |xi| carrying a nonzero sample (0 for an empty spectrum);
-        two-sided bands with a spectral gap report the gap edge."""
-        nz = np.nonzero(self.samples)[0]
-        if nz.size == 0:
-            return 0.0
-        return float(np.min(np.abs(self.grid()[nz])))
-
 
 def from_profile(fn, xi_min: float, xi_max: float, n_samples: int,
                  band: float | None = None) -> SpectralFunction:
@@ -482,8 +450,8 @@ def modulated_family(alpha, gamma, R, c=0.01) -> CounterexampleFamily:
 
 def build_counterexample(fam: CounterexampleFamily,
                          n_samples: int = 2048) -> SpectralFunction:
-    """Sample fhat_R, with g the default bump, on a grid exactly covering
-    its support.
+    """Sample fhat_R, with g the bump of ``make_bump``, on a grid exactly
+    covering its support.
 
     The L2 norm scales as R**(-1/2); with ``n_samples`` fixed across scales the
     computed norms share one quadrature grid in the rescaled variable, so norm

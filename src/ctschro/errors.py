@@ -9,10 +9,6 @@ class ConfigError(LabError, ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-class SupportError(LabError, ValueError):
-    """A requested profile support leaves its admissible interval."""
-
-
 class ResolutionError(LabError, ValueError):
     """A grid is too coarse for the requested construction."""
 

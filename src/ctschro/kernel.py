@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,9 +38,10 @@ from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
 from .errors import DomainError, RegimeError
 
 __all__ = [
-    "CutoffSpec", "CutoffProfile", "make_cutoff",
+    "cutoff", "cutoff_mass",
     "kernel_values", "kernel_eval", "BetaChoice", "beta_table",
-    "kernel_majorant", "schur_integral", "KernelSample", "KernelBoundReport",
+    "kernel_majorant", "schur_integral", "clipped_power_assignment",
+    "geometric_time_set", "KernelSample", "KernelBoundReport",
     "verify_kernel_bound",
 ]
 
@@ -48,38 +50,22 @@ __all__ = [
 # cutoff
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Support radii of the smooth even annular cutoff (defaults 1/2 and 2)."""
-    inner: float = 0.5
-    outer: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.inner < self.outer:
-            raise DomainError("cutoff radii must satisfy 0 < inner < outer")
+# support radii of Psi
+_INNER = 0.5
+_OUTER = 2.0
 
 
-class CutoffProfile:
-    """Even C-infinity profile, positive on inner < |xi| < outer, peak 1."""
-
-    def __init__(self, spec: CutoffSpec = CutoffSpec()):
-        self.spec = spec
-        grid = np.linspace(spec.inner, spec.outer, 8193)
-        self._one_side = float(np.trapezoid(self(grid), grid))
-
-    def __call__(self, xi):
-        inner, outer = self.spec.inner, self.spec.outer
-        u = (np.abs(np.asarray(xi, dtype=float)) - inner) / (outer - inner)
-        return np.exp(4.0) * _bump_shape(u, 0.0, 1.0)
-
-    @property
-    def integral(self) -> float:
-        """integral of the cutoff over both support components."""
-        return 2.0 * self._one_side
+def cutoff(xi):
+    """Psi: even C-infinity profile, positive on 1/2 < |xi| < 2, peak 1."""
+    u = (np.abs(np.asarray(xi, dtype=float)) - _INNER) / (_OUTER - _INNER)
+    return np.exp(4.0) * _bump_shape(u, 0.0, 1.0)
 
 
-def make_cutoff(spec: CutoffSpec = CutoffSpec()) -> CutoffProfile:
-    return CutoffProfile(spec)
+@cache
+def cutoff_mass() -> float:
+    """integral of Psi over both support components."""
+    grid = np.linspace(_INNER, _OUTER, 8193)
+    return 2.0 * float(np.trapezoid(cutoff(grid), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +80,7 @@ _SAMPLES = _CHUNK // (_CELLS + 1)
 
 
 def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
-                  curve: CurveSpec, cutoff: CutoffProfile) -> np.ndarray:
+                  curve: CurveSpec) -> np.ndarray:
     """The kernel at every sample (x, y, t1, t2, lam) of arrays that
     broadcast together, as a complex array of their broadcast shape, by
     refined quadrature over the annulus lam/2 <= |xi| <= 2*lam
@@ -132,8 +118,8 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
                   - float(curve_eval(curve, yy, s2)))
             dt = s1 - s2
             damp = s1 ** g + s2 ** g
-            inner = cutoff.spec.inner * level
-            outer = cutoff.spec.outer * level
+            inner = _INNER * level
+            outer = _OUTER * level
             cap = math.inf if damp == 0.0 else math.sqrt(_DEAD / damp)
             hi = min(outer, cap)
             if hi <= inner:
@@ -155,10 +141,9 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
 
 
 def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
-                params: EvolutionParams, curve: CurveSpec,
-                cutoff: CutoffProfile) -> complex:
+                params: EvolutionParams, curve: CurveSpec) -> complex:
     """The kernel at one sample: ``kernel_values`` of one row."""
-    return complex(kernel_values(x, y, t1, t2, lam, params, curve, cutoff)[()])
+    return complex(kernel_values(x, y, t1, t2, lam, params, curve)[()])
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +223,14 @@ def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
 # ---------------------------------------------------------------------------
 
 def schur_integral(x: float, lam: float, params: EvolutionParams,
-                   curve: CurveSpec, cutoff: CutoffProfile,
-                   t_assignment, y_nodes: np.ndarray) -> float:
+                   curve: CurveSpec, t_assignment,
+                   y_nodes: np.ndarray) -> float:
     """Trapezoid over y in [-1, 1] of |K(x, y, t(x), t(y))| for a measurable
     time assignment t(.) given as a callable on positions."""
     y_nodes = np.asarray(y_nodes, dtype=float)
     tx = float(t_assignment(x))
     ty = [float(t_assignment(float(yy))) for yy in y_nodes]
-    values = kernel_values(x, y_nodes, tx, ty, lam, params, curve, cutoff)
+    values = kernel_values(x, y_nodes, tx, ty, lam, params, curve)
     # Python abs of each value: np.abs rounds differently in the last place
     vals = np.array([abs(v) for v in values.tolist()], dtype=float)
     return float(np.trapezoid(vals, y_nodes))
@@ -305,7 +290,7 @@ class KernelBoundReport:
 def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
                         seed: int) -> KernelBoundReport:
     """Seeded random samples (x, y, t1, t2) per level: the ratio of |kernel|
-    along the Hölder curve of exponent alpha, with the default cutoff, to the
+    along the Hölder curve of exponent alpha to the
     majorant with the table weights is reported as a per-level maximum.
 
     Positions keep |x - y| >= lam**-4 (coincidence cutoff); times are drawn
@@ -316,7 +301,6 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
         raise DomainError("need at least 100 samples per level")
     lams = tuple(float(l) for l in lams)
     curve = holder_curve(alpha)
-    cutoff = make_cutoff()
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
     beta = beta_table(alpha, gamma)
 
@@ -335,7 +319,7 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
             draws.append((x, y, t1, t2, lam))
 
     values = kernel_values(*np.array(draws, dtype=float).reshape(-1, 5).T,
-                           params, curve, cutoff).tolist()
+                           params, curve).tolist()
     samples = [KernelSample(x, y, t1, t2, lam, value,
                             kernel_majorant(x, y, lam, beta, alpha, gamma))
                for (x, y, t1, t2, lam), value in zip(draws, values)]

@@ -39,7 +39,6 @@ from ctschro.kernel import (
     beta_table,
     clipped_power_assignment,
     kernel_eval,
-    make_cutoff,
     schur_integral,
     verify_kernel_bound,
 )
@@ -250,7 +249,6 @@ def test_a6_lower_bound_constant():
 def test_a7_kernel_bounds():
     t0 = time.perf_counter()
     pairs = [(0.5, 2.0), (0.2, 0.5), (1 / 3, 1.2)]
-    cutoff = make_cutoff()
     lines, ok = [], True
     for alpha, gamma in pairs:
         rep = verify_kernel_bound(alpha, gamma, [16.0, 64.0, 256.0],
@@ -260,7 +258,7 @@ def test_a7_kernel_bounds():
         curve = holder_curve(alpha)
         assign = clipped_power_assignment(alpha)
         lams = [16.0, 32.0, 64.0, 128.0]
-        vals = [schur_integral(0.0, lam, params, curve, cutoff, assign,
+        vals = [schur_integral(0.0, lam, params, curve, assign,
                                np.linspace(-1, 1, int(8 * lam) + 1))
                 for lam in lams]
         fit = fit_slope(lams, vals)
@@ -330,7 +328,6 @@ def test_a8_property_suite():
         and np.all(field.values[at_scan] >= wvals))
 
     # kernel conjugate symmetry
-    cutoff = make_cutoff()
     p2 = EvolutionParams(m=2.0, gamma=2.0, damping=True)
     crv = holder_curve(0.5)
     sym = True
@@ -338,8 +335,8 @@ def test_a8_property_suite():
     for _ in range(10):
         x, y = rng.uniform(-1, 1, 2)
         t1, t2 = rng.uniform(0, 0.1, 2)
-        a = kernel_eval(x, y, t1, t2, 32.0, p2, crv, cutoff)
-        b = kernel_eval(y, x, t2, t1, 32.0, p2, crv, cutoff)
+        a = kernel_eval(x, y, t1, t2, 32.0, p2, crv)
+        b = kernel_eval(y, x, t2, t1, 32.0, p2, crv)
         sym &= abs(a - np.conj(b)) <= 1e-10 * max(abs(a), 1.0)
     checks["kernel conjugate symmetry"] = sym
 

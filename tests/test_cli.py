@@ -38,7 +38,7 @@ def test_atlas_single_query_csv(capsys):
 def test_atlas_gamma_grid_profile(capsys):
     code, out, _ = run_cli(
         ["atlas", "--alpha", "0.3333333333333333", "--m", "2",
-         "--gamma-list", "0.5,0.7,1.0,1.4,1.8,2.5", "--continuity"], capsys)
+         "--gamma", "0.5,0.7,1.0,1.4,1.8,2.5", "--continuity"], capsys)
     assert code == 0
     rec = json.loads(out)
     assert len(rec["results"]["rows"]) == 6
@@ -46,6 +46,17 @@ def test_atlas_gamma_grid_profile(capsys):
     assert rec["passed"]
     gaps = [g["gap"] for g in rec["results"]["continuity"]]
     assert max(gaps) <= 1e-7
+
+
+def test_atlas_reads_lists_of_alpha_and_gamma():
+    rec = run_config({"command": "atlas", "alpha": [0.5, 0.25],
+                      "gamma": [1.0, 2.0, 3.0]})
+    assert [(r["alpha"], r["gamma"]) for r in rec["results"]["rows"]] == [
+        (a, g) for a in (0.5, 0.25) for g in (1.0, 2.0, 3.0)]
+    for field in ("alpha", "gamma"):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            run_config({"command": "atlas", "alpha": 0.5, "gamma": 1.0,
+                        field: []})
 
 
 def test_atlas_malformed_config_exits_2(capsys):
@@ -476,12 +487,23 @@ def _run_doc(command, doc, tmp_path, capsys):
     ("lowerbound", "R", math.nan), ("lowerbound", "R", -math.inf),
     ("eval", "x", [math.nan]), ("eval", "t", [0.0, math.inf]),
     ("kernelcheck", "schur_tolerance", math.inf),
+    # a conversion may not change the value: no fraction in an integer
+    # field, and no boolean as a number
+    ("eval", "n_samples", 100.9), ("kernelcheck", "seed", 3.7),
+    ("kernelcheck", "seed", True), ("sweep", "alpha", True),
+    ("atlas", "gamma", [1.0, True]),
 ])
 def test_non_numeric_field_exits_2(command, field, value, tmp_path, capsys):
     doc = {**_VALID[command], field: value}
     code, out, rec = _run_doc(command, doc, tmp_path, capsys)
     assert code == 2 and out == ""
     assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+
+
+def test_integral_float_is_an_integer_field():
+    doc = {"command": "eval", **_VALID["eval"]}
+    assert run_config({**doc, "n_samples": 100.0})["results"] \
+        == run_config({**doc, "n_samples": 100})["results"]
 
 
 @pytest.mark.parametrize("command,doc,words", [
@@ -534,9 +556,7 @@ def test_malformed_flag_or_interval_exits_2(command, field, value, tmp_path,
     ("sweep", "lams", [16.0, 32.0]), ("lowerbound", "n_samples", 64),
     ("lowerbound", "scales", [16.0, 32.0]), ("lowerbound", "seed", 3),
     ("kernelcheck", "family", "dilated"), ("atlas", "scales", [16.0, 32.0]),
-    # atlas reads alpha and gamma or their lists, and the gap tolerance
-    # with the continuity audit only
-    ("atlas", "alpha_list", [0.5, 0.25]), ("atlas", "gamma_list", [1.0, 2.0]),
+    # atlas reads the gap tolerance with the continuity audit only
     ("atlas", "gap_tolerance", 1e-7),
 ])
 def test_command_refuses_a_field_it_does_not_read(command, field, value,
@@ -579,7 +599,7 @@ def test_every_flag_and_benchmark_field_is_read(monkeypatch):
         dests = {a.dest for a in parser._actions
                  if a.option_strings and a.dest not in ("help", "config")}
         assert dests <= {*reads, "fmt", "out"}, command
-    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 51
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 50
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location("workloads",
@@ -688,7 +708,7 @@ def test_config_document_with_flag_override(tmp_path, capsys):
         ["atlas", "--config", str(doc), "--gamma", "1.5"], capsys)
     assert code == 0
     rec = json.loads(out)
-    assert rec["config"]["gamma"] == 1.5       # flag wins over the document
+    assert rec["config"]["gamma"] == [1.5]     # flag wins over the document
     assert rec["results"]["rows"][0]["s"] == pytest.approx(1 / 6)
 
 

@@ -8,19 +8,18 @@ from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
 from ctschro.errors import DomainError, RegimeError
 from ctschro.kernel import (
     BetaChoice,
-    CutoffSpec,
     beta_table,
     clipped_power_assignment,
+    cutoff,
+    cutoff_mass,
     geometric_time_set,
     kernel_eval,
     kernel_majorant,
     kernel_values,
-    make_cutoff,
     schur_integral,
     verify_kernel_bound,
 )
 
-CUT = make_cutoff()
 P2 = EvolutionParams(m=2.0, gamma=2.0, damping=True)
 CRV = holder_curve(0.5)
 
@@ -31,21 +30,16 @@ CRV = holder_curve(0.5)
 
 def test_cutoff_support_and_positivity():
     xs = np.array([-2.5, -2.0, -0.5, 0.0, 0.3, 0.5, 2.0, 3.0])
-    assert np.all(CUT(xs) == 0.0)
+    assert np.all(cutoff(xs) == 0.0)
     inside = np.linspace(0.51, 1.99, 101)
-    assert np.all(CUT(inside) > 0.0)
-    assert np.all(CUT(-inside) == CUT(inside))   # even profile
-    assert CUT(np.array([1.25]))[0] == pytest.approx(1.0, rel=1e-12)  # peak 1
+    assert np.all(cutoff(inside) > 0.0)
+    assert np.all(cutoff(-inside) == cutoff(inside))   # even profile
+    assert cutoff(np.array([1.25]))[0] == pytest.approx(1.0, rel=1e-12)  # peak 1
 
 
 def test_cutoff_integral_against_scipy():
-    one_side, _ = quad(lambda x: CUT(x), 0.5, 2.0, limit=200)
-    assert CUT.integral == pytest.approx(2 * one_side, rel=1e-9)
-
-
-def test_cutoff_spec_validation():
-    with pytest.raises(DomainError):
-        CutoffSpec(inner=2.0, outer=1.0)
+    one_side, _ = quad(lambda x: cutoff(x), 0.5, 2.0, limit=200)
+    assert cutoff_mass() == pytest.approx(2 * one_side, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +48,17 @@ def test_cutoff_spec_validation():
 
 def test_kernel_at_coincident_arguments_is_total_mass():
     lam = 16.0
-    val = kernel_eval(0.3, 0.3, 0.0, 0.0, lam, P2, CRV, CUT)
-    assert val == pytest.approx(lam * CUT.integral, rel=1e-10)
+    val = kernel_eval(0.3, 0.3, 0.0, 0.0, lam, P2, CRV)
+    assert val == pytest.approx(lam * cutoff_mass(), rel=1e-10)
 
 
 def test_kernel_equal_times_matches_scipy_oracle():
     lam, t = 16.0, 0.01
-    got = kernel_eval(0.1, 0.1, t, t, lam, P2, CRV, CUT)
-    want, _ = quad(lambda xi: np.exp(-2 * t ** 2 * xi ** 2) * CUT(xi / lam),
+    got = kernel_eval(0.1, 0.1, t, t, lam, P2, CRV)
+    want, _ = quad(lambda xi: np.exp(-2 * t ** 2 * xi ** 2) * cutoff(xi / lam),
                    lam / 2, 2 * lam, limit=400)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
-    assert 0.0 < got.real <= lam * CUT.integral
+    assert 0.0 < got.real <= lam * cutoff_mass()
     assert got.real == pytest.approx(2 * want, rel=1e-9)
 
 
@@ -87,12 +81,12 @@ def test_kernel_oscillating_matches_scipy_oracle(x, y, t1, t2):
     def part(fn):
         def integrand(xi):
             return fn(np.exp(1j * (dy * xi + dt * xi * xi) - damp * xi * xi)) \
-                * CUT(xi / lam)
+                * cutoff(xi / lam)
         return sum(quad(integrand, a, b, limit=2000, epsabs=0.0, epsrel=1e-11)[0]
                    for a, b in ((lam / 2, 2 * lam), (-2 * lam, -lam / 2)))
 
     want = complex(part(np.real), part(np.imag))
-    got = kernel_eval(x, y, t1, t2, lam, P2, CRV, CUT)
+    got = kernel_eval(x, y, t1, t2, lam, P2, CRV)
     assert got.real == pytest.approx(want.real, abs=1e-10 * abs(want))
     assert got.imag == pytest.approx(want.imag, abs=1e-10 * abs(want))
 
@@ -113,13 +107,13 @@ def test_kernel_at_a_high_level_matches_scipy_oracle():
     def part(fn):
         def integrand(xi):
             return fn(np.exp(1j * (dy * xi + dt * xi * xi) - damp * xi * xi)) \
-                * CUT(xi / lam)
+                * cutoff(xi / lam)
         return sum(quad(integrand, a, b, limit=200, epsabs=0.0,
                         epsrel=1e-12)[0] for a, b in pieces)
 
     want = complex(part(np.real), part(np.imag))
-    got = kernel_eval(x, y, t1, t2, lam, P2, CRV, CUT)
-    assert abs(want) > 0.05 * lam * CUT.integral
+    got = kernel_eval(x, y, t1, t2, lam, P2, CRV)
+    assert abs(want) > 0.05 * lam * cutoff_mass()
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
@@ -130,8 +124,8 @@ def test_kernel_conjugate_symmetry():
     for _ in range(20):
         x, y = rng.uniform(-1, 1, 2)
         t1, t2 = rng.choice(tset, 2)
-        a = kernel_eval(x, y, t1, t2, lam, P2, CRV, CUT)
-        b = kernel_eval(y, x, t2, t1, lam, P2, CRV, CUT)
+        a = kernel_eval(x, y, t1, t2, lam, P2, CRV)
+        b = kernel_eval(y, x, t2, t1, lam, P2, CRV)
         assert abs(a - np.conj(b)) <= 1e-10 * max(abs(a), 1.0)
 
 
@@ -139,19 +133,19 @@ def test_kernel_modulus_bound():
     lam = 32.0
     rng = np.random.default_rng(11)
     tset = geometric_time_set(lam)
-    cap = lam * CUT.integral
+    cap = lam * cutoff_mass()
     for _ in range(40):
         x, y = rng.uniform(-1, 1, 2)
         t1, t2 = rng.choice(tset, 2)
-        assert abs(kernel_eval(x, y, t1, t2, lam, P2, CRV, CUT)) <= cap * (1 + 1e-12)
+        assert abs(kernel_eval(x, y, t1, t2, lam, P2, CRV)) <= cap * (1 + 1e-12)
 
 
 def test_kernel_requires_quadratic_dispersion():
     with pytest.raises(RegimeError):
         kernel_eval(0.0, 0.5, 0.0, 0.0, 16.0,
-                    EvolutionParams(m=1.0, gamma=2.0), CRV, CUT)
+                    EvolutionParams(m=1.0, gamma=2.0), CRV)
     with pytest.raises(DomainError):
-        kernel_eval(0.0, 0.5, 0.0, 0.0, 2.0, P2, CRV, CUT)
+        kernel_eval(0.0, 0.5, 0.0, 0.0, 2.0, P2, CRV)
 
 
 def test_kernel_requires_the_damping():
@@ -159,9 +153,9 @@ def test_kernel_requires_the_damping():
     # evolution; undamped params are refused, not evaluated as damped
     undamped = EvolutionParams(m=2.0, gamma=2.0, damping=False)
     with pytest.raises(RegimeError, match="damped"):
-        kernel_eval(0.1, -0.2, 0.5, 0.25, 16.0, undamped, CRV, CUT)
+        kernel_eval(0.1, -0.2, 0.5, 0.25, 16.0, undamped, CRV)
     with pytest.raises(RegimeError, match="damped"):
-        kernel_values([0.1, 0.2], -0.2, 0.5, 0.25, 16.0, undamped, CRV, CUT)
+        kernel_values([0.1, 0.2], -0.2, 0.5, 0.25, 16.0, undamped, CRV)
 
 
 def test_nonstationary_decay_at_zero_times():
@@ -172,7 +166,7 @@ def test_nonstationary_decay_at_zero_times():
     crv = identity_curve()
 
     def k_abs(dist):
-        return abs(kernel_eval(dist, 0.0, 0.0, 0.0, lam, P2, crv, CUT))
+        return abs(kernel_eval(dist, 0.0, 0.0, 0.0, lam, P2, crv))
 
     u_cal = np.linspace(32.0, 48.0, 33)
     c_int = max(u * u * k_abs(u / lam) / lam for u in u_cal)
@@ -200,9 +194,9 @@ def test_kernel_values_equal_one_row_calls():
                 t1 = t2 = 1.0
             rows.append((x, y, t1, t2, lam))
     cols = np.array(rows).T
-    got = kernel_values(*cols, P2, CRV, CUT)
+    got = kernel_values(*cols, P2, CRV)
     assert got.shape == (300,) and got.dtype == complex
-    want = [kernel_eval(*row, P2, CRV, CUT) for row in rows]
+    want = [kernel_eval(*row, P2, CRV) for row in rows]
     assert got.tolist() == want
     # dead: the damping cap sqrt(745 / (t1**2 + t2**2)) at or below lam / 2
     dead = {k for k, (_, _, t1, t2, lam) in enumerate(rows)
@@ -211,18 +205,18 @@ def test_kernel_values_equal_one_row_calls():
     assert all((want[k] == 0.0) == (k in dead) for k in range(300))
     # broadcasting, and a 2-D shape kept
     grid = kernel_values(0.3, cols[1].reshape(30, 10), 0.25, 0.125, 64.0,
-                         P2, CRV, CUT)
+                         P2, CRV)
     assert grid.shape == (30, 10)
     assert grid[3, 4] == kernel_eval(0.3, cols[1][34], 0.25, 0.125, 64.0,
-                                     P2, CRV, CUT)
+                                     P2, CRV)
 
 
 def test_kernel_values_check_every_sample():
     with pytest.raises(DomainError):
-        kernel_values([0.0, 0.1], 0.5, 0.0, [0.5, 1.5], 16.0, P2, CRV, CUT)
+        kernel_values([0.0, 0.1], 0.5, 0.0, [0.5, 1.5], 16.0, P2, CRV)
     with pytest.raises(DomainError):
-        kernel_values(0.0, 0.5, 0.0, 0.0, [16.0, 2.0], P2, CRV, CUT)
-    assert kernel_values([], [], [], [], 16.0, P2, CRV, CUT).shape == (0,)
+        kernel_values(0.0, 0.5, 0.0, 0.0, [16.0, 2.0], P2, CRV)
+    assert kernel_values([], [], [], [], 16.0, P2, CRV).shape == (0,)
 
 
 @pytest.mark.parametrize("sample", [
@@ -237,9 +231,9 @@ def test_kernel_rejects_non_finite_positions_and_levels(sample, monkeypatch):
     monkeypatch.setattr(kernel, "oscillatory_quadrature", no_quadrature)
     x, y, lam = sample
     with pytest.raises(DomainError, match="finite"):
-        kernel_eval(x, y, 0.0, 0.0, lam, P2, CRV, CUT)
+        kernel_eval(x, y, 0.0, 0.0, lam, P2, CRV)
     with pytest.raises(DomainError, match="finite"):
-        kernel_values([0.1, x], [0.2, y], 0.0, 0.0, [16.0, lam], P2, CRV, CUT)
+        kernel_values([0.1, x], [0.2, y], 0.0, 0.0, [16.0, lam], P2, CRV)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +365,9 @@ def test_beta_table_out_of_range():
 def test_schur_time_zero_bounded_by_mass():
     lam = 16.0
     ys = np.linspace(-1, 1, int(8 * lam) + 1)
-    val = schur_integral(0.2, lam, P2, identity_curve(), CUT,
+    val = schur_integral(0.2, lam, P2, identity_curve(),
                          lambda x: 0.0, ys)
-    assert 0.0 < val <= 2.0 * lam * CUT.integral
+    assert 0.0 < val <= 2.0 * lam * cutoff_mass()
 
 
 def test_schur_dominated_by_majorant_integral():
@@ -385,14 +379,14 @@ def test_schur_dominated_by_majorant_integral():
     ratios = []
     for lam in (16.0, 32.0, 64.0):
         ys = np.linspace(-1, 1, int(8 * lam) + 1)
-        got = schur_integral(0.0, lam, P2, CRV, CUT, assign, ys)
+        got = schur_integral(0.0, lam, P2, CRV, assign, ys)
         keep = np.abs(ys) > lam ** -4
         maj = np.trapezoid(
             [kernel_majorant(0.0, float(y), lam, beta, alpha, gamma)
              if abs(y) > lam ** -4 else 0.0 for y in ys], ys)
         ratios.append(got / maj)
     assert ratios[-1] <= 2.0 * ratios[0]
-    assert max(ratios) < 2.0 * max(1.0, CUT.integral)
+    assert max(ratios) < 2.0 * max(1.0, cutoff_mass())
 
 
 def test_random_assignment_schur_finite_and_deterministic():
@@ -404,8 +398,8 @@ def test_random_assignment_schur_finite_and_deterministic():
         return float(_t[k])
 
     ys = np.linspace(-1, 1, 129)
-    a = schur_integral(0.1, lam, P2, CRV, CUT, assign, ys)
-    b = schur_integral(0.1, lam, P2, CRV, CUT, assign, ys)
+    a = schur_integral(0.1, lam, P2, CRV, assign, ys)
+    b = schur_integral(0.1, lam, P2, CRV, assign, ys)
     assert a == b and np.isfinite(a)
 
 
