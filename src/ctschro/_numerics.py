@@ -144,10 +144,11 @@ def _rule(nodes: list[float], weights: list[float]):
     return pair
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] of the rules in use.  The 4-
-# and 12-point tables are scipy.special.roots_legendre's to the last bit; the
-# 16-, 24- and 32-point tables are the exact values correctly rounded from
-# 50 digits (Newton's iteration on the Legendre polynomial)
+# Gauss-Legendre nodes and weights on [-1, 1] of the rules in use.  The
+# 4-point table is scipy.special.roots_legendre's to the last bit (within one
+# ulp of the exact values); the 12-, 16-, 24- and 32-point tables are the
+# exact values correctly rounded from 50 digits (Newton's iteration on the
+# Legendre polynomial)
 _GAUSS_RULES = {
     _COARSE_ORDER: _rule(
         [-0.8611363115940526, -0.3399810435848563,
@@ -156,13 +157,13 @@ _GAUSS_RULES = {
          0.6521451548625462, 0.3478548451374538]),
     12: _rule(
         [-0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
-         -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
-         0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+         -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+         0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
          0.7699026741943047, 0.9041172563704749, 0.9815606342467192],
-        [0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
-         0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
-         0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
-         0.16007832854334608, 0.10693932599531782, 0.04717533638651319]),
+        [0.04717533638651183, 0.10693932599531843, 0.16007832854334622,
+         0.20316742672306592, 0.2334925365383548, 0.24914704581340277,
+         0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+         0.16007832854334622, 0.10693932599531843, 0.04717533638651183]),
     16: _rule(
         [-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
          -0.755404408355003, -0.6178762444026438, -0.45801677765722737,

@@ -654,7 +654,7 @@ def test_rule_form_matches_lagrange_uniform_at_the_nodes(lo, hi):
 # the Gauss rules and the allocator policy
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("n", [4])
 def test_gauss_rule_is_scipys_bit_for_bit(n):
     special = pytest.importorskip("scipy.special")
     xg, wg = numerics.gauss_rule(n)
@@ -686,7 +686,7 @@ def _mp_gauss_rule(mpmath, n):
     return nodes, weights
 
 
-@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("n", [12, 16, 24, 32])
 def test_gauss_rule_is_correctly_rounded(n):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
@@ -700,9 +700,7 @@ def test_gauss_rule_is_correctly_rounded(n):
 
 @pytest.mark.parametrize("n", [4, 12, 16, 24, 32])
 def test_gauss_rule_integrates_polynomials_of_degree_below_2n(n):
-    # the 12-point weights (scipy's, to the bit) are off the exact ones by up
-    # to 2.9e-14 relative at the end nodes, so that rule integrates x**k to
-    # within 1.9e-15 only
+    # every table is within one ulp of the exact rule (1.1e-16 measured)
     xg, wg = numerics.gauss_rule(n)
     for k in range(2 * n):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
