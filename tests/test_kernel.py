@@ -418,9 +418,7 @@ def test_verify_kernel_bound_smoke_and_determinism():
 
 
 # the reports of the one-sample-per-call evaluation, to the bit: the draws,
-# their kernel values and the majorants of the worst sample per level (two
-# values moved by 5e-17 relative when the 12-point Gauss table was rounded
-# correctly)
+# their kernel values and the majorants of the worst sample per level
 _PINNED_REPORTS = {
     3: ((1.48204438973551, 1.8937522500534032),
         ((0.5306206175353949, -0.009600182801924317, 0.0, 0.015625, 16.0,
