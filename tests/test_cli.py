@@ -556,7 +556,9 @@ def test_malformed_flag_or_interval_exits_2(command, field, value, tmp_path,
     ("sweep", "lams", [16.0, 32.0]), ("lowerbound", "n_samples", 64),
     ("lowerbound", "scales", [16.0, 32.0]), ("lowerbound", "seed", 3),
     ("kernelcheck", "family", "dilated"), ("atlas", "scales", [16.0, 32.0]),
-    # atlas reads the gap tolerance with the continuity audit only
+    # atlas reads its lists from alpha and gamma themselves, and the gap
+    # tolerance with the continuity audit only
+    ("atlas", "alpha_list", [0.5, 0.25]), ("atlas", "gamma_list", [1.0, 2.0]),
     ("atlas", "gap_tolerance", 1e-7),
 ])
 def test_command_refuses_a_field_it_does_not_read(command, field, value,
