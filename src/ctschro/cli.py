@@ -72,10 +72,11 @@ def _fmt17(v) -> str:
 
 
 def _convert(value, kind):
-    """``kind(value)``, refusing what the conversion would change: a boolean
-    (not 1 or 0) and, for ``int``, a number with a fraction."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is no number")
+    """``kind(value)`` of a JSON number, refusing a string and a boolean (not
+    1 or 0), and what the conversion would change: for ``int``, a number
+    with a fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{type(value).__name__} is no number")
     converted = kind(value)
     if kind is int and isinstance(value, float) and converted != value:
         raise ValueError("the value has a fraction")
@@ -149,13 +150,16 @@ def _n_samples(cfg: dict) -> int:
     return n_samples
 
 
-def _scales(cfg: dict) -> list[float]:
-    scales = _field(cfg, "scales", many=True)
-    if not scales or any(s < 4 for s in scales) \
-            or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ConfigError("field 'scales' must be a nonempty list increasing "
-                          "strictly with entries >= 4")
-    return scales
+def _levels(cfg: dict, name: str, least: int, default=None) -> list[float]:
+    """List field ``name`` of scales or frequency levels: at least ``least``
+    entries >= 4 that increase strictly.  Raises ``ConfigError`` naming the
+    field otherwise."""
+    levels = _field(cfg, name, default, many=True)
+    if len(levels) < least or any(v < 4 for v in levels) \
+            or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"field {name!r} must increase strictly with at "
+                          f"least {least} entries >= 4")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def _at_scale(R: float, fn, *args, **kwargs):
 
 
 def cmd_sweep(cfg: dict) -> dict:
-    scales = _scales(cfg)
+    scales = _levels(cfg, "scales", 4)   # as many as the slope fit needs
     tol = _field(cfg, "tolerance", 0.1)
     n_samples = _n_samples(cfg)
     fams = [_family({**cfg, "R": R}) for R in scales]
@@ -281,18 +285,13 @@ def cmd_lowerbound(cfg: dict) -> dict:
 def cmd_kernelcheck(cfg: dict) -> dict:
     alpha = _field(cfg, "alpha")
     gamma = _field(cfg, "gamma")
-    lams = _field(cfg, "lams", [16.0, 64.0, 256.0], many=True)
+    # the ratio_non_growth verdict compares the last level with the first,
+    # and the Schur fit needs 4 levels
+    lams = _levels(cfg, "lams", 2, [16.0, 64.0, 256.0])
     count = _field(cfg, "count", 500, int)
     seed = _field(cfg, "seed", kind=int)
-    schur_lams = _field(cfg, "schur_lams", [16.0, 32.0, 64.0, 128.0],
-                        many=True)
+    schur_lams = _levels(cfg, "schur_lams", 4, [16.0, 32.0, 64.0, 128.0])
     schur_tol = _field(cfg, "schur_tolerance", 0.15)
-    if not lams or not all(l >= 4.0 for l in lams):
-        raise ConfigError("field 'lams' must be a nonempty list of entries >= 4")
-    if len(schur_lams) < 4 or not all(l >= 4.0 for l in schur_lams) \
-            or any(b <= a for a, b in zip(schur_lams, schur_lams[1:])):
-        raise ConfigError("field 'schur_lams' must increase strictly with at "
-                          "least 4 entries >= 4")
     if count < 100:
         raise ConfigError("field 'count' must be at least 100")
     # the kernel draws and the Schur row's y-nodes are held in memory whole

@@ -1,6 +1,6 @@
-"""Mathematical inputs: sampled spectra, the smooth bump, curve families
-with empirical regularity checks, Sobolev norms, and the two frequency-localized
-counterexample families used in the scaling experiments.
+"""Mathematical inputs: sampled spectra, the smooth bump, the curves
+x - c3 t**alpha with empirical regularity checks, Sobolev norms, and the two
+frequency-localized counterexample families used in the scaling experiments.
 
 Conventions fixed here and used everywhere else:
 
@@ -14,14 +14,13 @@ function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import (
     DomainError,
-    GridRangeError,
     RegimeError,
     ResolutionError,
     RootBracketError,
@@ -30,7 +29,7 @@ from .errors import (
 __all__ = [
     "BumpProfile", "make_bump",
     "CurveSpec", "identity_curve", "shear_curve", "holder_curve",
-    "tabulated_curve", "curve_eval", "RegularityReport",
+    "curve_eval", "RegularityReport",
     "verify_curve_regularity",
     "EvolutionParams",
     "SpectralFunction", "from_profile", "random_band_limited",
@@ -87,107 +86,50 @@ def make_bump() -> BumpProfile:
 
 
 # ---------------------------------------------------------------------------
-# curve families
+# curves
 # ---------------------------------------------------------------------------
-
-_FAMILIES = ("identity", "shear", "holder_tangent", "tabulated")
-
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A curve family Gamma(x, t) with declared regularity constants.
+    """The curve Gamma(x, t) = x - c3 * t**alpha.
 
-    c1, c2 bound |Gamma(x,t)-Gamma(x',t)| / |x-x'| from below/above, c3 bounds
-    |Gamma(x,t)-Gamma(x,t')| / |t-t'|**alpha.  Built-in families:
-
-    * identity:       Gamma(x, t) = x
-    * shear:          Gamma(x, t) = x - t
-    * holder_tangent: Gamma(x, t) = x - t**alpha
-    * tabulated:      bilinear interpolation of a value table
+    The paper's curves are bi-Lipschitz in x with constants c1, c2 and
+    alpha-Hölder in t with constant c3.  This form needs no field for c1 and
+    c2: Gamma is an isometry in x, so c1 = c2 = 1.  Since
+    |t**alpha - u**alpha| <= |t - u|**alpha, c3 is its Hölder constant.
+    The identity is c3 = 0 and the shear is alpha = 1.
     """
-    family: str
     alpha: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
     c3: float = 1.0
-    x_nodes: np.ndarray | None = field(default=None, repr=False)
-    t_nodes: np.ndarray | None = field(default=None, repr=False)
-    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown curve family {self.family!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError("alpha must lie in (0, 1]")
-        if self.family == "tabulated":
-            if self.x_nodes is None or self.t_nodes is None or self.table is None:
-                raise DomainError("tabulated curve needs x_nodes, t_nodes, table")
+        # make_plan sizes its query window by c3
+        if not (0.0 <= self.c3 < np.inf):
+            raise DomainError("c3 must be finite and nonnegative")
 
 
 def identity_curve() -> CurveSpec:
-    return CurveSpec("identity", alpha=1.0, c3=0.0)
+    return CurveSpec(alpha=1.0, c3=0.0)
 
 
 def shear_curve() -> CurveSpec:
-    return CurveSpec("shear", alpha=1.0, c3=1.0)
+    return CurveSpec(alpha=1.0, c3=1.0)
 
 
 def holder_curve(alpha: float) -> CurveSpec:
-    return CurveSpec("holder_tangent", alpha=alpha, c3=1.0)
-
-
-def tabulated_curve(x_nodes, t_nodes, table, alpha, c1=1.0, c2=1.0, c3=1.0) -> CurveSpec:
-    """Piecewise-bilinear curve from a table of Gamma values.
-
-    ``table[i, j] = Gamma(x_nodes[j], t_nodes[i])``; the first time node must
-    be 0 with ``table[0] == x_nodes`` so that Gamma(x, 0) = x.  Both node
-    arrays must increase strictly (``curve_eval`` locates cells by bisection).
-    """
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    table = np.asarray(table, dtype=float)
-    if not all(n.ndim == 1 and n.size > 1 and np.all(np.diff(n) > 0)
-               for n in (x_nodes, t_nodes)):
-        raise DomainError("x_nodes and t_nodes must increase strictly")
-    if table.shape != (t_nodes.size, x_nodes.size):
-        raise DomainError("table shape must be (len(t_nodes), len(x_nodes))")
-    if t_nodes[0] != 0.0 or not np.array_equal(table[0], x_nodes):
-        raise DomainError("tabulated curve must satisfy Gamma(x, 0) = x")
-    for arr in (x_nodes, t_nodes, table):
-        arr.setflags(write=False)
-    return CurveSpec("tabulated", alpha=alpha, c1=c1, c2=c2, c3=c3,
-                     x_nodes=x_nodes, t_nodes=t_nodes, table=table)
+    return CurveSpec(alpha=alpha, c3=1.0)
 
 
 def curve_eval(curve: CurveSpec, x, t):
     """Evaluate Gamma(x, t); vectorized over x and/or t.
 
-    Gamma(x, 0) = x holds exactly for the built-in families.
+    Gamma(x, 0) = x holds exactly, since 0**alpha = 0.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if curve.family == "identity":
-        return (x + 0.0 * t)
-    if curve.family == "shear":
-        return x - t
-    if curve.family == "holder_tangent":
-        return x - np.power(t, curve.alpha)
-    # tabulated: bilinear, error outside the table
-    xn, tn, tab = curve.x_nodes, curve.t_nodes, curve.table
-    x_b, t_b = np.broadcast_arrays(x, t)
-    if (x_b < xn[0]).any() or (x_b > xn[-1]).any() \
-            or (t_b < tn[0]).any() or (t_b > tn[-1]).any():
-        raise GridRangeError("tabulated curve queried outside its table")
-    ix = np.clip(np.searchsorted(xn, x_b, side="right") - 1, 0, xn.size - 2)
-    it = np.clip(np.searchsorted(tn, t_b, side="right") - 1, 0, tn.size - 2)
-    wx = (x_b - xn[ix]) / (xn[ix + 1] - xn[ix])
-    wt = (t_b - tn[it]) / (tn[it + 1] - tn[it])
-    v00 = tab[it, ix]
-    v01 = tab[it, ix + 1]
-    v10 = tab[it + 1, ix]
-    v11 = tab[it + 1, ix + 1]
-    out = (1 - wt) * ((1 - wx) * v00 + wx * v01) + wt * ((1 - wx) * v10 + wx * v11)
-    return out if out.ndim else float(out)
+    return x - curve.c3 * np.power(t, curve.alpha)
 
 
 @dataclass(frozen=True)
@@ -197,15 +139,13 @@ class RegularityReport:
     c1_emp: float
     c2_emp: float
     c3_emp: float
-    c1_declared: float
-    c2_declared: float
-    c3_declared: float
 
 
 def verify_curve_regularity(curve: CurveSpec, n_x: int = 41,
                             n_t: int = 41) -> RegularityReport:
-    """Empirically check two-sided Lipschitz bounds in x and the Hölder bound
-    in t on a lattice over [-1, 1] x [0, 1], up to a slack of 1e-12.
+    """Empirically check two-sided Lipschitz bounds in x (both 1) and the
+    Hölder bound c3 in t on a lattice over [-1, 1] x [0, 1], up to a slack
+    of 1e-12.
 
     Failures are reported, never raised.  The witnessed constants are the
     tightest ratios over all lattice pairs.
@@ -213,9 +153,6 @@ def verify_curve_regularity(curve: CurveSpec, n_x: int = 41,
     slack = 1e-12
     xs = np.linspace(-1.0, 1.0, n_x)
     ts = np.linspace(0.0, 1.0, n_t)
-    if curve.family == "tabulated":
-        xs = np.clip(xs, curve.x_nodes[0], curve.x_nodes[-1])
-        ts = np.clip(ts, curve.t_nodes[0], curve.t_nodes[-1])
 
     gam = np.empty((n_t, n_x))
     for i, t in enumerate(ts):
@@ -233,11 +170,9 @@ def verify_curve_regularity(curve: CurveSpec, n_x: int = 41,
     c3_emp = float(t_ratios.max())
 
     return RegularityReport(
-        bilipschitz_ok=(c1_emp >= curve.c1 * (1 - slack)
-                        and c2_emp <= curve.c2 * (1 + slack)),
+        bilipschitz_ok=c1_emp >= 1 - slack and c2_emp <= 1 + slack,
         holder_ok=(c3_emp <= curve.c3 * (1 + slack) + slack),
         c1_emp=c1_emp, c2_emp=c2_emp, c3_emp=c3_emp,
-        c1_declared=curve.c1, c2_declared=curve.c2, c3_declared=curve.c3,
     )
 
 

@@ -13,7 +13,7 @@ class ResolutionError(LabError, ValueError):
     """A grid is too coarse for the requested construction."""
 
 class GridRangeError(LabError, ValueError):
-    """A query leaves the covered range of a grid or table."""
+    """A query leaves the covered range of a grid."""
 
 
 class DomainError(LabError, ValueError):

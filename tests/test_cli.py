@@ -86,6 +86,23 @@ def test_sweep_scales_must_increase():
                     "gamma": 2.0, "scales": [16, 8, 32]})
 
 
+def test_sweep_needs_four_scales_before_any_scale(capsys, monkeypatch):
+    # the slope fit needs 4 scales: fewer are refused before any scale is
+    # checked or computed, not after all of them
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scale computed before the scales check")
+    monkeypatch.setattr(cli, "check_ratio_resolution", no_work)
+    monkeypatch.setattr(cli, "maximal_ratio", no_work)
+    code, out, err = run_cli(
+        ["sweep", "--family", "dilated", "--alpha", "0.25", "--gamma", "0.75",
+         "--scales", "16,32,64"], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and "'scales'" in rec["reason"]
+
+
 def test_sweep_verdict_failure_exits_1(capsys):
     # a tolerance below the quadrature noise floor cannot be met: the verdict
     # fails and the record is still emitted in full
@@ -262,7 +279,10 @@ def test_kernelcheck_requires_seed():
     ("schur_lams", [3.0, 8.0, 16.0, 32.0]),
     ("schur_lams", [16.0, 32.0, 24.0, 48.0]),   # the Schur fit needs 4
     ("schur_lams", [16.0, 32.0, 64.0]),         # increasing levels
-    ("count", 50)])
+    ("count", 50),
+    # ratio_non_growth compares the last level with the first, so the
+    # levels must increase and be at least two
+    ("lams", [64.0, 16.0]), ("lams", [16.0, 16.0]), ("lams", [16.0])])
 def test_kernelcheck_checks_fields_before_kernel_work(field, value, capsys,
                                                       monkeypatch):
     import ctschro.cli as cli
@@ -492,9 +512,14 @@ def _run_doc(command, doc, tmp_path, capsys):
     ("eval", "n_samples", 100.9), ("kernelcheck", "seed", 3.7),
     ("kernelcheck", "seed", True), ("sweep", "alpha", True),
     ("atlas", "gamma", [1.0, True]),
+    # a JSON string is no number, even one that reads as a number
+    ("atlas", "gamma", ["1", "3"]), ("kernelcheck", "seed", "3"),
+    ("eval", "seed", "3"), ("sweep", "alpha", "0.25"),
 ])
 def test_non_numeric_field_exits_2(command, field, value, tmp_path, capsys):
-    doc = {**_VALID[command], field: value}
+    # eval reads a seed with the band spectrum only
+    base = _BAND if (command, field) == ("eval", "seed") else _VALID[command]
+    doc = {**base, field: value}
     code, out, rec = _run_doc(command, doc, tmp_path, capsys)
     assert code == 2 and out == ""
     assert rec["error"] == "config" and f"'{field}'" in rec["reason"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctschro.domain import (
+    CurveSpec,
     SpectralFunction,
     amplitude_bound,
     build_counterexample,
@@ -20,14 +21,12 @@ from ctschro.domain import (
     scaling_law,
     shear_curve,
     sobolev_norm,
-    tabulated_curve,
     verify_curve_regularity,
     witness_interval,
     witness_time,
 )
 from ctschro.errors import (
     DomainError,
-    GridRangeError,
     RegimeError,
     ResolutionError,
 )
@@ -80,36 +79,21 @@ def test_all_families_anchor_at_time_zero(x, alpha):
         assert curve_eval(crv, x, 0.0) == x
 
 
-def test_tabulated_curve_anchors_and_range_error():
-    xs = np.linspace(-1, 1, 21)
-    ts = np.linspace(0, 1, 11)
-    table = xs[None, :] - np.power(ts, 0.5)[:, None]
-    crv = tabulated_curve(xs, ts, table, alpha=0.5)
-    assert abs(curve_eval(crv, 0.3, 0.0) - 0.3) < 2e-16
-    # between nodes the bilinear value matches the generating rule closely
-    assert curve_eval(crv, 0.05, 0.25) == pytest.approx(0.05 - 0.5, abs=5e-3)
-    with pytest.raises(GridRangeError):
-        curve_eval(crv, 1.5, 0.5)
+def test_curve_eval_is_the_closed_form_on_arrays():
+    xs = np.linspace(-1.0, 1.0, 101)
+    ts = np.linspace(0.0, 1.0, 101)
+    for alpha in (0.25, 0.5, 1.0):
+        assert np.array_equal(curve_eval(holder_curve(alpha), xs, ts),
+                              xs - ts ** alpha)
+    assert np.array_equal(curve_eval(shear_curve(), xs, ts), xs - ts)
 
 
-def test_tabulated_curve_requires_identity_row():
-    xs = np.linspace(-1, 1, 5)
-    ts = np.linspace(0, 1, 3)
+@pytest.mark.parametrize("alpha,c3", [(0.0, 1.0), (1.5, 1.0),
+                                      (np.nan, 1.0), (0.5, -1.0),
+                                      (0.5, np.nan), (0.5, np.inf)])
+def test_curve_spec_refuses_bad_constants(alpha, c3):
     with pytest.raises(DomainError):
-        tabulated_curve(xs, ts, np.ones((3, 5)), alpha=1.0)
-
-
-@pytest.mark.parametrize("xs,ts", [
-    ([-1.0, 0.0, 0.0, 1.0], [0.0, 0.5, 1.0]),      # repeated x node
-    ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.5]),           # decreasing t node
-    ([-1.0, np.nan, 1.0], [0.0, 0.5, 1.0]),        # unordered NaN
-    ([0.0], [0.0, 1.0]),                           # no cell at all
-])
-def test_tabulated_curve_requires_increasing_nodes(xs, ts):
-    xs, ts = np.array(xs), np.array(ts)
-    table = np.tile(xs, (ts.size, 1))
-    with pytest.raises(DomainError, match="increase strictly"):
-        tabulated_curve(xs, ts, table, alpha=1.0)
+        CurveSpec(alpha=alpha, c3=c3)
 
 
 def test_identity_curve_regularity():
@@ -137,17 +121,6 @@ def test_holder_constant_dense_lattice_oracle():
     i, j = np.triu_indices(ts.size, k=1)
     ratio = np.abs(ts[i] ** alpha - ts[j] ** alpha) / np.abs(ts[i] - ts[j]) ** alpha
     assert ratio.max() <= 1.0 + 1e-12
-
-
-def test_regularity_reports_failure_without_raising():
-    crv = holder_curve(0.5)
-    tight = verify_curve_regularity(
-        tabulated_curve(np.linspace(-1, 1, 41), np.linspace(0, 1, 21),
-                        np.linspace(-1, 1, 41)[None, :]
-                        - np.power(np.linspace(0, 1, 21), 0.5)[:, None],
-                        alpha=0.5, c3=0.1))
-    assert not tight.holder_ok  # declared constant too small; reported only
-    assert verify_curve_regularity(crv).holder_ok
 
 
 # ---------------------------------------------------------------------------
