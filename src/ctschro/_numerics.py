@@ -34,6 +34,16 @@ amplitude) integrates each row over its edges and their mirror image as
 one cosine row on the positive side, with the positive side's rule: half
 the nodes of the two one-sided rows.
 
+A sum over more than ``_CHUNK`` nodes (one oracle point, or a row that
+stands alone) builds and sums its terms in leaves of at most ``_CHUNK``
+nodes, so beside its node set it holds the temporaries of one leaf, not of
+every node.  The leaves split the nodes as numpy's pairwise summation
+splits a contiguous complex array: halves, the first rounded down to a
+multiple of 4 values.  ``np.sum`` sums each leaf as it would inside the
+whole array, the halves' sums are added as numpy adds them, and every term
+is computed by the same elementwise operations whatever its leaf; so the
+result is the whole array's ``np.sum``, bit for bit (``_pairwise_sum``).
+
 Everything here is deterministic: fixed node orders, numpy pairwise summation,
 no thread pool, and matrix products of at most about ``_BLOCK`` values each,
 which OpenBLAS runs on one thread.  Long interpolation queries run in fixed
@@ -74,9 +84,11 @@ _FINE_BUDGETS = (2.0 * math.pi, 12.955150203693378, 30.00127683207549,
                  49.65938354127237)
 # below this phase modulus exp(i phase) rounds to (1, phase) (_unit_phase)
 _SMALL_PHASE = 2.0 ** -27
-# largest node count of one oscillatory quadrature: 32 MB per float array of
-# nodes, three times the largest count the test suite needs (1.33 M) and far
-# below the tens of GB an undamped high-frequency query would ask for
+# largest node count of one oscillatory quadrature: three times the largest
+# count the test suite needs (1.33 M) and far below the tens of GB an
+# undamped high-frequency query would ask for.  An oracle point's heap peak
+# is its node set, 40 bytes per node, plus one leaf's terms (see the module
+# docstring): about 42 bytes per node, 170 MB at the limit.
 _MAX_NODES = 2 ** 22
 # interpolation queries per block: a block's (queries x 8) temporaries are
 # 128-256 kB, and the cell form yields at most about _BLOCK values per matrix
@@ -84,14 +96,15 @@ _MAX_NODES = 2 ** 22
 # _MMAP_THRESHOLD stay in the heap under the allocator policy below.
 _BLOCK = 2 ** 11
 # glibc's allocator policy, set once at import by _pin_allocator.  Every
-# evaluation point allocates MB-sized temporaries: node sets and the
-# oscillatory integrand (tens of bytes per node), chirp-z buffers of a few
-# MB per slice.  glibc serves a request above M_MMAP_THRESHOLD by a mapping
-# of its own, unmapped when freed, and hands free memory above
-# M_TRIM_THRESHOLD at the top of its heap back to the system.  The default
-# thresholds (128 kB, raised only after a large block is freed) make each
-# such temporary fault its pages in anew at every point: about 180 k minor
-# faults per in-process repetition of the 100-point agreement benchmark.
+# evaluation point allocates MB-sized temporaries: node sets (40 bytes per
+# node), the terms of the oscillatory sum (up to _CHUNK at a time), chirp-z
+# buffers of a few MB per slice.  glibc serves a request above
+# M_MMAP_THRESHOLD by a mapping of its own, unmapped when freed, and hands
+# free memory above M_TRIM_THRESHOLD at the top of its heap back to the
+# system.  The default thresholds (128 kB, raised only after a large block
+# is freed) make each such temporary fault its pages in anew at every
+# point: about 180 k minor faults per in-process repetition of the
+# 100-point agreement benchmark.
 # At 32 MiB and 64 MiB they stay in the heap (at most 10 faults per
 # repetition), and up to 64 MB of freed memory stays with the process.
 # No value changes.
@@ -563,7 +576,20 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     ``lin``, ``quad`` and ``damp`` are numbers, or arrays of one value per
     node.  With ``sizes``, the node set holds rows of ``sizes[p]`` nodes
     each, and the result is an array of one sum per row: each row is summed
-    by its own ``np.sum``, so it equals the sum of a one-row call.
+    as a one-row call sums it, so the two are equal.
+
+    Each term is amp * u, written into u, with u the unit phase factor, then
+    times the damping factor, then times the weight.  Every step is
+    elementwise and takes its operands in that order whatever the array's
+    size: numpy writes a bare product of 256 KiB or more (16384 complex
+    values) into a temporary operand, and into the right one it swaps the
+    operands, which rounds the imaginary part differently.  A node set of
+    at most ``_CHUNK`` nodes builds its terms at once and sums each row by
+    ``np.sum``.  A larger one builds and sums each row's terms in leaves of
+    at most ``_CHUNK`` nodes (``_pairwise_sum``), which split the row as
+    numpy's pairwise summation splits it; so the sum is ``np.sum`` of the
+    row's terms, bit for bit, and a point's temporaries beside its node set
+    are those of one leaf.
 
     With ``mirrored``, each node xi >= 0 also stands for -xi, for an even
     amplitude: the two terms add up to
@@ -572,15 +598,16 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
 
     which is what is summed.  A negative node raises ``ValueError``.
 
-    A call whose phases phi = lin xi + quad |xi|^m all lie below 2**-27 in
-    modulus (the oracle at the tiny witness times, where y = 0) takes
-    exp(i phi) = (1, phi) with no transcendental.  That is the correctly
-    rounded value: phi**2 / 2 < 2**-55, so cos(phi) rounds to 1, and
-    |phi|**3 / 6 < |phi| 2**-54 / 6 is below half an ulp of phi, so sin(phi)
-    rounds to phi (subnormal phi included).  glibc's complex exponential
-    returns the same bits, so the sum equals the ``np.exp`` one bit for bit.
-    Every other call evaluates ``np.exp``.  The damping factor is computed
-    as before in both cases.
+    A set of terms built at once (a leaf, or a node set of at most
+    ``_CHUNK`` nodes) whose phases phi = lin xi + quad |xi|^m all lie below
+    2**-27 in modulus (the oracle at the tiny witness times, where y = 0)
+    takes exp(i phi) = (1, phi) with no transcendental.  That is the
+    correctly rounded value: phi**2 / 2 < 2**-55, so cos(phi) rounds to 1,
+    and |phi|**3 / 6 < |phi| 2**-54 / 6 is below half an ulp of phi, so
+    sin(phi) rounds to phi (subnormal phi included).  glibc's complex
+    exponential returns the same bits, so the sum equals the ``np.exp`` one
+    bit for bit.  Every other set of terms evaluates ``np.exp``.  The
+    damping factor is computed as before in both cases.
 
     Without ``mirrored``, the ``np.exp`` branch compensates the phase sum:
     it multiplies exp(i phi) by (1 + i err), with err the exact rounding
@@ -591,28 +618,58 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
     rounds only the products, by up to 1.4e-14 of the amplitude's mass on
     the fast rows of the mirrored test, and within 2.4e-15 with it.  At the
     small phases the factor leaves each value as it was, bit for bit,
-    whichever branch a row takes.
+    whichever branch a row or a leaf takes.
     """
-    if mirrored:
-        if (nodes < 0.0).any():
-            raise ValueError("a mirrored rule needs nonnegative nodes")
-        integrand = (2.0 * a * np.cos(lin * nodes)) * _unit_phase(
-            quad * abs_pow)
+    if mirrored and (nodes < 0.0).any():
+        raise ValueError("a mirrored rule needs nonnegative nodes")
+    point = (nodes, weights, abs_pow, a, lin, quad, damp, mirrored)
+    rows = [nodes.size] if sizes is None else np.asarray(sizes).tolist()
+    ends = np.cumsum(rows).tolist()
+    if nodes.size <= _CHUNK:
+        terms = _terms(*point)
+        sums = [np.sum(terms[e - n:e]) for n, e in zip(rows, ends)]
     else:
-        # a named amplitude keeps numpy from writing the product into it in
-        # place, which would change the operand order and the rounding
-        integrand = a * _unit_phase(lin * nodes, quad * abs_pow)
+        sums = [_pairwise_sum(point, e - n, n) for n, e in zip(rows, ends)]
+    return sums[0] if sizes is None else np.array(sums, dtype=complex)
+
+
+def _pairwise_sum(point: tuple, start: int, n: int) -> np.complex128:
+    """``np.sum`` of the ``n`` terms of ``oscillatory_sum`` from node
+    ``start`` on, ``point`` holding its arguments; the terms are built and
+    summed in leaves of at most ``_CHUNK`` nodes.
+
+    numpy sums a contiguous complex array pairwise: a range of more than
+    64 values is split into a first half rounded down to a multiple of 4
+    values and the rest, each half is summed so, and the halves' real and
+    imaginary parts are added.  This splits the range the same way down
+    to the leaves, which ``np.sum`` then sums as it would inside the whole
+    array; each term is computed by the same elementwise operations
+    whatever the leaf.  So the result is the whole array's ``np.sum``, bit
+    for bit.  A module-level function, not a closure that calls itself:
+    such a closure is a reference cycle, which keeps the point's node set
+    alive until the cyclic collector runs."""
+    if n <= _CHUNK:
+        leaf = slice(start, start + n)
+        return np.sum(_terms(*(v[leaf] if np.ndim(v) else v for v in point)))
+    half = n // 8 * 4
+    return (_pairwise_sum(point, start, half)
+            + _pairwise_sum(point, start + half, n - half))
+
+
+def _terms(nodes, weights, abs_pow, a, lin, quad, damp,
+           mirrored) -> np.ndarray:
+    """The terms that ``oscillatory_sum`` adds up, one per node."""
+    if mirrored:
+        amp, unit = 2.0 * a * np.cos(lin * nodes), _unit_phase(quad * abs_pow)
+    else:
+        amp, unit = a, _unit_phase(lin * nodes, quad * abs_pow)
+    # in this operand order at every size (see oscillatory_sum)
+    integrand = np.multiply(amp, unit, out=unit)
     if np.ndim(damp) or damp:
         # nodes of undamped rows keep their value, as in a one-row call
         np.multiply(integrand, np.exp(-damp * abs_pow), out=integrand,
                     where=damp != 0.0)
-    terms = integrand * weights
-    if sizes is None:
-        return np.sum(terms)
-    ends = np.cumsum(sizes).tolist()
-    return np.array([np.sum(terms[e - n:e])
-                     for n, e in zip(np.asarray(sizes).tolist(), ends)],
-                    dtype=complex)
+    return integrand * weights
 
 
 def _chunks(sizes: list[int]):
@@ -657,7 +714,10 @@ def oscillatory_quadrature(edges: np.ndarray,
     cell's change, or 32-point sub-cells past c_32.  The counts of every row
     come first, so a row past ``_MAX_NODES`` raises before any node is
     built.  Then consecutive rows are integrated ``_CHUNK`` nodes at a time,
-    each row's nodes laid out and summed as in a one-row call.
+    each row's nodes laid out and summed as in a one-row call.  A row of
+    more than ``_CHUNK`` nodes is a chunk of its own, and ``oscillatory_sum``
+    builds and sums its terms in leaves of at most ``_CHUNK`` nodes, to the
+    same bits as ``np.sum`` over all of them.
     """
     if mirrored and (np.asarray(edges) < 0.0).any():
         raise ValueError("a mirrored rule needs nonnegative edges")

@@ -341,6 +341,30 @@ def test_batched_quadrature_is_bit_identical_to_scalar_calls(m, damping, kind):
     assert all(v != 0.0 for v in loop[:9])
 
 
+@pytest.mark.parametrize("damping,t", [(False, 0.5), (True, 0.05)])
+def test_run_on_a_node_set_of_many_leaves_is_bit_identical_to_scalar_calls(
+        damping, t, monkeypatch):
+    # one rule for every point (the same |y| and t), on a node set of 39 k
+    # and 51 k nodes: each point is summed in several leaves of _CHUNK nodes
+    import ctschro._numerics as numerics
+    import ctschro.evolve as evolve
+    f = random_band_limited(64.0, seed=5)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=damping)
+    sizes = []
+    build = evolve.node_set
+
+    def counting(edges, counts, orders, amp, m):
+        sizes.append(int((counts * orders).sum()))
+        return build(edges, counts, orders, amp, m)
+    monkeypatch.setattr(evolve, "node_set", counting)
+    ys = [0.3, -0.3, 0.3, -0.3]
+    batch = direct_quadrature(f, params, np.array(ys), np.full(4, t))
+    assert len(sizes) == 1 and sizes[0] > 2 * numerics._CHUNK
+    loop = [direct_quadrature(f, params, y, t) for y in ys]
+    assert batch.tolist() == loop
+    assert loop[0] != loop[1]
+
+
 def test_run_over_the_node_budget_only_at_its_extremes(monkeypatch):
     import ctschro._numerics as numerics
     from ctschro._numerics import phase_counts

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,102 @@ def test_phases_from_two_to_the_minus_27_go_through_np_exp(phase, exps,
     assert counting.complex_exps == exps
     want = _exp_formula(nodes, weights, nodes ** 2, a, 0.0, phase, 0.0)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the sum in leaves of at most _CHUNK nodes
+# ---------------------------------------------------------------------------
+
+def _whole_array_sum(nodes, weights, abs_pow, a, lin, quad, damp, mirrored):
+    """``np.sum`` of the terms of ``oscillatory_sum`` built over the whole
+    node set at once, in the documented operation order: the amplitude
+    times the unit phase factor, written into that factor, then the
+    damping factor, then the weight."""
+    if mirrored:
+        amp = 2.0 * a * np.cos(lin * nodes)
+        unit = numerics._unit_phase(quad * abs_pow)
+    else:
+        amp, unit = a, numerics._unit_phase(lin * nodes, quad * abs_pow)
+    integrand = np.multiply(amp, unit, out=unit)
+    if damp:
+        integrand *= np.exp(-damp * abs_pow)
+    return np.sum(integrand * weights)
+
+
+# (lin, quad) on nodes in [0, 40]: every phase below 2**-27 in modulus,
+# every leaf with a larger one, and phases below 2**-27 only for xi < 20,
+# so that the first leaves of the longer node sets take the (1, phase)
+# branch of _unit_phase and the others np.exp
+_LEAF_PHASES = {"small": (1e-13, 2.0 ** -39), "large": (3.0, -0.5),
+                "mixed": (0.0, _TINY / 400.0)}
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("damp", [0.0, 1e-3])
+@pytest.mark.parametrize("phases", sorted(_LEAF_PHASES))
+@pytest.mark.parametrize("k", [16_383, 16_384, 16_385, 2 ** 15 + 3,
+                               100_003])
+def test_leaf_sum_is_the_whole_array_sum(k, phases, damp, mirrored):
+    rng = np.random.default_rng(k)
+    nodes = np.sort(rng.uniform(0.0, 40.0, k))
+    weights = rng.uniform(0.0, 0.1, k)
+    abs_pow = nodes ** 2
+    a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    lin, quad = _LEAF_PHASES[phases]
+    phase = np.abs(lin * nodes + quad * abs_pow)
+    if phases == "mixed":
+        assert (phase[nodes < 20.0] < _TINY).all()
+        assert (phase[nodes > 20.0] >= _TINY).all()
+    else:
+        assert ((phase < _TINY).all()) == (phases == "small")
+    got = numerics.oscillatory_sum(nodes, weights, abs_pow, a, lin, quad,
+                                   damp, mirrored=mirrored)
+    want = _whole_array_sum(nodes, weights, abs_pow, a, lin, quad, damp,
+                            mirrored)
+    assert complex(got).real.hex() == complex(want).real.hex()
+    assert complex(got).imag.hex() == complex(want).imag.hex()
+    # a row form of two rows, each past _CHUNK nodes or not, sums each row
+    # as a one-row call
+    cut = k // 3
+    rows = numerics.oscillatory_sum(nodes, weights, abs_pow, a, lin, quad,
+                                    damp, np.array([cut, k - cut]),
+                                    mirrored=mirrored)
+    one = [numerics.oscillatory_sum(nodes[s], weights[s], abs_pow[s], a[s],
+                                    lin, quad, damp, mirrored=mirrored)
+           for s in (slice(0, cut), slice(cut, k))]
+    assert rows.tobytes() == np.array(one).tobytes()
+
+
+def test_oracle_heap_peak_is_its_node_set_and_one_leaf():
+    # one undamped point of 1.09 M nodes: the node set holds 40 bytes per
+    # node (nodes, weights, |xi|**2, complex amplitude); the terms of one
+    # leaf and the interpolation blocks take about 2 MB.  Building the
+    # terms over the whole node set at once took about 113 bytes per node.
+    from ctschro import evolve
+    from ctschro.domain import EvolutionParams, random_band_limited
+    f = random_band_limited(512.0, seed=0)
+    params = EvolutionParams(m=2.0, gamma=1.0, damping=False)
+    sizes = []
+    build = evolve.node_set
+
+    def counting(edges, counts, orders, amp, m):
+        sizes.append(int((counts * orders).sum()))
+        return build(edges, counts, orders, amp, m)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "node_set", counting)
+            value = evolve.direct_quadrature(f, params, 0.3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert value != 0.0
+    assert len(sizes) == 1 and sizes[0] > 2 ** 20
+    assert peak <= 48 * sizes[0] + 8 * 2 ** 20, peak / sizes[0]
 
 
 # ---------------------------------------------------------------------------
