@@ -58,6 +58,7 @@ their freed temporaries instead of faulting them in again
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from typing import Callable
 
@@ -624,7 +625,7 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
         raise ValueError("a mirrored rule needs nonnegative nodes")
     point = (nodes, weights, abs_pow, a, lin, quad, damp, mirrored)
     rows = [nodes.size] if sizes is None else np.asarray(sizes).tolist()
-    ends = np.cumsum(rows).tolist()
+    ends = list(itertools.accumulate(rows))
     if nodes.size <= _CHUNK:
         terms = _terms(*point)
         sums = [np.sum(terms[e - n:e]) for n, e in zip(rows, ends)]

@@ -474,10 +474,11 @@ def _whole_array_sum(nodes, weights, abs_pow, a, lin, quad, damp, mirrored):
     return np.sum(integrand * weights)
 
 
-# (lin, quad) on nodes in [0, 40]: every phase below 2**-27 in modulus,
-# every leaf with a larger one, and phases below 2**-27 only for xi < 20,
-# so that the first leaves of the longer node sets take the (1, phase)
-# branch of _unit_phase and the others np.exp
+# (lin, quad) on nodes in [0, 40].  "small": every phase is below 2**-27 in
+# modulus, so every leaf takes the (1, phase) branch of _unit_phase;
+# "large": every leaf takes np.exp; "mixed": phases are below 2**-27 only
+# for xi < 20, so the first leaves of the longer node sets take (1, phase)
+# and the others np.exp, while the whole array takes np.exp
 _LEAF_PHASES = {"small": (1e-13, 2.0 ** -39), "large": (3.0, -0.5),
                 "mixed": (0.0, _TINY / 400.0)}
 
@@ -518,10 +519,10 @@ def test_leaf_sum_is_the_whole_array_sum(k, phases, damp, mirrored):
     assert rows.tobytes() == np.array(one).tobytes()
 
 
-def test_oracle_heap_peak_is_its_node_set_and_one_leaf():
+def test_oracle_heap_peak_is_its_node_set_and_one_leaf(monkeypatch):
     # one undamped point of 1.09 M nodes: the node set holds 40 bytes per
     # node (nodes, weights, |xi|**2, complex amplitude); the terms of one
-    # leaf and the interpolation blocks take about 2 MB.  Building the
+    # leaf and the interpolation blocks take a few MB.  Building the
     # terms over the whole node set at once took about 113 bytes per node.
     from ctschro import evolve
     from ctschro.domain import EvolutionParams, random_band_limited
@@ -533,14 +534,13 @@ def test_oracle_heap_peak_is_its_node_set_and_one_leaf():
     def counting(edges, counts, orders, amp, m):
         sizes.append(int((counts * orders).sum()))
         return build(edges, counts, orders, amp, m)
+    monkeypatch.setattr(evolve, "node_set", counting)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolve, "node_set", counting)
-            value = evolve.direct_quadrature(f, params, 0.3, 0.5)
+        value = evolve.direct_quadrature(f, params, 0.3, 0.5)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
