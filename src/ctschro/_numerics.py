@@ -89,7 +89,7 @@ _SMALL_PHASE = 2.0 ** -27
 # count the test suite needs (1.33 M) and far below the tens of GB an
 # undamped high-frequency query would ask for.  An oracle point's heap peak
 # is its node set, 40 bytes per node, plus one leaf's terms (see the module
-# docstring): about 42 bytes per node, 170 MB at the limit.
+# docstring): 41-45 bytes per node, about 170 MB at the limit.
 _MAX_NODES = 2 ** 22
 # interpolation queries per block: a block's (queries x 8) temporaries are
 # 128-256 kB, and the cell form yields at most about _BLOCK values per matrix
@@ -636,17 +636,14 @@ def oscillatory_sum(nodes: np.ndarray, weights: np.ndarray,
 
 def _pairwise_sum(point: tuple, start: int, n: int) -> np.complex128:
     """``np.sum`` of the ``n`` terms of ``oscillatory_sum`` from node
-    ``start`` on, ``point`` holding its arguments; the terms are built and
-    summed in leaves of at most ``_CHUNK`` nodes.
+    ``start`` on (``point`` holds its arguments), built and summed in
+    leaves of at most ``_CHUNK`` nodes.
 
-    numpy sums a contiguous complex array pairwise: a range of more than
-    64 values is split into a first half rounded down to a multiple of 4
-    values and the rest, each half is summed so, and the halves' real and
-    imaginary parts are added.  This splits the range the same way down
-    to the leaves, which ``np.sum`` then sums as it would inside the whole
-    array; each term is computed by the same elementwise operations
-    whatever the leaf.  So the result is the whole array's ``np.sum``, bit
-    for bit.  A module-level function, not a closure that calls itself:
+    numpy sums a contiguous complex range of more than 64 values as two
+    halves, the first rounded down to a multiple of 4 values, and adds the
+    halves' real and imaginary parts; this splits the same way, so the
+    result is the whole array's ``np.sum`` bit for bit (see the module
+    docstring).  A module-level function, not a closure that calls itself:
     such a closure is a reference cycle, which keeps the point's node set
     alive until the cyclic collector runs."""
     if n <= _CHUNK:
