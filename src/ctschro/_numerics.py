@@ -355,7 +355,7 @@ def lagrange_on_rule(values: np.ndarray, x0: float, dx: float,
                      edges: np.ndarray, counts: np.ndarray,
                      orders: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """``lagrange_uniform`` at ``nodes``, the nodes of ``refined_cells(edges,
-    counts, orders)``.
+    counts, orders)`` in its order, which both take from ``_GAUSS_RULES``.
 
     ``edges[1:-1]`` must be grid points x0 + k dx; the end edges may lie
     inside their grid cells (a band clipped to a support or a cap).  The
@@ -371,7 +371,7 @@ def lagrange_on_rule(values: np.ndarray, x0: float, dx: float,
     grid1 = round((edges[min(1, last)] - x0) / dx)
     out = np.empty(nodes.size, dtype=np.asarray(values).dtype)
     pos = 0
-    for n_gl in np.unique(orders).tolist():
+    for n_gl in [n for n in _GAUSS_RULES if (orders == n).any()]:
         xg, _ = gauss_rule(n_gl)
         idx = np.flatnonzero(orders == n_gl)
         c = counts[idx]
@@ -400,17 +400,17 @@ def refined_cells(edges: np.ndarray, counts: np.ndarray,
     """Quadrature nodes/weights subdividing each [edges[j], edges[j+1]] into
     counts[j] equal sub-cells carrying an orders[j]-point Gauss rule.
 
-    The nodes come grouped by order, smallest order first, and each group in
-    cell order; with a single order that is plain cell order.  In the row
-    form (``edges`` of shape (P, n+1), ``counts`` and ``orders`` of shape
-    (P, n)) the rows' nodes follow one another, each row laid out as a
-    one-row call lays it out and computed by the same operations.
+    The nodes come grouped by order, in the key order of ``_GAUSS_RULES``
+    (ascending), and each group in cell order.  In the row form (``edges``
+    of shape (P, n+1), ``counts`` and ``orders`` of shape (P, n)) the rows'
+    nodes follow one another, each row laid out as a one-row call lays it
+    out and computed by the same operations.
     """
     edges = np.asarray(edges, dtype=float)
     counts = np.maximum(np.asarray(counts, dtype=np.int64), 1)
     orders = np.asarray(orders)
     widths = np.diff(edges) / counts
-    groups = np.unique(orders).tolist()
+    groups = [n for n in _GAUSS_RULES if (orders == n).any()]
     nodes, weights = [], []
     for n_gl in groups:
         sel = orders == n_gl

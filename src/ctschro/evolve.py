@@ -405,9 +405,9 @@ def _synthesis(f: SpectralFunction, m: float, g: SliceGrid) -> _Synthesis:
     chirp_in, lag_fft, chirp_out = _chirp_z_factors(n_fine, g.n_fft,
                                                     g.n1 - g.n0)
     coef *= chirp_in
+    unit = np.exp(1j * z * (xi_first - carrier))
     return _Synthesis(coef, abs_pow, ramp, lag_fft,
-                      chirp_out * np.exp(1j * z * (xi_first - carrier)),
-                      carrier)
+                      np.multiply(chirp_out, unit, out=unit), carrier)
 
 
 class _GridInHand:
@@ -522,7 +522,8 @@ def field_value(field: SampledField, y):
         raise GridRangeError(
             f"query outside the slice grid [{field.y_min}, {field.y_max}]")
     env = lagrange_uniform(field.values, field.y_min, field.delta_y, y_arr)
-    out = env * np.exp(1j * field.carrier * y_arr)
+    unit = np.exp(1j * field.carrier * y_arr)
+    out = np.multiply(env, unit, out=unit)  # this operand order at any size
     return out if np.ndim(y) else complex(out[0])
 
 

@@ -109,7 +109,7 @@ def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
     if k < 1 or abs(inv - k) >= 1e-9:
         raise DomainError(f"ratio must be 2**(1/k), k = 1, 2, ...: {ratio}")
     exps = t_min_exponent + np.arange(-t_min_exponent * k + 1) / k
-    times = np.unique(np.concatenate([[0.0], 2.0 ** exps]))
+    times = np.concatenate([[0.0], 2.0 ** exps])
 
     extra = None
     if fam is not None and x_nodes is not None:
@@ -144,10 +144,17 @@ class MaximalField:
 
 def witness_x_grid(fam: CounterexampleFamily, n_inside: int = 256) -> np.ndarray:
     """Interior nodes of the witness interval plus the scaling subinterval."""
-    pieces = []
-    for lo, hi in (witness_interval(fam), scaling_interval(fam)):
-        pieces.append(np.linspace(lo, hi, n_inside + 2)[1:-1])
-    return np.unique(np.concatenate(pieces))
+    return _sorted_set(np.concatenate([
+        np.linspace(lo, hi, n_inside + 2)[1:-1]
+        for lo, hi in (witness_interval(fam), scaling_interval(fam))]))
+
+
+def _sorted_set(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of a NaN-free ``a``, without its numpy.ma import."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _live_window(sl, plan: PropagationPlan, floor: float):
@@ -302,8 +309,8 @@ def maximal_ratio(fam: CounterexampleFamily,
     """
     f, params, curve = _family_setup(fam, n_samples)
     lo, hi = scaling_interval(fam)
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, 256),
-                                   witness_x_grid(fam)]))
+    xs = _sorted_set(np.concatenate([np.linspace(lo, hi, 256),
+                                     witness_x_grid(fam)]))
     xs = xs[(xs >= lo) & (xs <= hi)]
 
     tgrid = build_time_grid(default_time_exponent(fam.lam),
@@ -377,7 +384,7 @@ def fit_slope(scales, values) -> ExponentFit:
 
 def fit_slope_guarded(scales, values) -> ExponentFit:
     """fit_slope with a transient guard: the smallest scale is dropped when
-    its residual exceeds 3x the median residual (and >= 4 points remain).
+    its residual exceeds 3x the median of the rest (and >= 4 points remain).
 
     Residuals are measured against the line fitted without the smallest
     scale: a full-fit pattern cannot exceed the 3x threshold for a single
@@ -391,7 +398,9 @@ def fit_slope_guarded(scales, values) -> ExponentFit:
     sub = fit_slope(scales[1:], values[1:])
     lx, ly = np.log(scales), np.log(values)
     resid = np.abs(ly - (sub.slope * lx + sub.intercept))
-    if resid[0] > max(3.0 * np.median(resid[1:]), 1e-9):
+    rest = sorted(resid[1:].tolist())
+    median = (rest[(len(rest) - 1) // 2] + rest[len(rest) // 2]) / 2
+    if resid[0] > max(3.0 * median, 1e-9):
         return ExponentFit(sub.points, sub.slope, sub.intercept,
                            sub.max_residual, (float(scales[0]),))
     return fit

@@ -21,6 +21,7 @@ from ctschro.errors import CalibrationError, DegenerateSeriesError, DomainError
 from ctschro.evolve import direct_quadrature
 from ctschro.maximal import (
     LOWER_BOUND_LEVEL,
+    ExponentFit,
     MaximalField,
     TimeGrid,
     build_time_grid,
@@ -67,6 +68,21 @@ def test_time_grid_validation():
         build_time_grid(-4, ratio=0.9)
     with pytest.raises(DomainError, match=r"2\*\*\(1/k\)"):
         build_time_grid(-4, ratio=1.5)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_time_grid_is_np_unique_of_its_powers(k):
+    # the powers increase strictly, so the grid is their plain
+    # concatenation behind 0, with no np.unique (which imports numpy.ma)
+    for e in range(-2, -41, -1):
+        powers = 2.0 ** (e + np.arange(-e * k + 1) / k)
+        want = np.unique(np.concatenate([[0.0], powers]))
+        assert _hex(build_time_grid(e, ratio=2.0 ** (1 / k)).times) \
+            == _hex(want), e
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +340,106 @@ def test_fit_slope_guard_drops_transient():
     fit = fit_slope_guarded(xs, vals)
     assert fit.dropped_scales == (2.0,)
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
+
+
+# the A5 families; the first is also the sweep benchmark's
+_A5_FAMILIES = [
+    lambda R: dilated_family(0.25, 0.75, R),
+    lambda R: dilated_family(0.25, 2.0, R),
+    lambda R: modulated_family(1 / 3, 1.6, R),
+    lambda R: modulated_family(0.5, 3.0, R),
+]
+_A5_SCALES = [16.0, 32.0, 64.0, 128.0, 256.0]
+
+
+def test_sorted_set_is_np_unique_bit_for_bit():
+    import ctschro.maximal as maximal
+    rng = np.random.default_rng(4)
+    for a in (np.array([0.0, -0.0, 2.0, 0.0, -1.0, -0.0]),
+              np.array([-0.0, 0.0]), np.array([1.5]), np.array([]),
+              rng.integers(-5, 5, 200) / 4.0, rng.uniform(size=300)):
+        assert _hex(maximal._sorted_set(a)) == _hex(np.unique(a))
+
+
+@pytest.mark.parametrize("make", _A5_FAMILIES)
+def test_x_nodes_are_np_unique_bit_for_bit(make, monkeypatch):
+    import ctschro.maximal as maximal
+
+    class Built(Exception):
+        pass
+
+    def capture(f, params, curve, xs, tgrid):
+        raise Built(xs)
+    monkeypatch.setattr(maximal, "maximal_field", capture)
+    for R in _A5_SCALES:
+        fam = make(R)
+        grid = np.unique(np.concatenate(
+            [np.linspace(lo, hi, 258)[1:-1]
+             for lo, hi in (witness_interval(fam), scaling_interval(fam))]))
+        assert _hex(witness_x_grid(fam)) == _hex(grid)
+        lo, hi = scaling_interval(fam)
+        xs = np.unique(np.concatenate([np.linspace(lo, hi, 256), grid]))
+        with pytest.raises(Built) as built:
+            maximal_ratio(fam)
+        assert _hex(built.value.args[0]) == _hex(xs[(xs >= lo) & (xs <= hi)])
+
+
+def _guarded_by_np_median(scales, values):
+    """``fit_slope_guarded`` as it was written with ``np.median``."""
+    scales, values = np.asarray(scales), np.asarray(values)
+    fit = fit_slope(scales, values)
+    if scales.size < 5:
+        return fit
+    sub = fit_slope(scales[1:], values[1:])
+    lx, ly = np.log(scales), np.log(values)
+    resid = np.abs(ly - (sub.slope * lx + sub.intercept))
+    if resid[0] > max(3.0 * np.median(resid[1:]), 1e-9):
+        return ExponentFit(sub.points, sub.slope, sub.intercept,
+                           sub.max_residual, (float(scales[0]),))
+    return fit
+
+
+# Q of the A5 families at _A5_SCALES (maximal_ratio), pinned bit for bit;
+# demo 05's series are the first four values of the first and third
+_A5_Q = [
+    ["0x1.8dc92c26b9defp-6", "0x1.be7fdf0c681c7p-6", "0x1.f52dc1e2d3df2p-6",
+     "0x1.1946ed3444d47p-5", "0x1.3bb90ac76a188p-5"],
+    ["0x1.f52dc268a6a0dp-6", "0x1.2a00aeb08a7d8p-5", "0x1.62630b1d1e315p-5",
+     "0x1.a5707cd3c0ee1p-5", "0x1.f52dc122aa945p-5"],
+    ["0x1.9715686eb52a6p-5", "0x1.f52dbf7d5c305p-5", "0x1.3482fae0c98fdp-4",
+     "0x1.7bd280ea40b85p-4", "0x1.d39da525b077ap-4"],
+    ["0x1.62630b48a7602p-4", "0x1.f52dc25980652p-4", "0x1.62630b39af18ep-3",
+     "0x1.f52dc24a94e52p-3", "0x1.62630b3331cbbp-2"],
+]
+
+
+def _guard_series():
+    for qs in _A5_Q:
+        q = [float.fromhex(v) for v in qs]
+        yield _A5_SCALES, q
+        yield _A5_SCALES[:4], q[:4]
+    # odd and even counts of the other residuals, with the smallest scale
+    # corrupted by up to 10 % or not
+    rng = np.random.default_rng(11)
+    for n in range(5, 10):
+        scales = 2.0 ** np.arange(4, 4 + n)
+        for bump in (1.0, 1.002, 1.01, 1.1):
+            values = scales ** 0.3 * (1.0 + 1e-3 * rng.standard_normal(n))
+            values[0] *= bump
+            yield scales.tolist(), values.tolist()
+
+
+def test_slope_guard_is_np_medians_bit_for_bit():
+    dropped = []
+    for scales, values in _guard_series():
+        got = fit_slope_guarded(scales, values)
+        want = _guarded_by_np_median(scales, values)
+        assert got.dropped_scales == want.dropped_scales, (scales, values)
+        assert got.slope.hex() == want.slope.hex()
+        assert got.intercept.hex() == want.intercept.hex()
+        dropped.append(bool(got.dropped_scales))
+    # both branches of the guard are taken
+    assert any(dropped) and not all(dropped)
 
 
 def test_maximal_ratio_small_scale_smoke():
