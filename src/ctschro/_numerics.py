@@ -439,6 +439,16 @@ def refined_cells(edges: np.ndarray, counts: np.ndarray,
                  for part in (nodes, weights))
 
 
+def _touch_scale(q: float, m: float) -> float:
+    """(8 |q| / pi)**(1/m), the sub-cells per unit width that a cell
+    touching xi = 0 needs for m < 1; +inf past the doubles, so that the node
+    budget check refuses the cell (as ``evolve._damping_cap`` does)."""
+    try:
+        return (8.0 * abs(q) / math.pi) ** (1.0 / m)
+    except OverflowError:
+        return math.inf
+
+
 def phase_counts(edges: np.ndarray, lin, quad, damp,
                  m: float) -> tuple[np.ndarray, np.ndarray]:
     """(sub-cell counts, Gauss orders) of the grid cells [edges[j], edges[j+1]]
@@ -497,8 +507,7 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
         # sub-cell's |xi|**m variation below the budget; the factor is a
         # Python float per row, as in a one-row call
         r, c = np.nonzero(np.broadcast_to(touch, counts.shape))
-        scale = np.array([(8.0 * abs(q) / math.pi) ** (1.0 / m)
-                          for q in quad.ravel().tolist()])
+        scale = np.array([_touch_scale(q, m) for q in quad.ravel().tolist()])
         w = np.broadcast_to(right - left, counts.shape)[r, c]
         counts[r, c] = np.maximum(counts[r, c], np.ceil(w * scale[r]))
     fine = counts > 1.0

@@ -359,8 +359,10 @@ def cmd_eval(cfg: dict) -> dict:
         gamma, alpha = fam.gamma, fam.alpha
     else:
         lam = _field(cfg, "lam")
-        if not lam > 0.0:
-            raise ConfigError(f"field 'lam' must be positive: {lam}")
+        # from 16384 on, random_band_limited's 64 lam + 1 samples pass the cap
+        if not 0.0 < lam < _MAX_SAMPLES / 64:
+            raise ConfigError(f"field 'lam' must lie in (0, "
+                              f"{_MAX_SAMPLES / 64:g}), got {lam}")
         f = random_band_limited(lam, _field(cfg, "seed", kind=int))
         gamma = _field(cfg, "gamma", 1.0)
         alpha = _field(cfg, "alpha", 1.0)

@@ -356,6 +356,14 @@ class CounterexampleFamily:
         if not (0.0 < self.c < 1.0):
             raise DomainError("smallness constant c must lie in (0, 1)")
         scaling_law(self)   # RegimeError outside the supported regimes
+        # critical times scale like lam**-2, which must be a positive double
+        try:
+            lam = self.lam
+        except OverflowError:
+            lam = np.inf
+        if not lam ** -2.0 > 0.0:
+            raise DomainError(f"scale R={self.R} is too large: lam = {lam} "
+                              "gives no positive lam**-2")
 
     @property
     def m(self) -> float:

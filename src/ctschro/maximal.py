@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import _STENCIL, lagrange_uniform
+from ._numerics import lagrange_uniform
 from .domain import (
     CounterexampleFamily,
     CurveSpec,
     EvolutionParams,
     SpectralFunction,
-    amplitude_bound,
     build_counterexample,
     curve_eval,
     holder_curve,
@@ -40,7 +39,6 @@ from .errors import (
     ZeroNormError,
 )
 from .evolve import (
-    PropagationPlan,
     _GridInHand,
     direct_quadrature,
     make_plan,
@@ -60,11 +58,6 @@ __all__ = [
 ]
 
 LOWER_BOUND_LEVEL = 1.0 / (4.0 * math.pi)
-
-# slice contributions below this fraction of the a-priori amplitude bound are
-# treated as zero when updating the running maximum; every acceptance
-# tolerance sits at least six orders of magnitude above it
-_TAIL_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -157,39 +150,26 @@ def _sorted_set(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _live_window(sl, plan: PropagationPlan, floor: float):
-    """y-range inside the query window where the slice envelope exceeds the
-    tail floor, padded for the interpolation stencil."""
-    amps = np.abs(sl.values)
-    i0 = max(0, int(math.ceil((plan.y_lo - sl.y_min) / sl.delta_y)) - 1)
-    i1 = min(sl.n_samples, int(math.floor((plan.y_hi - sl.y_min) / sl.delta_y)) + 2)
-    window = amps[i0:i1]
-    if window.size == 0 or window.max() <= floor:
-        return None
-    live = np.nonzero(amps > floor)[0]
-    a = sl.y_min + sl.delta_y * max(0, live[0] - _STENCIL)
-    b = sl.y_min + sl.delta_y * min(sl.n_samples - 1, live[-1] + _STENCIL)
-    return a, b
-
-
 def maximal_field(f: SpectralFunction, params: EvolutionParams,
                   curve: CurveSpec, x_nodes: np.ndarray,
                   tgrid: TimeGrid) -> MaximalField:
     """Pointwise max over the grid times (plus per-x extra times) of the
-    amplitude modulus along the curve.
+    amplitude modulus along the curve, for x-nodes in [-1, 1] (others raise
+    ``DomainError`` before any work).
 
     The per-x extra times go first, through one batched direct-quadrature
     call: at the witness times of the counterexample families that is one
     run of points, two rule passes and one node set.  Their values are kept
     apart from the slice maxima.  Then the grid times are walked in
-    increasing order.  Per time the whole x-batch is read off one transform
+    increasing order.  Per time every x-node is read off one transform
     slice, synthesized on the query window [y_lo, y_hi] of ``make_plan``
-    alone.  Consecutive times whose slices have the same grid
-    (``slice_grid``; the small times, before the dispersive range leaves
-    the window, all do) share that grid's synthesis: the call holds the
-    last grid's factors and hands them to ``propagate_slice``, one call per
-    time, so a run of equal grids builds them once.  Nothing is held past
-    the call, and each slice equals a fresh one bit for bit.
+    alone, which holds the curve over [-1, 1]: no read extrapolates.
+    Consecutive times whose slices have the same grid (``slice_grid``; the
+    small times, before the dispersive range leaves the window, all do)
+    share that grid's synthesis: the call holds the last grid's factors and
+    hands them to ``propagate_slice``, one call per time, so a run of equal
+    grids builds them once.  Nothing is held past the call, and each slice
+    equals a fresh one bit for bit.
 
     Before the slice at t the loop stops when ``slice_bound(plan)(t)``, an
     a-priori bound on every slice from t on that does not increase with t
@@ -201,18 +181,18 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     The bound reads the source alone, never the oracle.  Slices after the
     stop are never synthesized, so a ``ResolutionError`` that one of them
     would raise is not raised (``check_ratio_resolution`` checks every grid
-    time).  Values below 1e-14 of the a-priori amplitude bound are treated
-    as zero.
+    time).
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    plan = make_plan(f, params, curve)
+    if not np.all(np.abs(x_nodes) <= 1.0):
+        raise DomainError("x_nodes must lie in [-1, 1]")
     if tgrid.extra_times is not None and tgrid.extra_times.size != x_nodes.size:
         raise DomainError("extra_times must align with x_nodes")
+    plan = make_plan(f, params, curve)
 
     # the oracle values at the per-x extra times come first, kept apart from
     # the slice maxima: with them in hand the time loop can stop early
     oracle = np.zeros(x_nodes.size)
-    idx, ts = [], []
     if tgrid.extra_times is not None:
         idx = np.nonzero(np.isfinite(tgrid.extra_times))[0].tolist()
         ts = tgrid.extra_times[idx].tolist()
@@ -223,7 +203,6 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
 
     best = np.zeros(x_nodes.size)
     arg = np.zeros(x_nodes.size)
-    floor = _TAIL_FLOOR * amplitude_bound(f)
     bound = slice_bound(plan)
 
     held = _GridInHand()   # the grid of the slice before, for this call only
@@ -234,26 +213,18 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
             break
         sl = propagate_slice(plan, t, (plan.y_lo, plan.y_hi), _held=held)
         slices += 1
-        win = _live_window(sl, plan, floor)
-        if win is None:
-            continue
-        y = curve_eval(curve, x_nodes, t)
-        mask = (y >= win[0]) & (y <= win[1])
-        if not mask.any():
-            continue
         # modulus of the envelope: the carrier is a unimodular factor
-        env = lagrange_uniform(sl.values, sl.y_min, sl.delta_y, y[mask])
-        vals = np.abs(env)
-        sel = np.nonzero(mask)[0]
-        upd = vals > best[sel]
-        best[sel[upd]] = vals[upd]
-        arg[sel[upd]] = t
+        vals = np.abs(lagrange_uniform(sl.values, sl.y_min, sl.delta_y,
+                                       curve_eval(curve, x_nodes, t)))
+        upd = vals > best
+        best[upd] = vals[upd]
+        arg[upd] = t
 
     # an oracle value replaces the slice maximum only where it is larger
-    for i, t_x in zip(idx, ts):
-        if oracle[i] > best[i]:
-            best[i] = oracle[i]
-            arg[i] = t_x
+    take = oracle > best
+    if take.any():
+        best[take] = oracle[take]
+        arg[take] = tgrid.extra_times[take]
 
     return MaximalField(x_nodes, best, arg, slices)
 

@@ -397,8 +397,9 @@ def test_eval_band_requires_seed():
 
 
 @pytest.mark.parametrize("lam", [None, "sixteen", [16.0], float("nan"),
-                                 float("inf"), 0.0, -4.0])
+                                 float("inf"), 0.0, -4.0, 16384.0, 1e6])
 def test_eval_band_bad_lam_is_config_error(lam, tmp_path, capsys):
+    # from lam = 16384 on the band's 64 lam + 1 samples pass _MAX_SAMPLES
     doc = {"spectrum": "band", "seed": 3, "x": [0.0], "t": [0.0]}
     if lam is not None:
         doc["lam"] = lam
@@ -410,6 +411,35 @@ def test_eval_band_bad_lam_is_config_error(lam, tmp_path, capsys):
     assert code == 2 and out == ""
     rec = json.loads(err.splitlines()[-1])
     assert rec["error"] == "config" and "'lam'" in rec["reason"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--family", "modulated", "--alpha", "0.5", "--gamma", "3",
+     "--scales", "1e200,1e201,1e202,1e203"],
+    ["sweep", "--family", "dilated", "--alpha", "0.25", "--gamma", "0.75",
+     "--scales", "1e300,1e301,1e302,1e303"],
+    ["lowerbound", "--family", "modulated", "--alpha", "0.5", "--gamma", "3",
+     "--R", "1e200"],
+    ["eval", "--family", "modulated", "--alpha", "0.5", "--gamma", "3",
+     "--R", "1e200"],
+])
+def test_unrepresentable_scale_is_config_error(args, capsys):
+    # lam = R**2 overflows, or lam = R/2 leaves lam**-2 no positive double
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and "R=1e+" in rec["reason"]
+
+
+def test_eval_tiny_m_touch_rule_is_resolution_error(capsys):
+    # (8 |q| / pi)**(1/m) overflows at m = 1e-5: the cells touching 0 would
+    # need more sub-cells than any double
+    code, out, err = run_cli(
+        ["eval", "--spectrum", "band", "--lam", "16", "--seed", "3",
+         "--m", "1e-5", "--x", "0", "--t", "0.5"], capsys)
+    assert code == 3 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "ResolutionError" and "nodes" in rec["reason"]
 
 
 def test_eval_checks_n_samples_as_sweep_does(monkeypatch):

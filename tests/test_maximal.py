@@ -9,6 +9,7 @@ from ctschro.domain import (
     SpectralFunction,
     amplitude_bound,
     build_counterexample,
+    curve_eval,
     dilated_family,
     holder_curve,
     identity_curve,
@@ -17,6 +18,7 @@ from ctschro.domain import (
     scaling_interval,
     witness_interval,
 )
+from ctschro._numerics import lagrange_uniform
 from ctschro.errors import CalibrationError, DegenerateSeriesError, DomainError
 from ctschro.evolve import direct_quadrature
 from ctschro.maximal import (
@@ -217,19 +219,50 @@ def test_maximal_field_builds_one_grid_per_run_of_equal_grids(kind,
     assert all(ref() is None for ref in built)
 
 
+def _every_time_field(f, params, curve, xs, tgrid):
+    """(values, argmax_t) written out from the definition: the max over all
+    grid times of the interpolated fresh slice at every node, taken at the
+    first time that reaches it."""
+    from ctschro.evolve import make_plan, propagate_slice
+    plan = make_plan(f, params, curve)
+    reads = []
+    for t in tgrid.times.tolist():
+        sl = propagate_slice(plan, t, (plan.y_lo, plan.y_hi))
+        reads.append(np.abs(lagrange_uniform(sl.values, sl.y_min, sl.delta_y,
+                                             curve_eval(curve, xs, t))))
+    reads = np.array(reads)
+    return reads.max(axis=0), tgrid.times[reads.argmax(axis=0)]
+
+
 @pytest.mark.parametrize("kind", ["dilated", "modulated"])
 def test_early_exit_keeps_the_field_bit_identical(kind, monkeypatch):
     import ctschro.maximal as maximal
     f, params, curve, xs, tgrid = _family_field_case(kind)
     early = maximal_field(f, params, curve, xs, tgrid)
+    values, argmax_t = _every_time_field(f, params, curve, xs, tgrid)
     monkeypatch.setattr(maximal, "slice_bound", lambda plan: lambda t: math.inf)
     every = maximal_field(f, params, curve, xs, tgrid)
     assert every.slices == tgrid.times.size
     assert 0 < early.slices <= every.slices
+    assert every.values.tobytes() == values.tobytes()
+    assert every.argmax_t.tobytes() == argmax_t.tobytes()
     assert early.values.tobytes() == every.values.tobytes()
     assert early.argmax_t.tobytes() == every.argmax_t.tobytes()
     if kind == "dilated":
         assert early.slices < every.slices
+
+
+@pytest.mark.parametrize("x", [-1.25, 1.25])
+def test_field_refuses_x_nodes_outside_the_unit_interval(x, monkeypatch):
+    # a read past the query window would extrapolate the slice
+    import ctschro.maximal as maximal
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the x-node check")
+    monkeypatch.setattr(maximal, "make_plan", no_work)
+    f, params, curve, _, tgrid = _family_field_case("dilated")
+    with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+        maximal_field(f, params, curve, np.array([0.0, x]), tgrid)
 
 
 def test_early_exit_merges_the_oracle_as_before(monkeypatch):

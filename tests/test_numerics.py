@@ -263,6 +263,20 @@ def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
                                         zero, zero, 2.0)
 
 
+def test_touch_rule_past_the_doubles_is_resolution_error():
+    # (8 |q| / pi)**(1/m) overflows a double at m = 1e-5: such a row takes
+    # +inf sub-cells on its cells touching 0 and fails the node budget; a
+    # row of q = 0 needs none
+    edges = np.linspace(-1.0, 1.0, 9)
+    zero = np.zeros(2)
+    with pytest.raises(ResolutionError, match="row 1 needs inf nodes"):
+        phase_counts(edges, zero, np.array([0.0, 5.0]), zero, 1e-5)
+    with pytest.raises(ResolutionError, match="needs inf nodes"):
+        phase_counts(edges, 0.0, 5.0, 0.0, 1e-5)
+    counts, _ = phase_counts(edges, 0.0, 0.0, 0.0, 1e-5)
+    assert counts.tolist() == [1] * 8
+
+
 # ---------------------------------------------------------------------------
 # the mirrored rule
 # ---------------------------------------------------------------------------

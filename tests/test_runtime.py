@@ -27,21 +27,6 @@ def _run(code: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_running_the_package_loads_no_scipy():
-    # scipy doubled the start-up of every run; it is a test dependency only
-    out = _run("""
-import json, sys
-import ctschro, ctschro.cli
-rec = ctschro.cli.run_config({
-    "command": "sweep", "family": "dilated", "alpha": 0.25, "gamma": 2.0,
-    "scales": [16.0, 32.0, 64.0, 128.0], "n_samples": 128})
-print(json.dumps({"passed": rec["passed"],
-                  "scipy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")}))
-""")
-    assert out == {"passed": True, "scipy": []}
-
-
 def test_no_command_loads_numpy_ma_or_scipy():
     # np.unique and np.median import numpy.ma to ask whether their input is
     # a masked array, which no run uses (see README, "The runtime needs
