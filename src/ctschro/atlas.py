@@ -22,25 +22,10 @@ from .domain import CounterexampleFamily, scaling_law
 from .errors import DomainError, RegimeError
 
 __all__ = [
-    "ExponentQuery", "ExponentResult", "exponent",
-    "Breakpoint", "breakpoints", "ContinuityGap", "continuity_check",
+    "ExponentResult", "exponent",
+    "Breakpoint", "breakpoints", "continuity_check",
     "predicted_ratio_slope",
 ]
-
-
-@dataclass(frozen=True)
-class ExponentQuery:
-    alpha: object
-    gamma: object
-    m: object
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise DomainError("alpha must lie in (0, 1]")
-        if self.gamma <= 0:
-            raise DomainError("gamma must be positive")
-        if self.m <= 0:
-            raise DomainError("m must be positive")
 
 
 @dataclass(frozen=True)
@@ -48,6 +33,7 @@ class ExponentResult:
     s: object
     theorem: str
     regime: str
+    piece: int   # index of the covering regime, in the theorem's gamma order
 
 
 @dataclass(frozen=True)
@@ -59,14 +45,6 @@ class Breakpoint:
     @property
     def gap(self):
         return abs(self.right - self.left)
-
-
-@dataclass(frozen=True)
-class ContinuityGap:
-    gamma: float
-    left: float
-    right: float
-    gap: float
 
 
 def _exact(*vals) -> bool:
@@ -188,45 +166,56 @@ def _regime_tag(piece: _Piece) -> str:
 
 
 def exponent(*, alpha, gamma, m) -> ExponentResult:
-    """Sharp exponent s(alpha, gamma, m) with its theorem label and regime."""
-    ExponentQuery(alpha, gamma, m)   # DomainError outside the domain
+    """Sharp exponent s(alpha, gamma, m) with its theorem label, regime and
+    regime index.  Raises ``DomainError`` outside the domain."""
+    if not (0 < alpha <= 1):
+        raise DomainError("alpha must lie in (0, 1]")
+    if gamma <= 0:
+        raise DomainError("gamma must be positive")
+    if m <= 0:
+        raise DomainError("m must be positive")
     exact = _exact(alpha, gamma, m)
     g = _lift(gamma, exact)
     label, pieces = _pieces(alpha, m, exact)
-    for piece in pieces:
+    for index, piece in enumerate(pieces):
         above = g > piece.lo if piece.lo == 0 else g >= piece.lo
         below = piece.hi is None or g < piece.hi
         if above and below:
             s = piece.fn(g)
             if s < 0:   # a display can dip below 0 where the threshold is void
                 s = s * 0
-            return ExponentResult(s, label, _regime_tag(piece))
+            return ExponentResult(s, label, _regime_tag(piece), index)
     raise RegimeError(   # unreachable: regime coverage is total
         f"no regime covers gamma={gamma} for (alpha={alpha}, m={m})")
 
 
 def breakpoints(alpha, m) -> list[Breakpoint]:
     """Interior gamma regime boundaries with the adjacent piece values
-    (both evaluated exactly at the boundary; equal when continuous)."""
+    (both evaluated exactly at the boundary; equal when continuous).  A
+    boundary m alpha that underflows to 0 is skipped: it bounds an empty
+    first regime and is not interior to gamma > 0."""
     exact = _exact(alpha, m)
     _, pieces = _pieces(alpha, m, exact)
     out = []
     for left, right in zip(pieces[:-1], pieces[1:]):
         g = right.lo
+        if g == 0:
+            continue
         out.append(Breakpoint(g, left.fn(g), right.fn(g)))
     return out
 
 
-def continuity_check(alpha, m) -> list[ContinuityGap]:
+def continuity_check(alpha, m) -> list[Breakpoint]:
     """Evaluate the exponent on both sides of every interior breakpoint
-    (float path, relative offset 1e-9) and report the gaps."""
+    (float path, relative offset 1e-9): the side values as floats, whose
+    ``gap`` is the jump."""
     offset = 1e-9
     gaps = []
     for bp in breakpoints(float(alpha), float(m)):
         g = float(bp.gamma)
         lo = exponent(alpha=float(alpha), gamma=g * (1 - offset), m=float(m)).s
         hi = exponent(alpha=float(alpha), gamma=g * (1 + offset), m=float(m)).s
-        gaps.append(ContinuityGap(g, float(lo), float(hi), abs(float(hi) - float(lo))))
+        gaps.append(Breakpoint(g, float(lo), float(hi)))
     return gaps
 
 

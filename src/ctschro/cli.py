@@ -294,6 +294,10 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     schur_tol = _field(cfg, "schur_tolerance", 0.15)
     if count < 100:
         raise ConfigError("field 'count' must be at least 100")
+    # the kernel quadrature squares the outer band edge 2 lam
+    if not all(math.isfinite((2.0 * lam) * (2.0 * lam)) for lam in lams):
+        raise ConfigError(f"field 'lams' must keep (2 lam)**2 a finite "
+                          f"double, got {lams}")
     # the kernel draws and the Schur row's y-nodes are held in memory whole
     if count * len(lams) > _MAX_SAMPLES:
         raise ConfigError(f"fields 'count' x 'lams' ask for {count * len(lams)} "

@@ -165,30 +165,46 @@ class BetaChoice:
             raise DomainError("weights must be nonnegative")
 
 
+# (beta1 is alpha/gamma, beta2 is 1/(2 gamma), eps_flag) per regime of the
+# atlas exponent s(alpha, gamma, 2), keyed by (theorem, piece); a weight
+# marked False is 0
+_WEIGHTS = {
+    ("T1", 0): (False, True, False),
+    ("T1", 1): (False, True, True),
+    ("T1", 2): (False, False, False),
+    ("T2", 0): (True, True, False),
+    ("T2", 1): (True, True, True),
+    ("T2", 2): (False, False, False),
+    ("T3", 0): (True, True, False),
+    ("T3", 1): (True, True, True),
+    ("T3", 2): (False, True, False),
+    ("T3", 3): (False, True, True),
+    ("T3", 4): (False, False, False),
+}
+
+
 def beta_table(alpha: float, gamma: float) -> BetaChoice:
-    """Optimal (beta1, beta2) per (alpha, gamma) regime, with the resulting
-    row-integral exponent 2 s(alpha, gamma, 2) from the atlas.  Raises
-    ``RegimeError`` outside the table."""
+    """Optimal (beta1, beta2) for the atlas regime covering (alpha, gamma,
+    m = 2), with the resulting row-integral exponent 2 s(alpha, gamma, 2).
+    Raises ``RegimeError`` outside the table."""
     a, g = alpha, gamma
     if not (0.0 < a <= 1.0) or g <= 0.0:
         raise RegimeError(f"(alpha, gamma) = ({a}, {g}) outside the table")
-    if a >= 0.5:
-        if g < 1.0:
-            b1, b2, eps = 0.0, 1.0 / (2 * g), False
-        elif g < 2.0:
-            b1, b2, eps = 0.0, 1.0 / (2 * g), True
-        else:
-            b1, b2, eps = 0.0, 0.0, False
-    elif g < 2 * a:
-        b1, b2, eps = a / g, 1.0 / (2 * g), False
-    elif g < 1.0:
-        b1, b2, eps = a / g, 1.0 / (2 * g), True
-    elif a <= 0.25 or g >= 2.0:
-        b1, b2, eps = 0.0, 0.0, False
-    else:   # 1/4 < alpha < 1/2, 1 <= gamma < 2
-        b1, b2, eps = 0.0, 1.0 / (2 * g), g >= 1.0 / (2 * a)
-    s = exponent(alpha=a, gamma=g, m=2.0).s
-    return BetaChoice(b1, b2, 2 * float(s), eps)
+    res = exponent(alpha=a, gamma=g, m=2.0)
+    b1, b2, eps = _WEIGHTS[res.theorem, res.piece]
+    return BetaChoice(a / g if b1 else 0.0, 1.0 / (2 * g) if b2 else 0.0,
+                      2 * float(res.s), eps)
+
+
+def _term(num: float, d: float, power: float) -> float:
+    """num / d**power, one term of the majorant's first branch.  A
+    denominator that underflows to 0 stands for +inf, so ``min`` takes the
+    other term; one that overflows gives the limit 0."""
+    try:
+        den = d ** power
+    except OverflowError:
+        return 0.0
+    return num / den if den else math.inf
 
 
 def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
@@ -202,7 +218,9 @@ def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
     The kernel is bounded by a (beta-dependent) constant times this for all
     times; x = y is a coincidence error (negative powers of |x - y|), and so
     is a non-finite position.  lam must be finite and positive: a NaN is
-    lost in ``max``, and a negative lam makes the powers complex.
+    lost in ``max``, and a negative lam makes the powers complex.  A bound
+    that is 0 or not finite (the weights' powers of lam leave the doubles)
+    raises ``DomainError`` naming alpha, gamma and lam.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("majorant needs finite positions")
@@ -212,10 +230,14 @@ def kernel_majorant(x: float, y: float, lam: float, beta: BetaChoice,
     if d == 0.0:
         raise DomainError("majorant undefined at x = y")
     b1, b2 = beta.beta1, beta.beta2
-    branch1 = min(lam ** (-2 * b1) / d ** (gamma * b1 / alpha + 1 / (2 * alpha)),
-                  lam ** (1 - 2 * b1) / d ** (gamma * b1 / alpha))
+    branch1 = min(_term(lam ** (-2 * b1), d, gamma * b1 / alpha + 1 / (2 * alpha)),
+                  _term(lam ** (1 - 2 * b1), d, gamma * b1 / alpha))
     branch2 = lam ** (0.5 - 2 * b2 + gamma * b2) / d ** (0.5 + gamma * b2)
-    return max(branch1, branch2)
+    bound = max(branch1, branch2)
+    if not 0.0 < bound < math.inf:
+        raise DomainError(f"majorant at alpha={alpha}, gamma={gamma}, "
+                          f"lam={lam} is {bound}: no double holds it")
+    return bound
 
 
 # ---------------------------------------------------------------------------

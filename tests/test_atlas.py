@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctschro.atlas import (
-    ExponentQuery,
+    Breakpoint,
     breakpoints,
     continuity_check,
     exponent,
@@ -56,11 +56,26 @@ def test_more_pinned_values():
 
 def test_query_validation():
     with pytest.raises(DomainError):
-        ExponentQuery(0.0, 1.0, 2.0)
+        exponent(alpha=0.0, gamma=1.0, m=2.0)
     with pytest.raises(DomainError):
-        ExponentQuery(0.5, -1.0, 2.0)
+        exponent(alpha=0.5, gamma=-1.0, m=2.0)
     with pytest.raises(DomainError):
-        ExponentQuery(0.5, 1.0, 0.0)
+        exponent(alpha=0.5, gamma=1.0, m=0.0)
+
+
+@pytest.mark.parametrize("a,m,gammas,label", [
+    (F(1, 3), F(2), [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)], "T3"),
+    (F(1, 2), F(2), [F(1, 2), F(1), F(2)], "T1"),
+    (F(3, 5), F(3, 2), [F(1, 2), F(9, 10), F(1), F(6, 5), F(3)], "T4.6"),
+])
+def test_piece_indexes_the_regimes_in_gamma_order(a, m, gammas, label):
+    # one gamma in each regime, each at its left end but the first
+    pieces = [exponent(alpha=a, gamma=g, m=m) for g in gammas]
+    assert [r.theorem for r in pieces] == [label] * len(gammas)
+    assert [r.piece for r in pieces] == list(range(len(gammas)))
+    assert len({r.regime for r in pieces}) == len(gammas)
+    lefts = [b.gamma for b in breakpoints(a, m)]
+    assert lefts == gammas[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +120,36 @@ def test_known_boundary_identities():
     assert one.left == one.right == F(1, 2) - F(3, 2) * F(3, 5) / 2
 
 
+def test_breakpoints_skip_an_underflowed_boundary():
+    # m alpha underflows to 0: the first regime [0, 0) is empty, and its
+    # right end is no interior boundary of gamma > 0
+    bps = breakpoints(1e-200, 1e-200)
+    assert [b.gamma for b in bps] == [1.0]
+    assert exponent(alpha=1e-200, gamma=0.5, m=1e-200).piece == 1
+    assert [b.gamma for b in continuity_check(1e-200, 1e-200)] == [1.0]
+
+
 # ---------------------------------------------------------------------------
 # continuity, totality, monotonicity, limits
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a,m", [(0.3, 2.0), (1 / 3, 2.0), (0.6, 1.5),
+                                 (0.45, 3.0), (0.2, 0.5)])
+def test_continuity_check_reports_both_sides_as_floats(a, m):
+    # each boundary as a Breakpoint of floats: gamma, the float-path values
+    # a relative 1e-9 to its left and right, and their distance as gap
+    gaps = continuity_check(a, m)
+    assert [g.gamma for g in gaps] == [float(b.gamma)
+                                       for b in breakpoints(a, m)]
+    for gap in gaps:
+        assert type(gap) is Breakpoint
+        g = gap.gamma
+        left = float(exponent(alpha=a, gamma=g * (1 - 1e-9), m=m).s)
+        right = float(exponent(alpha=a, gamma=g * (1 + 1e-9), m=m).s)
+        assert (gap.left, gap.right) == (left, right)
+        assert all(type(v) is float for v in (gap.gamma, gap.left, gap.right))
+        assert gap.gap == abs(right - left)
+
 
 def test_continuity_on_grid():
     worst = 0.0

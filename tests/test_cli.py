@@ -68,6 +68,18 @@ def test_atlas_malformed_config_exits_2(capsys):
     assert "alpha" in reason["reason"]
 
 
+def test_atlas_underflowed_regime_boundary_exits_0(capsys):
+    # m alpha underflows to 0, so the first regime is empty; its right end
+    # at gamma = 0 is no boundary to audit
+    code, out, err = run_cli(
+        ["atlas", "--alpha", "1e-200", "--gamma", "1,2", "--m", "1e-200",
+         "--continuity"], capsys)
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert [g["gamma"] for g in rec["results"]["continuity"]] == [1.0]
+    assert rec["passed"]
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
@@ -300,6 +312,54 @@ def test_kernelcheck_checks_fields_before_kernel_work(field, value, capsys,
     assert code == 2 and out == ""
     rec = json.loads(err.splitlines()[-1])
     assert rec["error"] == "config" and field in rec["reason"]
+
+
+def test_kernelcheck_majorant_term_underflow_exits_0(capsys):
+    # d**(1/(2 alpha)) = d**125 underflows to 0 for small |x - y|: that term
+    # of the majorant's first branch is +inf and min takes the other
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["kernelcheck", "--alpha", "0.004", "--gamma", "2",
+             "--count", "100", "--seed", "7"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["passed"]
+
+
+def test_kernelcheck_majorant_underflow_is_a_domain_error(capsys):
+    # beta1 = 200 and beta2 = 500 put every branch of the majorant below the
+    # doubles, so no ratio against it exists
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["kernelcheck", "--alpha", "0.2", "--gamma", "0.001",
+             "--count", "100", "--seed", "7"], capsys)
+    assert code == 3 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "DomainError"
+    assert "alpha=0.2, gamma=0.001, lam=16.0" in rec["reason"]
+
+
+@pytest.mark.parametrize("lam", ["1e160", "1e300"])
+def test_kernelcheck_refuses_a_level_whose_band_edge_squared_overflows(
+        lam, capsys, monkeypatch):
+    # (2 lam)**2 is no finite double above lam = 6.7e153; the refusal comes
+    # before the table, the draws and the quadrature
+    import ctschro.cli as cli
+
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work started before the field checks")
+    for name in ("beta_table", "verify_kernel_bound", "schur_integral"):
+        monkeypatch.setattr(cli, name, no_kernel_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["kernelcheck", "--alpha", "0.5", "--gamma", "2",
+             "--lams", f"16,{lam}", "--count", "100", "--seed", "7"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
+    assert rec["error"] == "config" and "'lams'" in rec["reason"]
 
 
 def test_kernelcheck_echoes_table_weights(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -349,6 +351,71 @@ def test_majorant_row_integral_reproduces_exponent(alpha, gamma):
         assert slope == pytest.approx(expo, abs=0.05)
     else:
         assert slope <= expo + 0.05
+
+
+def _ladder_weights(a, g):
+    """(beta1, beta2, eps_flag) by the if-ladder over the T1-T3 breakpoints
+    that beta_table used before it read the atlas regime: the reference the
+    table must reproduce bit for bit."""
+    if a >= 0.5:
+        if g < 1.0:
+            return 0.0, 1.0 / (2 * g), False
+        if g < 2.0:
+            return 0.0, 1.0 / (2 * g), True
+        return 0.0, 0.0, False
+    if g < 2 * a:
+        return a / g, 1.0 / (2 * g), False
+    if g < 1.0:
+        return a / g, 1.0 / (2 * g), True
+    if a <= 0.25 or g >= 2.0:
+        return 0.0, 0.0, False
+    return 0.0, 1.0 / (2 * g), g >= 1.0 / (2 * a)
+
+
+def _with_neighbours(values):
+    return [w for v in values
+            for w in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+
+
+def test_beta_table_matches_the_breakpoint_ladder_bitwise():
+    # a dense grid plus every theorem and regime boundary and its two float
+    # neighbours: alpha = 1/4, 1/2, 1 and gamma = 2 alpha, 1, 1/(2 alpha), 2
+    alphas = [a for a in _with_neighbours([0.25, 0.5, 1.0])
+              + np.linspace(0.005, 1.0, 120).tolist() if a <= 1.0]
+    for a in alphas:
+        gammas = (_with_neighbours([2 * a, 1.0, 1.0 / (2 * a), 2.0])
+                  + np.linspace(0.01, 4.0, 60).tolist() + [1e-3, 50.0])
+        for g in gammas:
+            row = beta_table(a, g)
+            want = _ladder_weights(a, g)
+            got = (row.beta1, row.beta2, row.eps_flag)
+            assert [type(v) for v in got] == [type(v) for v in want], (a, g)
+            assert (float.hex(got[0]), float.hex(got[1]), got[2]) == \
+                (float.hex(want[0]), float.hex(want[1]), want[2]), (a, g)
+            assert row.i_exponent == 2 * float(exponent(alpha=a, gamma=g,
+                                                        m=2.0).s)
+
+
+def test_majorant_underflowed_denominator_takes_the_other_term():
+    # d**(1/(2 alpha)) = 0.001**125 underflows: the first term is +inf and
+    # min takes lam, so the majorant is max(lam, sqrt(lam/d))
+    beta = beta_table(0.004, 2.0)
+    assert (beta.beta1, beta.beta2) == (0.0, 0.0)
+    for d, want in ((0.001, math.sqrt(16.0) / math.sqrt(0.001)),
+                    (1e-6, math.sqrt(16.0) / math.sqrt(1e-6))):
+        assert kernel_majorant(d, 0.0, 16.0, beta, 0.004, 2.0) == want
+    # 1.5**5000 overflows: that term is 0, and branch 2 decides
+    beta = beta_table(1e-4, 2.0)
+    assert kernel_majorant(1.5, 0.0, 16.0, beta, 1e-4, 2.0) == \
+        math.sqrt(16.0) / math.sqrt(1.5)
+
+
+def test_majorant_that_underflows_is_a_domain_error():
+    # beta1 = alpha/gamma = 200 and beta2 = 500: lam**-400 and lam**-999
+    # leave the doubles, so every branch is 0
+    beta = beta_table(0.2, 0.001)
+    with pytest.raises(DomainError, match=r"alpha=0\.2, gamma=0\.001, lam=16"):
+        kernel_majorant(0.3, 0.0, 16.0, beta, 0.2, 0.001)
 
 
 def test_beta_table_out_of_range():
