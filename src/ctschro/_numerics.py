@@ -491,8 +491,10 @@ def phase_counts(edges: np.ndarray, lin, quad, damp,
     left, right = edges[..., :-1], edges[..., 1:]
     ap = np.abs(edges) ** m
     apl, apr = ap[..., :-1], ap[..., 1:]
-    # across a cell straddling 0, |xi|**m varies by |left|**m + |right|**m
-    dpow = np.where((left < 0) & (right > 0), apl + apr, np.abs(apr - apl))
+    # across a cell straddling 0, |xi|**m varies by |left|**m + |right|**m,
+    # summed there alone: elsewhere the sum may overflow
+    dpow = np.abs(apr - apl)
+    np.add(apl, apr, out=dpow, where=(left < 0) & (right > 0))
     # (rows x cells) arrays are updated in place, which rounds the same
     change = np.abs(lin) * (right - left)
     change += np.abs(quad) * dpow
@@ -703,7 +705,8 @@ def oscillatory_quadrature(edges: np.ndarray,
     for ``edges`` of shape (P, n+1), nondecreasing along each row (the
     caller clips them to the live band), and ``lin``, ``quad``, ``damp`` of
     shape (P,).  ``amp(nodes, row)`` gives the amplitude at nodes of the
-    rows ``row``.
+    rows ``row``: an array of one row index per node, or the index alone
+    when every node is of that row.
 
     With ``mirrored``, row p integrates over its edges and their mirror
     image [-edges[p, -1], -edges[p, 0]], for an amplitude even in xi: as
@@ -733,7 +736,9 @@ def oscillatory_quadrature(edges: np.ndarray,
     sizes = (counts * orders).sum(axis=1)
     out = np.empty(sizes.size, dtype=complex)
     for a, b in _chunks(sizes.tolist()):
-        row = np.repeat(np.arange(a, b), sizes[a:b])
+        # a one-row chunk (a row past _CHUNK among them) takes the row's
+        # scalars: a gather would cost 32 bytes per node beside the node set
+        row = a if b - a == 1 else np.repeat(np.arange(a, b), sizes[a:b])
         rule = node_set(edges[a:b], counts[a:b], orders[a:b],
                         lambda xi: amp(xi, row), m)
         out[a:b] = oscillatory_sum(*rule, lin[row], quad[row], damp[row],

@@ -150,6 +150,14 @@ def _n_samples(cfg: dict) -> int:
     return n_samples
 
 
+def _seed(cfg: dict) -> int:
+    """Field 'seed': an integer of at least 0, as numpy's generator takes."""
+    seed = _field(cfg, "seed", kind=int)
+    if seed < 0:
+        raise ConfigError(f"field 'seed' must be at least 0, got {seed}")
+    return seed
+
+
 def _levels(cfg: dict, name: str, least: int, default=None) -> list[float]:
     """List field ``name`` of scales or frequency levels: at least ``least``
     entries >= 4 that increase strictly.  Raises ``ConfigError`` naming the
@@ -289,7 +297,7 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     # and the Schur fit needs 4 levels
     lams = _levels(cfg, "lams", 2, [16.0, 64.0, 256.0])
     count = _field(cfg, "count", 500, int)
-    seed = _field(cfg, "seed", kind=int)
+    seed = _seed(cfg)
     schur_lams = _levels(cfg, "schur_lams", 4, [16.0, 32.0, 64.0, 128.0])
     schur_tol = _field(cfg, "schur_tolerance", 0.15)
     if count < 100:
@@ -367,7 +375,7 @@ def cmd_eval(cfg: dict) -> dict:
         if not 0.0 < lam < _MAX_SAMPLES / 64:
             raise ConfigError(f"field 'lam' must lie in (0, "
                               f"{_MAX_SAMPLES / 64:g}), got {lam}")
-        f = random_band_limited(lam, _field(cfg, "seed", kind=int))
+        f = random_band_limited(lam, _seed(cfg))
         gamma = _field(cfg, "gamma", 1.0)
         alpha = _field(cfg, "alpha", 1.0)
     try:

@@ -32,6 +32,7 @@ from functools import cache
 import numpy as np
 
 from ._numerics import _CHUNK, _DEAD, oscillatory_quadrature
+from ._pcg64 import Stream
 from .atlas import exponent
 from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
                      holder_curve)
@@ -318,6 +319,9 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     Positions keep |x - y| >= lam**-4 (coincidence cutoff); times are drawn
     from the geometric set.  All draws are made in one fixed sequence before
     any kernel evaluation, so a seed fixes every sample and every ratio.
+    The draws are those of ``numpy.random.default_rng(seed)``, made by
+    ``_pcg64.Stream`` without importing ``numpy.random``; a seed below 0
+    raises ``DomainError``.
     """
     if count < 100:
         raise DomainError("need at least 100 samples per level")
@@ -326,7 +330,7 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)
     beta = beta_table(alpha, gamma)
 
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     draws = []
     for lam in lams:
         tset = geometric_time_set(lam)

@@ -362,6 +362,35 @@ def test_kernelcheck_refuses_a_level_whose_band_edge_squared_overflows(
     assert rec["error"] == "config" and "'lams'" in rec["reason"]
 
 
+def test_kernelcheck_level_past_the_node_budget_warns_nothing(capsys):
+    # at lam = 6e153 the band edges' |xi|**2 are finite but their sum is
+    # not: the sum is taken only over cells straddling 0, so the run stops
+    # on the node budget with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["kernelcheck", "--alpha", "0.5", "--gamma", "2",
+             "--lams", "16,6e153", "--count", "100", "--seed", "7"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ResolutionError"
+
+
+@pytest.mark.parametrize("args", [
+    ["kernelcheck", "--alpha", "0.5", "--gamma", "2", "--count", "100",
+     "--lams", "16,64", "--seed", "-1"],
+    ["eval", "--spectrum", "band", "--lam", "16", "--seed", "-3",
+     "--alpha", "0.5", "--gamma", "1", "--x", "0", "--t", "0.1"]])
+def test_negative_seed_is_config_error(args, capsys):
+    # numpy's generator refuses a seed below 0 with a ValueError, which
+    # would exit 3 as an internal error
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
+    assert rec["error"] == "config" and "'seed'" in rec["reason"]
+
+
 def test_kernelcheck_echoes_table_weights(capsys):
     code, out, _ = run_cli(
         ["kernelcheck", "--alpha", "0.2", "--gamma", "0.5",

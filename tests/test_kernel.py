@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ctschro._pcg64 import Stream
 from ctschro.atlas import exponent
 from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
                             identity_curve)
@@ -528,3 +529,33 @@ def test_verify_kernel_bound_respects_coincidence_cutoff():
     rep = verify_kernel_bound(0.5, 2.0, [16.0], 100, seed=3)
     for s in rep.worst:
         assert abs(s.x - s.y) >= s.lam ** -4
+
+
+# seeds of one to five 32-bit words: SeedSequence hashes up to four into its
+# pool, and mixes a fifth in afterwards
+_STREAM_SEEDS = [*range(400), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 10 ** 30,
+                 2 ** 128 + 7]
+# 1 takes no draw, 2**31 + 11 rejects nearly half of Lemire's draws
+_STREAM_BOUNDS = (2, 3, 17, 1, 2 ** 31 + 11, 1000, 2 ** 32 - 1)
+
+
+def test_kernel_draws_are_numpys_stream():
+    # uniform(-1, 1) and integers(0, n) interleaved, as the kernel draws
+    # them, so that the buffered upper half of a 64-bit output is carried
+    # across the doubles drawn between two bounded integers
+    for seed in _STREAM_SEEDS:
+        mine, numpys = Stream(seed), np.random.default_rng(seed)
+        for k in range(300):
+            if k % 3 == 2:
+                n = _STREAM_BOUNDS[k // 3 % len(_STREAM_BOUNDS)]
+                assert mine.integers(0, n) == numpys.integers(0, n), (seed, k)
+            else:
+                got, want = mine.uniform(-1.0, 1.0), numpys.uniform(-1.0, 1.0)
+                assert got.hex() == want.hex(), (seed, k)
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed"):
+        Stream(-1)
+    with pytest.raises(DomainError, match="seed"):
+        verify_kernel_bound(0.5, 2.0, [16.0], 100, seed=-1)

@@ -245,6 +245,39 @@ def test_row_form_quadrature_sums_each_row_as_one_row_calls(m):
     assert got.tolist() == want
 
 
+def test_one_row_chunk_takes_the_rows_scalars():
+    # one mirrored row of 0.29 M nodes, a chunk of its own: its amplitude
+    # gets the row index alone, and no per-node row index or gather of
+    # lin, quad and damp (32 bytes per node) is made beside the node set,
+    # so the call peaks below an oracle point's 41-45 bytes per node
+    edges = np.linspace(0.5, 2.0, 97)[None, :]
+    lin, quad, damp = np.array([3e5]), np.array([0.7]), np.array([0.3])
+    rows = []
+
+    def amp(xi, row):
+        rows.append(np.shape(row))
+        return np.exp(-xi * xi)
+    counts, orders = phase_counts(edges, lin, quad, damp, 2.0)
+    n = int((counts * orders).sum())
+    assert n > 16 * numerics._CHUNK
+    tracemalloc.start()
+    try:
+        got = numerics.oscillatory_quadrature(edges, amp, lin, quad, damp,
+                                              2.0, mirrored=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [()]
+    assert peak <= 45 * n
+    # the gathered form: one value of lin, quad and damp per node
+    rule = numerics.node_set(edges, counts, orders, lambda xi: amp(xi, 0),
+                             2.0)
+    want = numerics.oscillatory_sum(*rule, *(np.repeat(v, n)
+                                             for v in (lin, quad, damp)),
+                                    [n], mirrored=True)
+    assert got.tolist() == want.tolist()
+
+
 def test_row_form_names_the_first_row_over_the_node_limit(monkeypatch):
     def no_nodes(*args, **kwargs):
         raise AssertionError("nodes built before the node budget check")

@@ -31,13 +31,16 @@ def test_no_command_loads_numpy_ma_or_scipy():
     # np.unique and np.median import numpy.ma to ask whether their input is
     # a masked array, which no run uses (see README, "The runtime needs
     # numpy alone").  Every command, and eval with both spectrums, runs in
-    # one interpreter.
+    # one interpreter.  Only band eval loads numpy.random: kernelcheck draws
+    # numpy's stream without it, so it is checked before band eval runs.
     out = _run("""
 import json, sys
 import ctschro.cli
 fam = {"family": "dilated", "alpha": 0.25, "gamma": 0.75}
 point = {"x": [0.0], "t": [0.0]}
-passed = [ctschro.cli.run_config(cfg)["passed"] for cfg in (
+def run(*cfgs):
+    return [ctschro.cli.run_config(cfg)["passed"] for cfg in cfgs]
+passed = run(
     {"command": "atlas", "alpha": 0.5, "gamma": 1.0},
     {"command": "sweep", **fam, "scales": [16.0, 32.0, 64.0, 128.0],
      "n_samples": 128},
@@ -45,15 +48,17 @@ passed = [ctschro.cli.run_config(cfg)["passed"] for cfg in (
     {"command": "kernelcheck", "alpha": 0.5, "gamma": 2.0, "seed": 3,
      "lams": [16.0, 32.0], "schur_lams": [16.0, 24.0, 32.0, 48.0],
      "count": 100},
-    {"command": "eval", **fam, "R": 16.0, **point},
-    {"command": "eval", "spectrum": "band", "lam": 16.0, "seed": 3,
-     **point})]
-print(json.dumps({"passed": passed,
+    {"command": "eval", **fam, "R": 16.0, **point})
+random = "numpy.random" in sys.modules
+passed += run({"command": "eval", "spectrum": "band", "lam": 16.0,
+               "seed": 3, **point})
+print(json.dumps({"passed": passed, "random_before_band": random,
                   "loaded": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "scipy"
                                    or m.split(".")[:2] == ["numpy", "ma"])}))
 """)
-    assert out == {"passed": [True] * 6, "loaded": []}
+    assert out == {"passed": [True] * 6, "random_before_band": False,
+                   "loaded": []}
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
