@@ -67,8 +67,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError
 
-# exp(-x) underflows to exactly 0.0 near x = 745; beyond _DEAD the damped
-# multiplier cannot contribute at double precision.
+# exp(-x) underflows to exactly 0.0 near x = 745: beyond _DEAD the damped
+# multiplier is 0 at double precision, and the oracle and the slices clip
+# their bands there.  A term stops mattering long before, relative to the
+# largest term of its sum: ``kernel.kernel_values`` stops each damped row at
+# its horizon (``kernel._HORIZON``), past which every term is below e**-60
+# of the row's largest.
 _DEAD = 745.0
 # the coarse rule: 4-point Gauss on sub-cells of at most pi/8 change
 _PHASE_BUDGET = math.pi / 8.0

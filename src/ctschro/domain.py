@@ -44,14 +44,18 @@ __all__ = [
 # the smooth bump
 # ---------------------------------------------------------------------------
 
+def _bump_exponent(u, lo: float, hi: float):
+    """-1/((u-lo)(hi-u)), the log of the bump's shape at u in (lo, hi)."""
+    return -1.0 / ((u - lo) * (hi - u))
+
+
 def _bump_shape(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """exp(-1/((u-lo)(hi-u))) on (lo, hi), zero elsewhere; smooth everywhere."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     inside = (u > lo) & (u < hi)
     if inside.any():
-        v = u[inside]
-        out[inside] = np.exp(-1.0 / ((v - lo) * (hi - v)))
+        out[inside] = np.exp(_bump_exponent(u[inside], lo, hi))
     return out
 
 

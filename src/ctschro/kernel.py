@@ -18,9 +18,12 @@ the shared row-form quadrature (``_numerics.oscillatory_quadrature`` with
 ``mirrored=True``), ``_SAMPLES`` samples per call, and the shared rule lays
 out and sums each row as a one-row call, in chunks of at most 2**14 nodes.
 So every value is the same to the bit however the samples are batched.
-``schur_integral`` evaluates a row integral in one call, and
-``verify_kernel_bound`` all its draws in one call, after drawing them in
-one fixed sequence.
+A damped row stops at its double-precision horizon (``_horizon``): past it,
+every term is below e**-60 ~ 2**-86.6 of the row's largest term, so the
+row's sum cannot feel it; the oracle and the slices of ``evolve`` keep the
+cap where exp(-x) underflows.  ``schur_integral`` evaluates a row integral
+in one call, and ``verify_kernel_bound`` all its draws in one call, after
+drawing them in one fixed sequence.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 from ._numerics import _CHUNK, _DEAD, oscillatory_quadrature
 from ._pcg64 import Stream
 from .atlas import exponent
-from .domain import (CurveSpec, EvolutionParams, _bump_shape, curve_eval,
-                     holder_curve)
+from .domain import (CurveSpec, EvolutionParams, _bump_exponent, _bump_shape,
+                     curve_eval, holder_curve)
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -54,12 +57,18 @@ __all__ = [
 # support radii of Psi
 _INNER = 0.5
 _OUTER = 2.0
+# ln Psi = _PEAK_LOG - 1/(u (1 - u)) on 0 < u < 1: at most 0, and 0 at u = 1/2
+_PEAK_LOG = 4.0
+
+
+def _band_coordinate(xi):
+    """u = (|xi| - 1/2) / (2 - 1/2): Psi's support side is 0 < u < 1."""
+    return (np.abs(np.asarray(xi, dtype=float)) - _INNER) / (_OUTER - _INNER)
 
 
 def cutoff(xi):
     """Psi: even C-infinity profile, positive on 1/2 < |xi| < 2, peak 1."""
-    u = (np.abs(np.asarray(xi, dtype=float)) - _INNER) / (_OUTER - _INNER)
-    return np.exp(4.0) * _bump_shape(u, 0.0, 1.0)
+    return np.exp(_PEAK_LOG) * _bump_shape(_band_coordinate(xi), 0.0, 1.0)
 
 
 @cache
@@ -75,6 +84,10 @@ def cutoff_mass() -> float:
 
 # grid cells per band side
 _CELLS = 96
+# a damped row stops where every value of its integrand is below e**-_HORIZON
+# of the row's largest one (``_horizon``), well before exp(-x) underflows at
+# x = _DEAD
+_HORIZON = 60.0
 # samples per block of kernel_values: the block's band edges, one mirrored
 # row of _CELLS + 1 per sample, are about one chunk of the shared rule
 _SAMPLES = _CHUNK // (_CELLS + 1)
@@ -84,11 +97,13 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
                   curve: CurveSpec) -> np.ndarray:
     """The kernel at every sample (x, y, t1, t2, lam) of arrays that
     broadcast together, as a complex array of their broadcast shape, by
-    refined quadrature over the annulus lam/2 <= |xi| <= 2*lam
-    (damping-dead parts of the band are clipped).
+    refined quadrature over the annulus lam/2 <= |xi| <= 2*lam.
 
-    Each sample's dy, dt, damping and damping cap are Python floats; a
-    sample whose cap lies at or below the inner band edge is exactly 0.  Each
+    Each sample's dy, dt, damping and damping cap sqrt(745 / d), where
+    exp(-d xi**2) underflows, are Python floats; a sample whose cap lies at
+    or below the inner band edge is exactly 0.  A live damped row stops at
+    the smaller of its cap and its horizon (``_horizon``), past which every
+    term is below e**-60 ~ 2**-86.6 of the row's largest term.  Each
     live sample is one mirrored row (its positive band side, standing for
     both) of one row-form ``oscillatory_quadrature`` per block of
     ``_SAMPLES`` samples, so every value equals a one-sample call to the
@@ -132,6 +147,7 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
             continue
         a, b = np.array(ends).T
         dys, dts, damps, levels = np.array(rows).T
+        b = _horizon(a, b, damps, levels)
         # _CELLS cells per band side resolve the cutoff profile; the shared
         # rule subdivides them where the phase or the damping varies fast
         edges = np.ascontiguousarray(np.linspace(a, b, _CELLS + 1, axis=-1))
@@ -139,6 +155,50 @@ def kernel_values(x, y, t1, t2, lam, params: EvolutionParams,
             edges, lambda xi, row: cutoff(xi / levels[row]),
             dys, dts, damps, 2.0, mirrored=True)
     return out
+
+
+def _horizon(a: np.ndarray, b: np.ndarray, damp: np.ndarray,
+             level: np.ndarray) -> np.ndarray:
+    """The outer ends of the live rows [a, b] of ``kernel_values``, each cut
+    at its double-precision horizon.
+
+    A row's integrand has modulus at most 2 Psi(xi/lam) exp(-d xi**2), and
+    at its grid's interior edges xi_e (those of ``np.linspace(a, b, _CELLS
+    + 1)``) that envelope takes the values exp(ln Psi(xi_e/lam) - d xi_e**2).
+    So low = max_e (ln Psi(xi_e/lam) - d xi_e**2) is at most the log of the
+    envelope's largest value M on the row.  Past
+    xi_cut = sqrt((_HORIZON - low) / d), Psi <= 1 gives
+
+        Psi(xi/lam) exp(-d xi**2) <= exp(-d xi_cut**2) = exp(low - 60)
+                                  <= e**-60 M,  e**-60 ~ 2**-86.6,
+
+    so every term the cut drops is below 2**-86.6 of the row's largest
+    term, and even the 2**22 nodes a row may have
+    (``_numerics._MAX_NODES``) would sum to below 2**-64 of it: under the
+    rounding of a sum in which that term appears.  The cut only lowers b,
+    and it stays above a, since low <= -d xi_e**2 for an edge xi_e > a.  A
+    row with d b**2 <= _HORIZON keeps its b (ln Psi <= 0, so low <= 0), and
+    only the others are bounded.  An interior edge that rounds onto a band
+    end (a sliver row) has ln Psi = -inf and bounds nothing; a row with no
+    other edge keeps its b.
+
+    The edges come from the same ``np.linspace`` as the row's grid, and each
+    row's bound from elementwise operations and its own max, so a row's cut
+    is the same in any block: ``kernel_values`` stays bit-identical to
+    one-sample calls.  The bound uses the interior edges, not the inner edge
+    a: Psi vanishes there, and on a heavily damped row the largest term lies
+    well past a cut taken from the damping at a.
+    """
+    deep = np.flatnonzero(damp * b * b > _HORIZON)
+    d = damp[deep]
+    xi = np.linspace(a[deep], b[deep], _CELLS + 1, axis=-1)[:, 1:-1]
+    with np.errstate(divide="ignore"):
+        log_psi = _PEAK_LOG + _bump_exponent(
+            _band_coordinate(xi / level[deep, None]), 0.0, 1.0)
+    low = np.max(log_psi - d[:, None] * xi * xi, axis=-1)
+    b = b.copy()
+    b[deep] = np.minimum(b[deep], np.sqrt((_HORIZON - low) / d))
+    return b
 
 
 def kernel_eval(x: float, y: float, t1: float, t2: float, lam: float,
@@ -249,7 +309,14 @@ def schur_integral(x: float, lam: float, params: EvolutionParams,
                    curve: CurveSpec, t_assignment,
                    y_nodes: np.ndarray) -> float:
     """Trapezoid over y in [-1, 1] of |K(x, y, t(x), t(y))| for a measurable
-    time assignment t(.) given as a callable on positions."""
+    time assignment t(.) given as a callable on positions.
+
+    What a row shows: |K(x, y, t(x), t(y))| is symmetric in x and y (K is
+    conjugate symmetric), so by Schur's test the largest row integral over
+    x bounds the L^2([-1, 1]) norm of TT* linearized along t(.), the
+    operator with that kernel.  A row is one term of this upper bound.  It
+    is not a lower bound on the operator norm: the modulus discards the
+    cancellation that the norm keeps."""
     y_nodes = np.asarray(y_nodes, dtype=float)
     tx = float(t_assignment(x))
     ty = [float(t_assignment(float(yy))) for yy in y_nodes]

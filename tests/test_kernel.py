@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ctschro._numerics import oscillatory_quadrature
 from ctschro._pcg64 import Stream
 from ctschro.atlas import exponent
 from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
@@ -11,6 +13,7 @@ from ctschro.domain import (EvolutionParams, curve_eval, holder_curve,
 from ctschro.errors import DomainError, RegimeError
 from ctschro.kernel import (
     BetaChoice,
+    _horizon,
     beta_table,
     clipped_power_assignment,
     cutoff,
@@ -220,6 +223,66 @@ def test_kernel_values_check_every_sample():
     with pytest.raises(DomainError):
         kernel_values(0.0, 0.5, 0.0, 0.0, [16.0, 2.0], P2, CRV)
     assert kernel_values([], [], [], [], 16.0, P2, CRV).shape == (0,)
+
+
+# heavily damped rows (|K| 1e-107 to 1e-209) whose largest term lies past the
+# cut that the damping at the inner band edge lam/2 would give: such a cut is
+# 2-6 % off on them, while the horizon from the row's grid edges is not
+_DEEP_ROWS = [(0.1, -0.2, 1.0, 2 ** -0.5, 32.0), (0.3, 0.25, 1.0, 2 ** -0.5, 32.0),
+              (0.0, 0.0, 1.0, 0.5, 24.0), (0.2, -0.1, 0.9, 0.8, 32.0)]
+
+
+def _underflow_row(x, y, t1, t2, lam, params=P2):
+    """The kernel integrated to the underflow cap sqrt(745 / d), on 96
+    cells: what ``kernel_values`` computed before rows stopped at their
+    horizon."""
+    d = t1 ** params.gamma + t2 ** params.gamma
+    edges = np.linspace(lam / 2, min(2 * lam, math.sqrt(745.0 / d)), 97)
+    dy = float(curve_eval(CRV, x, t1)) - float(curve_eval(CRV, y, t2))
+    return oscillatory_quadrature(
+        edges[None], lambda xi, row: cutoff(xi / lam), [dy], [t1 - t2], [d],
+        2.0, mirrored=True)[0]
+
+
+@pytest.mark.parametrize("row", _DEEP_ROWS)
+def test_damped_row_matches_its_underflow_cap_row(row):
+    want = _underflow_row(*row)
+    got = kernel_eval(*row, P2, CRV)
+    assert 1e-210 < abs(want) < 1e-100
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_horizon_at_the_band_ends_warns_nothing():
+    # a sliver row: its underflow cap lies one ulp past lam/2 = 32, so every
+    # interior edge rounds onto an end of the band: half onto lam/2, where
+    # Psi's u (1 - u) is 0, and half onto the cap, where it is one ulp
+    t1 = math.sqrt(745.0) / 32.0
+    while math.sqrt(745.0 / t1 ** 2.0) <= 32.0:
+        t1 = float(np.nextafter(t1, 0.0))
+    sliver = (0.1, -0.2, t1, 0.0, 64.0)
+    assert math.sqrt(745.0 / t1 ** 2.0) == np.nextafter(32.0, 64.0)
+    # rows whose damping horizon sqrt(60 / d) is the outer band edge 2 lam,
+    # the last cell edge: d (2 lam)**2 = 60 exactly, which is not bounded,
+    # and one ulp more of d, which is
+    p1 = EvolutionParams(m=2.0, gamma=1.0, damping=True)
+    d = 60.0 / 64.0 ** 2
+    outer = [(0.1, -0.2, d, 0.0, 32.0),
+             (0.1, -0.2, float(np.nextafter(d, 1.0)), 0.0, 32.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_eval(*sliver, P2, CRV) == 0.0
+        for row in outer:
+            assert kernel_eval(*row, p1, CRV) == _underflow_row(*row, p1)
+        for row, g in [(sliver, 2.0), *((r, 1.0) for r in outer),
+                       *((r, 2.0) for r in _DEEP_ROWS)]:
+            _, _, s1, s2, lam = row
+            d = s1 ** g + s2 ** g
+            hi = min(2 * lam, math.sqrt(745.0 / d))
+            cut = _horizon(np.array([lam / 2]), np.array([hi]),
+                           np.array([d]), np.array([lam]))[0]
+            # a live row stays live, and the cut never raises its end
+            assert lam / 2 < cut <= hi
+            assert (cut < hi) == (row in _DEEP_ROWS)
 
 
 @pytest.mark.parametrize("sample", [
@@ -455,6 +518,20 @@ def test_schur_dominated_by_majorant_integral():
         ratios.append(got / maj)
     assert ratios[-1] <= 2.0 * ratios[0]
     assert max(ratios) < 2.0 * max(1.0, cutoff_mass())
+
+
+# schur_integral(0, lam) along the clipped power assignment at alpha 1/2,
+# gamma 2, with every damped row integrated to its underflow cap: the rows
+# that now stop at their horizon leave each sum unchanged to the bit
+_PINNED_SCHUR = {16.0: "0x1.76511ae120183p+2", 32.0: "0x1.78a699780f621p+2",
+                 64.0: "0x1.78f927be75528p+2", 128.0: "0x1.7907f978dcf45p+2"}
+
+
+@pytest.mark.parametrize("lam", sorted(_PINNED_SCHUR))
+def test_schur_rows_are_pinned(lam):
+    ys = np.linspace(-1, 1, int(8 * lam) + 1)
+    got = schur_integral(0.0, lam, P2, CRV, clipped_power_assignment(0.5), ys)
+    assert float.hex(got) == _PINNED_SCHUR[lam]
 
 
 def test_random_assignment_schur_finite_and_deterministic():
