@@ -170,10 +170,10 @@ def exponent(*, alpha, gamma, m) -> ExponentResult:
     regime index.  Raises ``DomainError`` outside the domain."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    if gamma <= 0:
+    if not gamma > 0:   # NaN fails; gamma = inf is the undamped limit
         raise DomainError("gamma must be positive")
-    if m <= 0:
-        raise DomainError("m must be positive")
+    if not 0 < m < float("inf"):
+        raise DomainError("m must be positive and finite")
     exact = _exact(alpha, gamma, m)
     g = _lift(gamma, exact)
     label, pieces = _pieces(alpha, m, exact)

@@ -6,9 +6,10 @@ amplitude scans), ``kernelcheck`` (kernel-bound and Schur-integral sweeps),
 ``eval`` (single-point operator evaluation dump).
 
 A run is configured by a single JSON document and/or command-line flags;
-flags override document fields.  Records echo the fully resolved
-configuration, so any run can be reproduced from its own output, and a field
-that its command does not read is refused.  Exit codes:
+flags override document fields.  Records echo the fields as given, beside
+the ``version`` whose defaults fill in the rest, so that version reproduces
+any run from its own output; a field that its command does not read is
+refused.  Exit codes:
 0 success, 1 verdict failure, 2 configuration error, 3 internal error.
 """
 
@@ -29,6 +30,7 @@ from .atlas import continuity_check, exponent, predicted_ratio_slope
 from .domain import (
     CounterexampleFamily,
     EvolutionParams,
+    _band_samples,
     build_counterexample,
     curve_eval,
     holder_curve,
@@ -37,6 +39,7 @@ from .domain import (
 from .errors import ConfigError, LabError, RegimeError
 from .evolve import direct_quadrature
 from .kernel import (
+    _MIN_COUNT,
     beta_table,
     clipped_power_assignment,
     schur_integral,
@@ -120,9 +123,12 @@ def _flag(cfg: dict, name: str, default: bool) -> bool:
     return value
 
 
+_FAMILIES = ("dilated", "modulated")
+
+
 def _family(cfg: dict) -> CounterexampleFamily:
     kind = cfg.get("family")
-    if kind not in ("dilated", "modulated"):
+    if kind not in _FAMILIES:
         raise ConfigError(f"field 'family' must be dilated|modulated, got {kind!r}")
     try:
         fam = CounterexampleFamily(
@@ -175,6 +181,7 @@ def _levels(cfg: dict, name: str, least: int, default=None) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_atlas(cfg: dict) -> dict:
+    """sharp-exponent table"""
     m = _field(cfg, "m", 2.0)
     alphas = _field(cfg, "alpha", many=True)
     gammas = _field(cfg, "gamma", many=True)
@@ -221,6 +228,7 @@ def _at_scale(R: float, fn, *args, **kwargs):
 
 
 def cmd_sweep(cfg: dict) -> dict:
+    """scale sweep with slope fit"""
     scales = _levels(cfg, "scales", 4)   # as many as the slope fit needs
     tol = _field(cfg, "tolerance", 0.1)
     n_samples = _n_samples(cfg)
@@ -262,6 +270,7 @@ def cmd_sweep(cfg: dict) -> dict:
 
 
 def cmd_lowerbound(cfg: dict) -> dict:
+    """witness-interval amplitude scan"""
     fam = _family(cfg)
     n_nodes = _field(cfg, "n_nodes", 256, int)
     if not 256 <= n_nodes <= _MAX_SAMPLES:
@@ -291,6 +300,7 @@ def cmd_lowerbound(cfg: dict) -> dict:
 
 
 def cmd_kernelcheck(cfg: dict) -> dict:
+    """kernel bound and Schur sweeps"""
     alpha = _field(cfg, "alpha")
     gamma = _field(cfg, "gamma")
     # the ratio_non_growth verdict compares the last level with the first,
@@ -300,8 +310,8 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     seed = _seed(cfg)
     schur_lams = _levels(cfg, "schur_lams", 4, [16.0, 32.0, 64.0, 128.0])
     schur_tol = _field(cfg, "schur_tolerance", 0.15)
-    if count < 100:
-        raise ConfigError("field 'count' must be at least 100")
+    if count < _MIN_COUNT:
+        raise ConfigError(f"field 'count' must be at least {_MIN_COUNT}")
     # the kernel quadrature squares the outer band edge 2 lam
     if not all(math.isfinite((2.0 * lam) * (2.0 * lam)) for lam in lams):
         raise ConfigError(f"field 'lams' must keep (2 lam)**2 a finite "
@@ -356,25 +366,33 @@ def cmd_kernelcheck(cfg: dict) -> dict:
     }
 
 
+# the fields that eval does not read with each spectrum kind
+_UNREAD = {"family": ("lam", "seed"),
+           "band": ("family", "c", "b", "R", "n_samples")}
+
+
 def _spectrum(cfg: dict) -> str:
     spectrum = cfg.get("spectrum", "family")
-    if spectrum not in ("family", "band"):
+    if spectrum not in _UNREAD:
         raise ConfigError(f"field 'spectrum' must be family|band, "
                           f"got {spectrum!r}")
     return spectrum
 
 
 def cmd_eval(cfg: dict) -> dict:
+    """single-point evaluation dump"""
     if _spectrum(cfg) == "family":
         fam = _family(cfg)
         f = build_counterexample(fam, _n_samples(cfg))
         gamma, alpha = fam.gamma, fam.alpha
     else:
         lam = _field(cfg, "lam")
-        # from 16384 on, random_band_limited's 64 lam + 1 samples pass the cap
-        if not 0.0 < lam < _MAX_SAMPLES / 64:
+        # random_band_limited's default grid, int(_band_samples(lam)) + 1
+        # samples, must not pass the cap: lam < 16384
+        if not (lam > 0.0 and _band_samples(lam) < _MAX_SAMPLES):
             raise ConfigError(f"field 'lam' must lie in (0, "
-                              f"{_MAX_SAMPLES / 64:g}), got {lam}")
+                              f"{_MAX_SAMPLES / _band_samples(1.0):g}), "
+                              f"got {lam}")
         f = random_band_limited(lam, _seed(cfg))
         gamma = _field(cfg, "gamma", 1.0)
         alpha = _field(cfg, "alpha", 1.0)
@@ -385,6 +403,8 @@ def cmd_eval(cfg: dict) -> dict:
     except LabError as exc:
         raise ConfigError(str(exc)) from exc
     xs = _field(cfg, "x", 0.0, many=True)
+    if not xs:
+        raise ConfigError("field 'x' must be nonempty")
     ts = _field(cfg, "t", 0.0, many=True)
     if len(ts) == 1:
         ts = ts * len(xs)
@@ -408,21 +428,28 @@ _COMMANDS = {
     "eval": cmd_eval,
 }
 
-# the fields each command reads, besides "command", "fmt" and "out"; those
-# of eval depend on its spectrum kind.  Records echo their configuration, so
-# a field the run does not read would claim a setting that had no effect:
-# run_config refuses it
-_FAMILY_FIELDS = ("family", "alpha", "gamma", "c", "b")
-_EVAL_FIELDS = ("spectrum", "m", "damping", "x", "t")
+# the fields each command reads, besides "command", "fmt" and "out", each
+# with the kind of its flag --<field>: float or int, list for a comma list,
+# bool for a switch, a tuple of choices, or None for a field that only a
+# configuration document sets.  eval reads those of one spectrum kind
+# (_UNREAD).  Records echo their configuration, so a field the run does not
+# read would claim a setting that had no effect: run_config refuses it.  A
+# record echoes the flags given in the order of its command's table
+_FAMILY_FIELDS = {"family": _FAMILIES, "alpha": float, "gamma": float,
+                  "c": float, "b": None}
 _READS = {
-    "atlas": ("alpha", "gamma", "m", "continuity", "gap_tolerance"),
-    "sweep": (*_FAMILY_FIELDS, "scales", "tolerance", "n_samples"),
-    "lowerbound": (*_FAMILY_FIELDS, "R", "n_nodes", "auto_calibrate",
-                   "t_zero"),
-    "kernelcheck": ("alpha", "gamma", "lams", "count", "seed", "schur_lams",
-                    "schur_tolerance"),
-    "eval": {"family": (*_EVAL_FIELDS, *_FAMILY_FIELDS, "R", "n_samples"),
-             "band": (*_EVAL_FIELDS, "alpha", "gamma", "lam", "seed")},
+    "atlas": {"alpha": float, "gamma": list, "m": float, "continuity": bool,
+              "gap_tolerance": None},
+    "sweep": {**_FAMILY_FIELDS, "tolerance": float, "scales": list,
+              "n_samples": None},
+    "lowerbound": {**_FAMILY_FIELDS, "R": float, "n_nodes": int,
+                   "auto_calibrate": bool, "t_zero": bool},
+    "kernelcheck": {"alpha": float, "gamma": float, "lams": list,
+                    "count": int, "schur_lams": list, "seed": int,
+                    "schur_tolerance": None},
+    "eval": {**_FAMILY_FIELDS, "spectrum": tuple(_UNREAD), "R": float,
+             "n_samples": None, "lam": float, "seed": int, "m": float,
+             "damping": None, "x": list, "t": list},
 }
 
 
@@ -435,10 +462,10 @@ def run_config(cfg: dict) -> dict:
     command = cfg.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"field 'command' must be one of {sorted(_COMMANDS)}")
-    reads, where = _READS[command], command
-    if isinstance(reads, dict):
+    reads, where = _READS[command].keys(), command
+    if command == "eval":
         spectrum = _spectrum(cfg)
-        reads, where = reads[spectrum], f"{command} --spectrum {spectrum}"
+        reads, where = reads - _UNREAD[spectrum], f"eval --spectrum {spectrum}"
     for name in cfg:
         if name not in reads and name not in ("command", "fmt", "out"):
             raise ConfigError(f"field {name!r} is not read by {where}")
@@ -489,65 +516,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="scaling experiments for damped dispersive evolution "
                     "along curves")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, fields in _READS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="JSON configuration document")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-
-    def family(p):   # the fields of _family but R
-        p.add_argument("--family", choices=("dilated", "modulated"))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--c", type=float)
-
-    p = sub.add_parser("atlas", help="sharp-exponent table")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", help="comma-separated gamma values")
-    p.add_argument("--m", type=float)
-    p.add_argument("--continuity", action="store_true", default=None)
-
-    p = sub.add_parser("sweep", help="scale sweep with slope fit")
-    common(p)
-    family(p)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--scales", help="comma-separated scale list")
-
-    p = sub.add_parser("lowerbound", help="witness-interval amplitude scan")
-    common(p)
-    family(p)
-    p.add_argument("--R", type=float)
-    p.add_argument("--n-nodes", type=int, dest="n_nodes")
-    p.add_argument("--auto-calibrate", action="store_true", default=None,
-                   dest="auto_calibrate")
-    p.add_argument("--t-zero", action="store_true", default=None, dest="t_zero")
-
-    p = sub.add_parser("kernelcheck", help="kernel bound and Schur sweeps")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lams", help="comma-separated frequency levels")
-    p.add_argument("--count", type=int)
-    p.add_argument("--schur-lams", dest="schur_lams")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("eval", help="single-point evaluation dump")
-    common(p)
-    family(p)
-    p.add_argument("--spectrum", choices=("family", "band"))
-    p.add_argument("--R", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--x", help="comma-separated positions")
-    p.add_argument("--t", help="comma-separated times")
+        for name, kind in fields.items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            elif kind is list:
+                p.add_argument(flag, help="comma-separated list")
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            elif kind is not None:
+                p.add_argument(flag, type=kind)
     return parser
-
-
-# flags whose string value is a comma list; "gamma" is one for atlas only,
-# since the other commands parse --gamma as one float
-_LIST_FIELDS = {"scales", "lams", "schur_lams", "gamma", "x", "t"}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -564,7 +548,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, val in vars(args).items():
         if key in ("config", "command") or val is None:
             continue
-        if key in _LIST_FIELDS and isinstance(val, str):
+        if _READS[args.command].get(key) is list:
             try:
                 val = [float(v) for v in val.split(",") if v]
             except ValueError as exc:

@@ -196,9 +196,11 @@ class EvolutionParams:
     damping: bool = True
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError("dispersion exponent m must be positive")
-        if self.gamma <= 0:
+        # written so that NaN fails
+        if not 0 < self.m < np.inf:
+            raise DomainError("dispersion exponent m must be positive and "
+                              "finite")
+        if not self.gamma > 0:
             raise DomainError("damping exponent gamma must be positive")
 
 
@@ -266,6 +268,14 @@ def from_profile(fn, xi_min: float, xi_max: float, n_samples: int,
     return SpectralFunction(xi_min, xi_max, np.asarray(fn(xi), dtype=complex), band)
 
 
+def _band_samples(lam: float, two_sided: bool = True) -> float:
+    """The sample count of ``random_band_limited``'s default grid before
+    rounding down: a step of 1/16 over the band's span, 4 lam when
+    two-sided and 1.5 lam when not (the grid holds one sample more, and at
+    least 4096)."""
+    return 16.0 * (4.0 * lam if two_sided else 1.5 * lam)
+
+
 def random_band_limited(lam: float, seed: int, n_samples: int | None = None,
                         two_sided: bool = True) -> SpectralFunction:
     """Random smooth spectrum supported on the band {lam/2 <= |xi| <= 2*lam}.
@@ -280,9 +290,8 @@ def random_band_limited(lam: float, seed: int, n_samples: int | None = None,
     if not 0.0 < lam < np.inf:
         raise DomainError(f"band level lam must be finite and positive: {lam}")
     rng = np.random.default_rng(seed)
-    span = 4.0 * lam if two_sided else 1.5 * lam
     if n_samples is None:
-        n_samples = max(4096, int(16.0 * span) + 1)
+        n_samples = max(4096, int(_band_samples(lam, two_sided)) + 1)
 
     def one_side(xi, sgn):
         a, b = sgn * 2 * lam, sgn * lam / 2
@@ -353,9 +362,9 @@ class CounterexampleFamily:
             raise DomainError(f"unknown family kind {self.kind!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError("alpha must lie in (0, 1]")
-        if self.gamma <= 0:
+        if not self.gamma > 0:   # NaN fails
             raise DomainError("gamma must be positive")
-        if self.R < 2:
+        if not self.R >= 2:
             raise DomainError("scale parameter R must be >= 2")
         if not (0.0 < self.c < 1.0):
             raise DomainError("smallness constant c must lie in (0, 1)")

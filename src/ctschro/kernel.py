@@ -249,7 +249,7 @@ def beta_table(alpha: float, gamma: float) -> BetaChoice:
     m = 2), with the resulting row-integral exponent 2 s(alpha, gamma, 2).
     Raises ``RegimeError`` outside the table."""
     a, g = alpha, gamma
-    if not (0.0 < a <= 1.0) or g <= 0.0:
+    if not (0.0 < a <= 1.0 and g > 0.0):
         raise RegimeError(f"(alpha, gamma) = ({a}, {g}) outside the table")
     res = exponent(alpha=a, gamma=g, m=2.0)
     b1, b2, eps = _WEIGHTS[res.theorem, res.piece]
@@ -377,6 +377,10 @@ class KernelBoundReport:
         return self.max_ratios[-1] <= 2.0 * self.max_ratios[0]
 
 
+# the fewest samples per level that verify_kernel_bound takes
+_MIN_COUNT = 100
+
+
 def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
                         seed: int) -> KernelBoundReport:
     """Seeded random samples (x, y, t1, t2) per level: the ratio of |kernel|
@@ -390,8 +394,8 @@ def verify_kernel_bound(alpha: float, gamma: float, lams, count: int,
     ``_pcg64.Stream`` without importing ``numpy.random``; a seed below 0
     raises ``DomainError``.
     """
-    if count < 100:
-        raise DomainError("need at least 100 samples per level")
+    if count < _MIN_COUNT:
+        raise DomainError(f"need at least {_MIN_COUNT} samples per level")
     lams = tuple(float(l) for l in lams)
     curve = holder_curve(alpha)
     params = EvolutionParams(m=2.0, gamma=gamma, damping=True)

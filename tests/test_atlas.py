@@ -63,6 +63,15 @@ def test_query_validation():
         exponent(alpha=0.5, gamma=1.0, m=0.0)
 
 
+@pytest.mark.parametrize("gamma,m", [(np.nan, 2.0), (1.0, np.nan),
+                                     (1.0, np.inf)])
+def test_query_refuses_nan_and_infinite_m(gamma, m):
+    # once answered by the RegimeError that total regime coverage excludes
+    with pytest.raises(DomainError):
+        exponent(alpha=0.5, gamma=gamma, m=m)
+    assert exponent(alpha=0.5, gamma=np.inf, m=2.0).s == F(1, 4)
+
+
 @pytest.mark.parametrize("a,m,gammas,label", [
     (F(1, 3), F(2), [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)], "T3"),
     (F(1, 2), F(2), [F(1, 2), F(1), F(2)], "T1"),

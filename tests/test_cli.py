@@ -479,6 +479,15 @@ def test_eval_refuses_the_other_spectrums_fields(spectrum, field, value,
     assert run_config({"command": "eval", **doc})["passed"]
 
 
+def test_eval_refuses_an_empty_x_flag(capsys):
+    code, out, err = run_cli(
+        ["eval", "--family", "dilated", "--alpha", "0.25", "--gamma", "0.75",
+         "--R", "16", "--x", "", "--t", "0"], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and "'x'" in rec["reason"]
+
+
 def test_eval_band_requires_seed():
     with pytest.raises(ConfigError):
         run_config({"command": "eval", "spectrum": "band", "lam": 16.0,
@@ -486,9 +495,11 @@ def test_eval_band_requires_seed():
 
 
 @pytest.mark.parametrize("lam", [None, "sixteen", [16.0], float("nan"),
-                                 float("inf"), 0.0, -4.0, 16384.0, 1e6])
+                                 float("inf"), 0.0, -4.0, 16384.0, 1e6,
+                                 1e308])
 def test_eval_band_bad_lam_is_config_error(lam, tmp_path, capsys):
-    # from lam = 16384 on the band's 64 lam + 1 samples pass _MAX_SAMPLES
+    # from lam = 16384 on the band's 64 lam + 1 samples pass _MAX_SAMPLES;
+    # at 1e308 their count overflows to inf, which must not escape
     doc = {"spectrum": "band", "seed": 3, "x": [0.0], "t": [0.0]}
     if lam is not None:
         doc["lam"] = lam
@@ -678,6 +689,8 @@ def test_out_of_range_physics_field_exits_2(command, doc, words, tmp_path,
     ("sweep", "interval", "bogus"), ("sweep", "interval", [0.5]),
     ("sweep", "interval", [0.5, 0.1]), ("sweep", "interval", [0.0, 2.0]),
     ("sweep", "interval", ["a", 0.5]), ("sweep", "interval", {"a": 0.1}),
+    # no rows is no dump, as atlas refuses empty alpha and gamma lists
+    ("eval", "x", []),
 ])
 def test_malformed_flag_or_interval_exits_2(command, field, value, tmp_path,
                                             capsys, monkeypatch):
@@ -739,13 +752,13 @@ def test_every_flag_and_benchmark_field_is_read(monkeypatch):
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for command, parser in sub.choices.items():
-        reads = cli._READS[command]
-        if isinstance(reads, dict):
-            reads = {name for kind in reads.values() for name in kind}
         dests = {a.dest for a in parser._actions
                  if a.option_strings and a.dest not in ("help", "config")}
-        assert dests <= {*reads, "fmt", "out"}, command
+        assert dests <= {*cli._READS[command], "fmt", "out"}, command
     assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 50
+    # each field a spectrum leaves unread is one of eval's
+    assert {name for names in cli._UNREAD.values() for name in names} \
+        <= set(cli._READS["eval"])
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location("workloads",
@@ -759,6 +772,65 @@ def test_every_flag_and_benchmark_field_is_read(monkeypatch):
         for size in ("full", "tiny"):
             run_config(workloads.WORKLOADS[name](7, size).config)
     assert ran == ["sweep", "sweep", "kernelcheck", "kernelcheck"]
+
+
+_STORE, _SWITCH = "_StoreAction", "_StoreTrueAction"
+_COMMON_FLAGS = {("--config", "config", None, None, _STORE),
+                 ("--out", "out", None, None, _STORE),
+                 ("--format", "fmt", None, ("csv", "json"), _STORE)}
+_FAMILY_FLAGS = {("--family", "family", None, ("dilated", "modulated"), _STORE),
+                 ("--alpha", "alpha", float, None, _STORE),
+                 ("--gamma", "gamma", float, None, _STORE),
+                 ("--c", "c", float, None, _STORE)}
+# (option strings, dest, type, choices, action class) of every flag but
+# --help: the command lines that scripts and records rely on
+_FLAG_SURFACE = {
+    "atlas": {*_COMMON_FLAGS, ("--alpha", "alpha", float, None, _STORE),
+              ("--gamma", "gamma", None, None, _STORE),
+              ("--m", "m", float, None, _STORE),
+              ("--continuity", "continuity", None, None, _SWITCH)},
+    "sweep": {*_COMMON_FLAGS, *_FAMILY_FLAGS,
+              ("--tolerance", "tolerance", float, None, _STORE),
+              ("--scales", "scales", None, None, _STORE)},
+    "lowerbound": {*_COMMON_FLAGS, *_FAMILY_FLAGS,
+                   ("--R", "R", float, None, _STORE),
+                   ("--n-nodes", "n_nodes", int, None, _STORE),
+                   ("--auto-calibrate", "auto_calibrate", None, None,
+                    _SWITCH),
+                   ("--t-zero", "t_zero", None, None, _SWITCH)},
+    "kernelcheck": {*_COMMON_FLAGS, ("--alpha", "alpha", float, None, _STORE),
+                    ("--gamma", "gamma", float, None, _STORE),
+                    ("--lams", "lams", None, None, _STORE),
+                    ("--count", "count", int, None, _STORE),
+                    ("--schur-lams", "schur_lams", None, None, _STORE),
+                    ("--seed", "seed", int, None, _STORE)},
+    "eval": {*_COMMON_FLAGS, *_FAMILY_FLAGS,
+             ("--spectrum", "spectrum", None, ("family", "band"), _STORE),
+             ("--R", "R", float, None, _STORE),
+             ("--lam", "lam", float, None, _STORE),
+             ("--seed", "seed", int, None, _STORE),
+             ("--m", "m", float, None, _STORE),
+             ("--x", "x", None, None, _STORE),
+             ("--t", "t", None, None, _STORE)},
+}
+
+
+def test_flag_surface_is_pinned():
+    # adding, dropping or retyping a flag changes what a command line means
+    import argparse
+    import ctschro.cli as cli
+
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for command, parser in sub.choices.items():
+        flags = [a for a in parser._actions if a.dest != "help"]
+        surface[command] = {(" ".join(a.option_strings), a.dest, a.type,
+                             a.choices, type(a).__name__) for a in flags}
+        # an absent flag leaves its field to the document or the default
+        assert all(a.default is None for a in flags), command
+    assert surface == _FLAG_SURFACE
+    assert sum(map(len, _FLAG_SURFACE.values())) == 50
 
 
 def test_damping_flag_reads_json_booleans():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctschro.domain import (
     CurveSpec,
+    EvolutionParams,
     SpectralFunction,
     amplitude_bound,
     build_counterexample,
@@ -139,6 +140,14 @@ def test_spectral_function_validation():
         SpectralFunction(0.0, 64.0, np.ones(65, dtype=complex), band=16.0)
 
 
+@pytest.mark.parametrize("field", [{"m": np.nan}, {"gamma": np.nan},
+                                   {"m": np.inf}])
+def test_evolution_params_refuse_nan_and_infinite_m(field):
+    with pytest.raises(DomainError):
+        EvolutionParams(**field)
+    assert EvolutionParams(gamma=np.inf).gamma == np.inf
+
+
 def test_spectral_function_immutable():
     f = SpectralFunction(0.0, 1.0, np.ones(8, dtype=complex))
     with pytest.raises(ValueError):
@@ -237,6 +246,18 @@ def test_witness_interval_examples():
     hi1 = witness_interval(dilated_family(0.3, 2.0, 16.0))[1]
     hi2 = witness_interval(dilated_family(0.3, 2.0, 32.0))[1]
     assert hi2 / hi1 == pytest.approx(2.0 ** (-2 * 0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [dilated_family, modulated_family])
+def test_family_refuses_nan_gamma(family):
+    # a NaN gamma once gave the witness interval (0, nan)
+    with pytest.raises(DomainError, match="gamma"):
+        family(0.25, np.nan, 16.0)
+
+
+def test_family_refuses_nan_scale():
+    with pytest.raises(DomainError, match="R must be >= 2"):
+        dilated_family(0.25, 0.75, np.nan)
 
 
 def test_witness_interval_regime_errors():

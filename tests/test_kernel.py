@@ -146,6 +146,11 @@ def test_kernel_modulus_bound():
         assert abs(kernel_eval(x, y, t1, t2, lam, P2, CRV)) <= cap * (1 + 1e-12)
 
 
+def test_beta_table_refuses_nan_gamma():
+    with pytest.raises(RegimeError, match="outside the table"):
+        beta_table(0.5, math.nan)
+
+
 def test_kernel_requires_quadratic_dispersion():
     with pytest.raises(RegimeError):
         kernel_eval(0.0, 0.5, 0.0, 0.0, 16.0,
