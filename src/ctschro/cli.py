@@ -66,6 +66,7 @@ _CSV_COLUMNS = {
                     "predicted_I_exponent", "verdict"],
     "eval": ["x", "t", "y", "value_re", "value_im", "value_abs"],
 }
+_FORMATS = ("csv", "json")
 
 
 def _fmt17(v) -> str:
@@ -381,6 +382,17 @@ def _spectrum(cfg: dict) -> str:
 
 def cmd_eval(cfg: dict) -> dict:
     """single-point evaluation dump"""
+    # x and t first: a bad one is refused before the spectrum is built
+    xs = _field(cfg, "x", 0.0, many=True)
+    if not xs:
+        raise ConfigError("field 'x' must be nonempty")
+    ts = _field(cfg, "t", 0.0, many=True)
+    if len(ts) == 1:
+        ts = ts * len(xs)
+    if len(xs) != len(ts):
+        raise ConfigError("fields 'x' and 't' must have matching lengths")
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise ConfigError("field 't' must lie in [0, 1]")
     if _spectrum(cfg) == "family":
         fam = _family(cfg)
         f = build_counterexample(fam, _n_samples(cfg))
@@ -402,16 +414,6 @@ def cmd_eval(cfg: dict) -> dict:
         curve = holder_curve(alpha)
     except LabError as exc:
         raise ConfigError(str(exc)) from exc
-    xs = _field(cfg, "x", 0.0, many=True)
-    if not xs:
-        raise ConfigError("field 'x' must be nonempty")
-    ts = _field(cfg, "t", 0.0, many=True)
-    if len(ts) == 1:
-        ts = ts * len(xs)
-    if len(xs) != len(ts):
-        raise ConfigError("fields 'x' and 't' must have matching lengths")
-    if not all(0.0 <= t <= 1.0 for t in ts):
-        raise ConfigError("field 't' must lie in [0, 1]")
     ys = [float(curve_eval(curve, x, t)) for x, t in zip(xs, ts)]
     vals = direct_quadrature(f, params, ys, ts).tolist()
     rows = [{"x": x, "t": t, "y": y, "value_re": val.real,
@@ -438,7 +440,7 @@ _COMMANDS = {
 _FAMILY_FIELDS = {"family": _FAMILIES, "alpha": float, "gamma": float,
                   "c": float, "b": None}
 _READS = {
-    "atlas": {"alpha": float, "gamma": list, "m": float, "continuity": bool,
+    "atlas": {"alpha": list, "gamma": list, "m": float, "continuity": bool,
               "gap_tolerance": None},
     "sweep": {**_FAMILY_FIELDS, "tolerance": float, "scales": list,
               "n_samples": None},
@@ -469,6 +471,12 @@ def run_config(cfg: dict) -> dict:
     for name in cfg:
         if name not in reads and name not in ("command", "fmt", "out"):
             raise ConfigError(f"field {name!r} is not read by {where}")
+    # the output is checked before any work, so a record is never lost to it
+    if cfg.get("fmt") not in (None, *_FORMATS):
+        raise ConfigError(f"field 'fmt' must be csv|json, got {cfg['fmt']!r}")
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"field 'out' must be a path, got {out!r}")
     t0 = time.perf_counter()
     payload = _COMMANDS[command](cfg)
     return {
@@ -480,6 +488,21 @@ def run_config(cfg: dict) -> dict:
         "passed": all(v["passed"] for v in payload["verdicts"]),
         "wall_time_s": time.perf_counter() - t0,
     }
+
+
+def _write_record(record: dict, cfg: dict) -> None:
+    """Write the record to ``cfg["out"]``, or to stdout when it is unset;
+    a path that cannot be written raises ``ConfigError``."""
+    text = record_to_csv(record) if cfg["fmt"] == "csv" else record_to_json(record)
+    out = cfg.get("out")
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def record_to_csv(record: dict) -> str:
@@ -520,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="JSON configuration document")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        p.add_argument("--format", choices=_FORMATS, dest="fmt")
         for name, kind in fields.items():
             flag = "--" + name.replace("_", "-")
             if kind is bool:
@@ -567,6 +590,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         record = run_config(cfg)
+        _write_record(record, cfg)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"error": "config", "reason": str(exc)}) + "\n")
         return 2
@@ -578,13 +602,6 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": "internal", "reason": repr(exc)}) + "\n")
         return 3
 
-    text = record_to_csv(record) if cfg["fmt"] == "csv" else record_to_json(record)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if not record["passed"]:
         sys.stderr.write(json.dumps(
             {"error": "verdict", "reason": [v["name"] for v in record["verdicts"]

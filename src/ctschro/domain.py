@@ -481,39 +481,78 @@ def witness_interval(fam: CounterexampleFamily) -> tuple[float, float]:
     return (0.0, hi)
 
 
-def witness_time(fam: CounterexampleFamily, x: float) -> float:
-    """Time t_x at which the evolved amplitude of the family stays large at x.
+def clipped_power_assignment(alpha: float):
+    """Structured time assignment t(x) = clip(x**(1/alpha), 0, 1), with
+    negative positions mapped to 0.
 
-    dilated:   t_x = x**(1/alpha).
-    modulated: the unique root t in (0, c R**-2) of x - t**alpha - 2 R**b t = 0,
-               found by bisection to absolute tolerance 1e-15 * R**-2 (the map
-               t -> t**alpha + 2 R**b t is strictly increasing).
+    On the dilated family's witness interval, whose upper end
+    c R**(-2 alpha / min(gamma, 1)) is below 1, it is that family's witness
+    time (``witness_time``) bit for bit.
+    """
+    def t_of(x):
+        return min(1.0, max(0.0, x) ** (1.0 / alpha))
+    return t_of
+
+
+def witness_time(fam: CounterexampleFamily,
+                 x: float | np.ndarray) -> float | np.ndarray:
+    """Time t_x at which the evolved amplitude of the family stays large at
+    x: the one witness map, read by the time grid and the lower-bound scan
+    (the Schur rows read its dilated branch, ``clipped_power_assignment``).
+
+    ``x`` is one position, giving a float, or a 1-D array of positions,
+    giving an array of their times.  Raises ``DomainError`` unless every
+    position lies in the open witness interval, checked once per call.
+
+    dilated:   t_x = x**(1/alpha), the clipped power assignment
+               (``clipped_power_assignment``) on the witness interval.
+    modulated: the unique root t in (0, c R**-2) of
+               x = t**alpha + m lam**(m-1) t, with m and lam the family's own,
+               found by bisection to absolute tolerance 1e-15 * R**-2 (the
+               map is strictly increasing in t).
+
+    Each position is computed apart, in Python floats: ``np.power`` differs
+    from ``**`` in the last place for some inputs, which would move witness
+    times by an ulp.
     """
     lo, hi = witness_interval(fam)
-    if not (lo < x < hi):
-        raise DomainError(f"x={x} outside the witness interval ({lo}, {hi})")
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError("witness_time takes one position or a 1-D array")
+    xs = arr.ravel().tolist()
+    for p in xs:
+        if not lo < p < hi:
+            raise DomainError(f"x={p} outside the witness interval "
+                              f"({lo}, {hi})")
     if fam.kind == "dilated":
-        return x ** (1.0 / fam.alpha)
+        ts = list(map(clipped_power_assignment(fam.alpha), xs))
+    else:
+        ts = _modulated_roots(fam, xs)
+    return ts[0] if arr.ndim == 0 else np.array(ts, dtype=float)
 
-    a, b_exp, c, R = fam.alpha, fam.b, fam.c, fam.R
-    two_rb = 2.0 * R ** b_exp
-    t_hi = c * R ** (-2)
 
-    def resid(t):
-        return t ** a + two_rb * t - x
-
-    if resid(t_hi) < 0:
+def _modulated_roots(fam: CounterexampleFamily, xs: list[float]) -> list[float]:
+    """Per position x, the root t in (0, c R**-2) of
+    t**alpha + m lam**(m-1) t - x by bisection; ``RootBracketError`` when
+    the bracket's top lies below the largest x."""
+    a, R = fam.alpha, fam.R
+    slope = fam.m * fam.lam ** (fam.m - 1)
+    t_top = fam.c * R ** (-2)
+    if xs and t_top ** a + slope * t_top < max(xs):
         raise RootBracketError(
-            f"witness-time root not bracketed in (0, {t_hi}); "
+            f"witness-time root not bracketed in (0, {t_top}); "
             "inconsistent (c, R) pair")
-    t_lo = 0.0
     tol = 1e-15 * R ** (-2)
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if mid <= t_lo or mid >= t_hi:
-            break
-        if resid(mid) < 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    ts = []
+    for x in xs:
+        t_lo, t_hi = 0.0, t_top
+        while t_hi - t_lo > tol:
+            mid = 0.5 * (t_lo + t_hi)
+            if mid <= t_lo or mid >= t_hi:
+                break
+            if mid ** a + slope * mid - x < 0:
+                t_lo = mid
+            else:
+                t_hi = mid
+        ts.append(0.5 * (t_lo + t_hi))
+    return ts

@@ -38,7 +38,7 @@ from ._numerics import _CHUNK, _DEAD, oscillatory_quadrature
 from ._pcg64 import Stream
 from .atlas import exponent
 from .domain import (CurveSpec, EvolutionParams, _bump_exponent, _bump_shape,
-                     curve_eval, holder_curve)
+                     clipped_power_assignment, curve_eval, holder_curve)
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -324,14 +324,6 @@ def schur_integral(x: float, lam: float, params: EvolutionParams,
     # Python abs of each value: np.abs rounds differently in the last place
     vals = np.array([abs(v) for v in values.tolist()], dtype=float)
     return float(np.trapezoid(vals, y_nodes))
-
-
-def clipped_power_assignment(alpha: float):
-    """Structured time assignment t(x) = clip(x**(1/alpha), 0, 1), with
-    negative positions mapped to 0."""
-    def t_of(x):
-        return min(1.0, max(0.0, x) ** (1.0 / alpha))
-    return t_of
 
 
 def geometric_time_set(lam: float) -> np.ndarray:

@@ -93,7 +93,8 @@ def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
     2**(1/k), k = 1, 2, ...: exact exponents, so refined grids nest bitwise.
 
     When a family and its x-nodes are given, each node inside the witness
-    interval contributes its analytic witness time as an extra per-x node.
+    interval contributes its analytic witness time as an extra per-x node,
+    all of them from one ``witness_time`` call.
     """
     if t_min_exponent > -2:
         raise DomainError("t_min_exponent must be <= -2")
@@ -108,10 +109,9 @@ def build_time_grid(t_min_exponent: int, ratio: float = 2.0 ** 0.125,
     if fam is not None and x_nodes is not None:
         lo, hi = witness_interval(fam)
         x_nodes = np.asarray(x_nodes, dtype=float)
+        inside = (x_nodes > lo) & (x_nodes < hi)
         extra = np.full(x_nodes.size, np.nan)
-        for i, x in enumerate(x_nodes):
-            if lo < x < hi:
-                extra[i] = witness_time(fam, float(x))
+        extra[inside] = witness_time(fam, x_nodes[inside])
     return TimeGrid(times, extra)
 
 
@@ -194,12 +194,9 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
     # the slice maxima: with them in hand the time loop can stop early
     oracle = np.zeros(x_nodes.size)
     if tgrid.extra_times is not None:
-        idx = np.nonzero(np.isfinite(tgrid.extra_times))[0].tolist()
-        ts = tgrid.extra_times[idx].tolist()
-        ys = [float(curve_eval(curve, float(x_nodes[i]), t_x))
-              for i, t_x in zip(idx, ts)]
-        oracle[idx] = [abs(v) for v in
-                       direct_quadrature(f, params, ys, ts).tolist()]
+        has = np.isfinite(tgrid.extra_times)
+        oracle[has] = _oracle_moduli(f, params, curve, x_nodes[has],
+                                     tgrid.extra_times[has])
 
     best = np.zeros(x_nodes.size)
     arg = np.zeros(x_nodes.size)
@@ -227,6 +224,20 @@ def maximal_field(f: SpectralFunction, params: EvolutionParams,
         arg[take] = tgrid.extra_times[take]
 
     return MaximalField(x_nodes, best, arg, slices)
+
+
+def _oracle_moduli(f: SpectralFunction, params: EvolutionParams,
+                   curve: CurveSpec, xs: np.ndarray,
+                   ts: np.ndarray) -> np.ndarray:
+    """|u(Gamma(x, t), t)| per pair of ``xs`` and ``ts``, through one batched
+    direct-quadrature call at the points y on the curve."""
+    xs, ts = xs.tolist(), ts.tolist()
+    ys = [float(curve_eval(curve, x, t)) for x, t in zip(xs, ts)]
+    # Python abs of each complex value: np.abs rounds differently in the
+    # last place for about a third of the values
+    return np.array([abs(v) for v in
+                     direct_quadrature(f, params, ys, ts).tolist()],
+                    dtype=float)
 
 
 def l2_norm_field(field: MaximalField, interval: tuple[float, float]) -> float:
@@ -401,13 +412,9 @@ def witness_minimum(fam: CounterexampleFamily, n_nodes: int = 256,
     else:
         lo, hi = witness_interval(fam)
         xs = np.linspace(lo, hi, n_nodes + 2)[1:-1]
-        ts = np.array([witness_time(fam, float(x)) for x in xs])
+        ts = witness_time(fam, xs)
 
-    ys = [float(curve_eval(curve, float(x), float(t))) for x, t in zip(xs, ts)]
-    amps = direct_quadrature(f, params, ys, ts).tolist()
-    # Python abs of each complex value: np.abs rounds differently in the
-    # last place for about a third of the values
-    vals = np.array([abs(v) for v in amps])
+    vals = _oracle_moduli(f, params, curve, xs, ts)
     return float(vals.min()), xs, vals, ts
 
 

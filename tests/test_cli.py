@@ -59,6 +59,17 @@ def test_atlas_reads_lists_of_alpha_and_gamma():
                         field: []})
 
 
+def test_atlas_alpha_flag_takes_a_comma_list(capsys):
+    code, out, _ = run_cli(["atlas", "--alpha", "0.5,0.25", "--gamma", "1"],
+                           capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert [r["alpha"] for r in rec["results"]["rows"]] == [0.5, 0.25]
+    # one number is a list of one, and the record echoes it as one
+    code, out, _ = run_cli(["atlas", "--alpha", "0.5", "--gamma", "1"], capsys)
+    assert code == 0 and json.loads(out)["config"]["alpha"] == [0.5]
+
+
 def test_atlas_malformed_config_exits_2(capsys):
     code, _, err = run_cli(["atlas", "--alpha", "0", "--gamma", "1", "--m", "2"],
                            capsys)
@@ -562,6 +573,25 @@ def test_eval_checks_n_samples_as_sweep_does(monkeypatch):
                             **_VALID[command]})
 
 
+def test_eval_checks_x_and_t_before_the_spectrum(monkeypatch):
+    # a bad x or t is refused before any spectrum is built, so it costs the
+    # same at 2**20 samples as at 64; with a bad R beside it, t is named
+    import ctschro.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("spectrum built before the x and t checks")
+    for name in ("build_counterexample", "random_band_limited"):
+        monkeypatch.setattr(cli, name, no_work)
+    for over, field in (({"t": [2.0]}, "'t'"), ({"x": []}, "'x'"),
+                        ({"x": [0.0, 0.1], "t": [0.0, 0.1, 0.2]}, "'t'")):
+        for doc in ({**_VALID["eval"], "n_samples": 2 ** 20}, _BAND):
+            with pytest.raises(ConfigError, match=field):
+                run_config({"command": "eval", **doc, **over})
+    with pytest.raises(ConfigError, match="'t'"):
+        run_config({"command": "eval", **_VALID["eval"], "R": 1.0,
+                    "t": [2.0]})
+
+
 def test_kernelcheck_bounds_its_sizes_before_any_draw(monkeypatch, capsys):
     # count x len(lams) kernel draws and the 8 max(schur_lams) + 1 y-nodes
     # of the Schur row are each bounded by 2**20 before any draw or array
@@ -785,7 +815,7 @@ _FAMILY_FLAGS = {("--family", "family", None, ("dilated", "modulated"), _STORE),
 # (option strings, dest, type, choices, action class) of every flag but
 # --help: the command lines that scripts and records rely on
 _FLAG_SURFACE = {
-    "atlas": {*_COMMON_FLAGS, ("--alpha", "alpha", float, None, _STORE),
+    "atlas": {*_COMMON_FLAGS, ("--alpha", "alpha", None, None, _STORE),
               ("--gamma", "gamma", None, None, _STORE),
               ("--m", "m", float, None, _STORE),
               ("--continuity", "continuity", None, None, _SWITCH)},
@@ -938,3 +968,55 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rows = parse_csv(out_path.read_text())
     assert rows[0] == _CSV_COLUMNS["atlas"]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a path that cannot be opened is a configuration error, not a verdict
+    out_path = tmp_path / "missing" / "atlas.json"
+    code, out, err = run_cli(["atlas", "--alpha", "0.5", "--gamma", "3",
+                              "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "config" and "atlas.json" in rec["reason"]
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("out", 7), ("out", 1), ("out", True), ("out", ["a.json"]),
+    ("fmt", "xml"), ("fmt", 1), ("fmt", ["csv"]),
+])
+def test_bad_output_field_exits_2_before_any_work(field, value, tmp_path,
+                                                  capsys, monkeypatch):
+    # "out": 7 would reach open(7), a file descriptor, and "fmt": "xml"
+    # would write JSON; both are refused before the command runs
+    import ctschro.cli as cli
+
+    def no_work(cfg):
+        raise AssertionError("work started before the output checks")
+    monkeypatch.setitem(cli._COMMANDS, "atlas", no_work)
+    code, out, rec = _run_doc("atlas", {**_VALID["atlas"], field: value},
+                              tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert rec["error"] == "config" and f"'{field}'" in rec["reason"]
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        run_config({"command": "atlas", **_VALID["atlas"], field: value})
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import ctschro
+
+    src = str(pathlib.Path(ctschro.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctschro", "atlas", "--alpha", "0.5",
+         "--gamma", "1.5"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "atlas"

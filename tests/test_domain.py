@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from ctschro.errors import (
     DomainError,
     RegimeError,
     ResolutionError,
+    RootBracketError,
 )
 
 
@@ -328,6 +330,37 @@ def test_witness_time_residual_over_interval():
         t = witness_time(fam, float(x))
         resid = abs(x - t ** fam.alpha - 2 * fam.R ** fam.b * t)
         assert resid <= 1e-12 * max(x, fam.R ** -2.0)
+
+
+def test_witness_time_array_form():
+    # one call for many positions gives the one-position times bit for bit,
+    # and refuses the whole array for one position outside the interval
+    for fam in (dilated_family(0.25, 0.75, 64.0),
+                modulated_family(1 / 3, 1.6, 64.0)):
+        lo, hi = witness_interval(fam)
+        xs = np.linspace(lo, hi, 33)[1:-1]
+        ts = witness_time(fam, xs)
+        assert isinstance(ts, np.ndarray) and ts.shape == xs.shape
+        assert [t.hex() for t in ts.tolist()] == \
+            [witness_time(fam, x).hex() for x in xs.tolist()]
+        assert witness_time(fam, xs[:0]).shape == (0,)
+        for bad in (np.append(xs, hi), np.append(xs, np.nan),
+                    xs.reshape(1, -1)):
+            with pytest.raises(DomainError):
+                witness_time(fam, bad)
+
+
+def test_witness_time_unbracketed_root():
+    # at c = 1/2, R = 100 the bracket's top t = c R**-2 rounds to a position
+    # just below the interval's upper end: the position after it has no root
+    fam = modulated_family(1 / 3, 1.6, 100.0, c=0.5)
+    _, hi = witness_interval(fam)
+    x = math.nextafter(hi, 0.0)
+    below = math.nextafter(x, 0.0)
+    assert witness_time(fam, below).hex() == "0x1.a36e2eb1c4326p-15"
+    for arg in (x, np.array([below, x])):
+        with pytest.raises(RootBracketError, match="not bracketed"):
+            witness_time(fam, arg)
 
 
 def test_witness_time_domain_error():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 
@@ -17,7 +18,9 @@ from ctschro.domain import (
     random_band_limited,
     scaling_interval,
     witness_interval,
+    witness_time,
 )
+from ctschro.kernel import clipped_power_assignment
 from ctschro._numerics import lagrange_uniform
 from ctschro.errors import CalibrationError, DegenerateSeriesError, DomainError
 from ctschro.evolve import direct_quadrature
@@ -415,6 +418,63 @@ def test_x_nodes_are_np_unique_bit_for_bit(make, monkeypatch):
         with pytest.raises(Built) as built:
             maximal_ratio(fam)
         assert _hex(built.value.args[0]) == _hex(xs[(xs >= lo) & (xs <= hi)])
+
+
+# SHA-256 of the space-joined float.hex of the witness times, per A5 family:
+# on maximal_ratio's witness nodes over _A5_SCALES, and on witness_minimum's
+# 256 nodes at R = 64; recorded at b0f5bb1, when each time was computed by
+# its own one-position call
+_WITNESS_DIGESTS = [
+    ("002f8504c777b1758556b3a1d6feb4c53b89cd14d8d1f7af46ce68f6177f0738",
+     "52e80d94d195d0acc3a7cb351bd52ce7229bea8f61462b9f7f28fa992fb83d23"),
+    ("f5416a9e8812380ebb1bbb0cb46045002705d4b7cfc1704a87dcd62625f04c00",
+     "546b2c169a8124d668f9de968909c7e8c3ad443e5a10f004aca617a684db2a7e"),
+    ("bf6ee4e8992dec813799360a8e1f0747131498cd24411388aa6f4485f4b61f9e",
+     "0d20d74cf01de3270a46b00e9883530f82d09df235f293671e5fb572aca93682"),
+    ("95c9b186eb7c0c597dd155cab7c917cf98c1c4b4626b6b366520653034808b30",
+     "e11c1da3a9fc0f0d84f7d5613f17822c798c2564ae81c2d8ba30ef9f8a7b29a8"),
+]
+
+
+def _digest(values):
+    return hashlib.sha256(" ".join(_hex(values)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make,digests", zip(_A5_FAMILIES, _WITNESS_DIGESTS))
+def test_witness_times_are_pinned_bit_for_bit(make, digests, monkeypatch):
+    # one witness map for the grid, the scan and the Schur row: its times
+    # are those of the one-position calls, to the bit, and every reader
+    # gets the same ones (np.power in place of ** would move some by an ulp)
+    import ctschro.maximal as maximal
+
+    class Built(Exception):
+        pass
+
+    def capture(f, params, curve, xs, tgrid):
+        raise Built(xs, tgrid)
+    with monkeypatch.context() as patch:
+        patch.setattr(maximal, "maximal_field", capture)
+        ratio_times = []
+        for R in _A5_SCALES:
+            fam = make(R)
+            with pytest.raises(Built) as built:
+                maximal_ratio(fam)
+            xs, tgrid = built.value.args
+            has = np.isfinite(tgrid.extra_times)
+            one = [witness_time(fam, x) for x in xs[has].tolist()]
+            assert _hex(tgrid.extra_times[has]) == _hex(one)
+            ratio_times.extend(one)
+
+    fam = make(64.0)
+    _, xs, _, ts = witness_minimum(fam)
+    grid = build_time_grid(default_time_exponent(fam.lam), fam=fam, x_nodes=xs)
+    assert _hex(grid.extra_times) == _hex(ts)
+    assert _hex(witness_time(fam, xs)) == _hex(ts)
+    assert _hex([witness_time(fam, x) for x in xs.tolist()]) == _hex(ts)
+    if fam.kind == "dilated":
+        assign = clipped_power_assignment(fam.alpha)
+        assert _hex([assign(x) for x in xs.tolist()]) == _hex(ts)
+    assert (_digest(ratio_times), _digest(ts)) == digests
 
 
 def _guarded_by_np_median(scales, values):
